@@ -20,9 +20,7 @@ For `omega`, `acoeff` and `table a` the class M lives in the rank-(n+1)
 algebra upstairs; --n names the target rank.  `count-subgroups` reads
 the truncation exponent from --trunc (default 1).  --cache points at a
 directory holding the append-only coefficient cache (environment
-variable HECKE_CACHE_DIR supplies the default); --jobs splits table and
-hom-verification cells over worker processes, merging results in a
-fixed order so output is identical to a sequential run.
+variable HECKE_CACHE_DIR supplies the default).
 """
 
 from __future__ import annotations
@@ -32,7 +30,8 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from typing import Callable, Iterator
 
 from .cache import CACHE_ENV, CacheStore
 from .errors import BudgetExceededError, ParseError, VerificationError
@@ -57,6 +56,7 @@ from .omega import (
     verify_tp_formula,
 )
 from .partitions import (
+    Partition,
     embeds,
     format_partition,
     order_exponent,
@@ -125,12 +125,6 @@ def _add_common(parser: argparse.ArgumentParser, *, need_rank: bool = True) -> N
         default=3,
         help="order-exponent bound for tables and verification sweeps",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for tables and hom verification",
-    )
 
 
 def _cache_dir(args: argparse.Namespace) -> str | None:
@@ -170,144 +164,25 @@ def _omega_ctx(args: argparse.Namespace, memo: dict[str, int]) -> OmegaContext:
 # --- output helpers -----------------------------------------------------------
 
 
-def _csv_writer():
-    return csv.writer(sys.stdout, lineterminator="\n")
-
-
-def _emit_scalar(args, fields: list[tuple[str, tuple[int, ...]]], value: int) -> None:
-    if args.output == "json":
-        payload: dict = {"p": args.p, "n": args.n}
-        for name, lam in fields:
-            payload[name] = list(lam)
-        payload["value"] = str(value)
-        print(json.dumps(payload))
-    elif args.output == "csv":
-        w = _csv_writer()
-        w.writerow([name for name, _ in fields] + ["value"])
-        w.writerow([format_partition(lam) for _, lam in fields] + [str(value)])
-    else:
-        print(value)
+def _write_csv(header: list[str], rows) -> None:
+    w = csv.writer(sys.stdout, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
 
 
 def _emit_element(args, elem: HeckeElement) -> None:
     if args.output == "json":
         print(json.dumps(elem.to_json_dict()))
     elif args.output == "csv":
-        w = _csv_writer()
-        w.writerow(["lambda", "coeff"])
-        for lam, c in elem.sorted_terms():
-            w.writerow([format_partition(lam), str(c)])
+        _write_csv(
+            ["lambda", "coeff"],
+            ([format_partition(lam), str(c)] for lam, c in elem.sorted_terms()),
+        )
     else:
         print(elem.to_text())
 
 
-def _emit_rows(args, header: list[str], rows: list[list[str]], json_payload: dict) -> None:
-    if args.output == "json":
-        print(json.dumps(json_payload))
-    else:
-        # text tables are the csv form
-        w = _csv_writer()
-        w.writerow(header)
-        for row in rows:
-            w.writerow(row)
-
-
-# --- parallel workers ---------------------------------------------------------
-
-_WORKER_PARAMS: dict = {}
-
-
-def _worker_init(params: dict) -> None:
-    _WORKER_PARAMS.update(params)
-
-
-def _fresh_worker_omega() -> OmegaContext:
-    return OmegaContext(
-        p=_WORKER_PARAMS["p"],
-        n=_WORKER_PARAMS["n"],
-        split=_WORKER_PARAMS["split"],
-        trunc_override=_WORKER_PARAMS["trunc"],
-        budget=_WORKER_PARAMS["budget"],
-    )
-
-
-def _worker_cell(item: tuple):
-    kind = item[0]
-    if kind == "c":
-        ctx = HeckeContext(
-            p=_WORKER_PARAMS["p"], n=_WORKER_PARAMS["n"], budget=_WORKER_PARAMS["budget"]
-        )
-        _, m, n_, l = item
-        return c_coeff(m, n_, l, ctx)
-    if kind == "a":
-        _, m, n_ = item
-        return a_coeff(m, n_, _fresh_worker_omega())
-    if kind == "b":
-        _, b, a = item
-        return b_coeff(b, a, _fresh_worker_omega())
-    if kind == "omega":
-        (_, m) = item
-        ctx = _fresh_worker_omega()
-        elem = omega(basis_element(m, ctx.source), ctx)
-        return elem.sorted_terms()
-    if kind == "hom":
-        _, m1, m2 = item
-        rep = verify_omega_hom(m1, m2, _fresh_worker_omega())
-        return rep.passed, rep.describe()
-    raise ValueError(f"unknown work item {kind!r}")
-
-
-def _parallel(args, kind: str, items: list[tuple]) -> list:
-    params = {
-        "p": args.p,
-        "n": args.n,
-        "budget": args.budget,
-        "split": getattr(args, "split", "first"),
-        "trunc": getattr(args, "trunc", None),
-    }
-    tagged = [(kind, *item) for item in items]
-    with ProcessPoolExecutor(
-        max_workers=args.jobs, initializer=_worker_init, initargs=(params,)
-    ) as pool:
-        chunk = max(1, len(tagged) // (4 * args.jobs))
-        return list(pool.map(_worker_cell, tagged, chunksize=chunk))
-
-
-# --- scalar and element commands ----------------------------------------------
-
-
-def _cmd_ccoeff(args) -> int:
-    m = parse_partition(args.M)
-    n_ = parse_partition(args.N)
-    l = parse_partition(args.L)
-    store, memo = _open_cache(args)
-    ctx = _hecke_ctx(args, memo)
-    value = c_coeff(m, n_, l, ctx)
-    _close_cache(store, memo)
-    _emit_scalar(args, [("M", m), ("N", n_), ("L", l)], value)
-    return EXIT_OK
-
-
-def _cmd_acoeff(args) -> int:
-    m = parse_partition(args.M)
-    n_ = parse_partition(args.N)
-    store, memo = _open_cache(args)
-    ctx = _omega_ctx(args, memo)
-    value = a_coeff(m, n_, ctx)
-    _close_cache(store, memo)
-    _emit_scalar(args, [("M", m), ("N", n_)], value)
-    return EXIT_OK
-
-
-def _cmd_bcoeff(args) -> int:
-    b = parse_partition(args.B)
-    a = parse_partition(args.A)
-    store, memo = _open_cache(args)
-    ctx = _omega_ctx(args, memo)
-    value = b_coeff(b, a, ctx)
-    _close_cache(store, memo)
-    _emit_scalar(args, [("B", b), ("A", a)], value)
-    return EXIT_OK
+# --- element commands ---------------------------------------------------------
 
 
 def _cmd_mul(args) -> int:
@@ -341,131 +216,141 @@ def _cmd_decompose(args) -> int:
         payload = {"p": args.p, **poly.to_json_dict()}
         print(json.dumps(payload))
     elif args.output == "csv":
-        w = _csv_writer()
-        w.writerow(["exponents", "coeff"])
-        for exps, c in poly.sorted_terms():
-            w.writerow(["[" + ",".join(str(a) for a in exps) + "]", str(c)])
+        _write_csv(
+            ["exponents", "coeff"],
+            (
+                ["[" + ",".join(str(a) for a in exps) + "]", str(c)]
+                for exps, c in poly.sorted_terms()
+            ),
+        )
     else:
         print(poly.to_text())
     return EXIT_OK
 
 
-# --- tables --------------------------------------------------------------------
+# --- scalar coefficients and their tables --------------------------------------
+
+
+def _c_cells(args) -> Iterator[tuple[Partition, Partition, Partition]]:
+    for l in partitions_up_to(args.max_order_exp, args.n):
+        d = order_exponent(l)
+        for dm in range(d + 1):
+            for m in partitions_of_exponent(dm, args.n):
+                for n_ in partitions_of_exponent(d - dm, args.n):
+                    yield m, n_, l
+
+
+def _embedded_pairs(
+    max_order_exp: int, outer_rank: int, inner_rank: int
+) -> Iterator[tuple[Partition, Partition]]:
+    for big in partitions_up_to(max_order_exp, outer_rank):
+        for small in partitions_up_to(order_exponent(big), inner_rank):
+            if embeds(small, big):
+                yield big, small
+
+
+@dataclass(frozen=True)
+class _CoeffSpec:
+    """One scalar coefficient: its argument names, context, table cells, value.
+
+    The argument names are the `*coeff` options, the table columns and
+    the JSON fields alike.
+    """
+
+    columns: tuple[str, ...]
+    context: Callable
+    cells: Callable
+    value: Callable
+
+
+_COEFFS = {
+    "c": _CoeffSpec(("M", "N", "L"), _hecke_ctx, _c_cells, c_coeff),
+    "a": _CoeffSpec(
+        ("M", "N"),
+        _omega_ctx,
+        lambda args: _embedded_pairs(args.max_order_exp, args.n + 1, args.n),
+        a_coeff,
+    ),
+    "b": _CoeffSpec(
+        ("B", "A"),
+        _omega_ctx,
+        lambda args: _embedded_pairs(args.max_order_exp, args.n, args.n),
+        b_coeff,
+    ),
+}
+
+
+def _cell_fields(columns: tuple[str, ...], cell: tuple, value: int) -> dict:
+    fields: dict = {name: list(lam) for name, lam in zip(columns, cell)}
+    fields["value"] = str(value)
+    return fields
+
+
+def _cell_row(cell: tuple, value: int) -> list[str]:
+    return [format_partition(lam) for lam in cell] + [str(value)]
+
+
+def _cmd_coeff(args) -> int:
+    spec = _COEFFS[args.kind]
+    cell = tuple(parse_partition(getattr(args, name)) for name in spec.columns)
+    store, memo = _open_cache(args)
+    value = spec.value(*cell, spec.context(args, memo))
+    _close_cache(store, memo)
+    if args.output == "json":
+        fields = _cell_fields(spec.columns, cell, value)
+        print(json.dumps({"p": args.p, "n": args.n, **fields}))
+    elif args.output == "csv":
+        _write_csv([*spec.columns, "value"], [_cell_row(cell, value)])
+    else:
+        print(value)
+    return EXIT_OK
 
 
 def _cmd_table(args) -> int:
-    which = args.kind
+    if args.kind == "omega":
+        return _table_omega(args)
+    spec = _COEFFS[args.kind]
     store, memo = _open_cache(args)
-    maxoe = args.max_order_exp
-    if which == "c":
-        items = []
-        for l in partitions_up_to(maxoe, args.n):
-            d = order_exponent(l)
-            for dm in range(d + 1):
-                for m in partitions_of_exponent(dm, args.n):
-                    for n_ in partitions_of_exponent(d - dm, args.n):
-                        items.append((m, n_, l))
-        if args.jobs > 1:
-            values = _parallel(args, "c", items)
-        else:
-            ctx = _hecke_ctx(args, memo)
-            values = [c_coeff(m, n_, l, ctx) for m, n_, l in items]
-        rows = [
-            [format_partition(m), format_partition(n_), format_partition(l), str(v)]
-            for (m, n_, l), v in zip(items, values)
+    cells = list(spec.cells(args))
+    ctx = spec.context(args, memo)
+    values = [spec.value(*cell, ctx) for cell in cells]
+    _close_cache(store, memo)
+    if args.output == "json":
+        rows = [_cell_fields(spec.columns, cell, v) for cell, v in zip(cells, values)]
+        print(json.dumps({"p": args.p, "n": args.n, "table": args.kind, "rows": rows}))
+    else:
+        # text tables are the csv form
+        _write_csv(
+            [*spec.columns, "value"],
+            (_cell_row(cell, v) for cell, v in zip(cells, values)),
+        )
+    return EXIT_OK
+
+
+def _table_omega(args) -> int:
+    store, memo = _open_cache(args)
+    ms = list(partitions_up_to(args.max_order_exp, args.n + 1))
+    ctx = _omega_ctx(args, memo)
+    images = [omega(basis_element(m, ctx.source), ctx).sorted_terms() for m in ms]
+    _close_cache(store, memo)
+    if args.output == "json":
+        entries = [
+            {
+                "M": list(m),
+                "image": [{"lambda": list(lam), "coeff": str(c)} for lam, c in image],
+            }
+            for m, image in zip(ms, images)
         ]
-        payload = {
-            "p": args.p,
-            "n": args.n,
-            "table": "c",
-            "rows": [
-                {"M": list(m), "N": list(n_), "L": list(l), "value": str(v)}
-                for (m, n_, l), v in zip(items, values)
-            ],
-        }
-        _close_cache(store, memo)
-        _emit_rows(args, ["M", "N", "L", "value"], rows, payload)
-    elif which == "a":
-        items = []
-        for m in partitions_up_to(maxoe, args.n + 1):
-            for n_ in partitions_up_to(order_exponent(m), args.n):
-                if embeds(n_, m):
-                    items.append((m, n_))
-        if args.jobs > 1:
-            values = _parallel(args, "a", items)
-        else:
-            ctx = _omega_ctx(args, memo)
-            values = [a_coeff(m, n_, ctx) for m, n_ in items]
-        rows = [
-            [format_partition(m), format_partition(n_), str(v)]
-            for (m, n_), v in zip(items, values)
-        ]
-        payload = {
-            "p": args.p,
-            "n": args.n,
-            "table": "a",
-            "rows": [
-                {"M": list(m), "N": list(n_), "value": str(v)}
-                for (m, n_), v in zip(items, values)
-            ],
-        }
-        _close_cache(store, memo)
-        _emit_rows(args, ["M", "N", "value"], rows, payload)
-    elif which == "b":
-        items = []
-        for b in partitions_up_to(maxoe, args.n):
-            for a in partitions_up_to(order_exponent(b), args.n):
-                if embeds(a, b):
-                    items.append((b, a))
-        if args.jobs > 1:
-            values = _parallel(args, "b", items)
-        else:
-            ctx = _omega_ctx(args, memo)
-            values = [b_coeff(b, a, ctx) for b, a in items]
-        rows = [
-            [format_partition(b), format_partition(a), str(v)]
-            for (b, a), v in zip(items, values)
-        ]
-        payload = {
-            "p": args.p,
-            "n": args.n,
-            "table": "b",
-            "rows": [
-                {"B": list(b), "A": list(a), "value": str(v)}
-                for (b, a), v in zip(items, values)
-            ],
-        }
-        _close_cache(store, memo)
-        _emit_rows(args, ["B", "A", "value"], rows, payload)
-    else:  # omega
-        items = [(m,) for m in partitions_up_to(maxoe, args.n + 1)]
-        if args.jobs > 1:
-            images = _parallel(args, "omega", items)
-        else:
-            ctx = _omega_ctx(args, memo)
-            images = [
-                omega(basis_element(m, ctx.source), ctx).sorted_terms()
-                for (m,) in items
-            ]
-        rows = []
-        for (m,), image in zip(items, images):
-            for lam, c in image:
-                rows.append([format_partition(m), format_partition(lam), str(c)])
-        payload = {
-            "p": args.p,
-            "n": args.n,
-            "entries": [
-                {
-                    "M": list(m),
-                    "image": [
-                        {"lambda": list(lam), "coeff": str(c)} for lam, c in image
-                    ],
-                }
-                for (m,), image in zip(items, images)
-            ],
-        }
-        _close_cache(store, memo)
-        _emit_rows(args, ["M", "lambda", "coeff"], rows, payload)
+        print(json.dumps({"p": args.p, "n": args.n, "entries": entries}))
+    else:
+        _write_csv(
+            ["M", "lambda", "coeff"],
+            (
+                [format_partition(m), format_partition(lam), str(c)]
+                for m, image in zip(ms, images)
+                for lam, c in image
+            ),
+        )
     return EXIT_OK
 
 
@@ -481,20 +366,18 @@ def _check(checks: list, name: str, fn) -> None:
 
 
 def _suite_hom(args, memo, checks) -> None:
+    ctx = _omega_ctx(args, memo)
     parts = list(partitions_up_to(args.max_order_exp, args.n + 1))
-    items = [(m1, m2) for m1 in parts for m2 in parts]
-    if args.jobs > 1:
-        results = _parallel(args, "hom", items)
-    else:
-        ctx = _omega_ctx(args, memo)
-        results = []
-        for m1, m2 in items:
+    for m1 in parts:
+        for m2 in parts:
             rep = verify_omega_hom(m1, m2, ctx)
-            results.append((rep.passed, rep.describe()))
-    for (m1, m2), (ok, detail) in zip(items, results):
-        checks.append(
-            (f"hom M1={format_partition(m1)} M2={format_partition(m2)}", ok, detail)
-        )
+            checks.append(
+                (
+                    f"hom M1={format_partition(m1)} M2={format_partition(m2)}",
+                    rep.passed,
+                    rep.describe(),
+                )
+            )
 
 
 def _suite_tp(args, memo, checks) -> None:
@@ -624,21 +507,17 @@ def _suite_oracle(args, memo, checks) -> None:
                 )
             )
     hctx = _hecke_ctx(args, memo)
-    for l in partitions_up_to(maxoe, args.n):
-        d = order_exponent(l)
-        for dm in range(d + 1):
-            for m in partitions_of_exponent(dm, args.n):
-                for n_ in partitions_of_exponent(d - dm, args.n):
-                    vc = c_coeff(m, n_, l, hctx)
-                    vv = c_coeff(m, n_, l, hctx, verify=True)
-                    checks.append(
-                        (
-                            f"c-route M={format_partition(m)} "
-                            f"N={format_partition(n_)} L={format_partition(l)}",
-                            vc == vv,
-                            f"table {vc}, normalized count {vv}",
-                        )
-                    )
+    for m, n_, l in _c_cells(args):
+        vc = c_coeff(m, n_, l, hctx)
+        vv = c_coeff(m, n_, l, hctx, verify=True)
+        checks.append(
+            (
+                f"c-route M={format_partition(m)} "
+                f"N={format_partition(n_)} L={format_partition(l)}",
+                vc == vv,
+                f"table {vc}, normalized count {vv}",
+            )
+        )
 
 
 _SUITES = {
@@ -675,10 +554,10 @@ def _emit_checks(args, suite: str, checks: list) -> int:
             )
         )
     elif args.output == "csv":
-        w = _csv_writer()
-        w.writerow(["name", "passed", "detail"])
-        for name, ok, detail in checks:
-            w.writerow([name, "true" if ok else "false", detail])
+        _write_csv(
+            ["name", "passed", "detail"],
+            ([name, "true" if ok else "false", detail] for name, ok, detail in checks),
+        )
     else:
         for name, ok, detail in checks:
             if ok:
@@ -700,14 +579,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_count_subgroups(args) -> int:
     r = args.trunc if args.trunc is not None else 1
-    store, memo = _open_cache(args)
     amb = Ambient(args.p, args.n, r)
     by_type: dict = {}
     for s in enumerate_subgroups(amb, budget=args.budget):
         t = type_of(s)
         by_type[t] = by_type.get(t, 0) + 1
     total = sum(by_type.values())
-    _close_cache(store, memo)
     ordered = sorted(by_type.items(), key=lambda kv: (order_exponent(kv[0]), kv[0]))
     if args.output == "json":
         print(
@@ -724,10 +601,9 @@ def _cmd_count_subgroups(args) -> int:
             )
         )
     elif args.output == "csv":
-        w = _csv_writer()
-        w.writerow(["type", "count"])
-        for t, c in ordered:
-            w.writerow([format_partition(t), str(c)])
+        _write_csv(
+            ["type", "count"], ([format_partition(t), str(c)] for t, c in ordered)
+        )
     else:
         print(total)
     return EXIT_OK
@@ -743,7 +619,6 @@ def _cmd_selftest(args) -> int:
         split="first",
         trunc=None,
         max_order_exp=2,
-        jobs=1,
     )
     checks: list = []
     for suite_fn in _SUITES["all"]:
@@ -767,19 +642,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--M", required=True, help='partition literal, e.g. "[1]"')
     sp.add_argument("--N", required=True)
     sp.add_argument("--L", required=True)
-    sp.set_defaults(func=_cmd_ccoeff)
+    sp.set_defaults(func=_cmd_coeff, kind="c")
 
     sp = sub.add_parser("acoeff", help="transfer coefficient a(M, N)")
     _add_common(sp)
     sp.add_argument("--M", required=True, help="class upstairs (rank n+1)")
     sp.add_argument("--N", required=True, help="class downstairs (rank n)")
-    sp.set_defaults(func=_cmd_acoeff)
+    sp.set_defaults(func=_cmd_coeff, kind="a")
 
     sp = sub.add_parser("bcoeff", help="inverse-transfer coefficient b(B, A)")
     _add_common(sp)
     sp.add_argument("--B", required=True)
     sp.add_argument("--A", required=True)
-    sp.set_defaults(func=_cmd_bcoeff)
+    sp.set_defaults(func=_cmd_coeff, kind="b")
 
     sp = sub.add_parser("mul", help="product of two elements")
     _add_common(sp)

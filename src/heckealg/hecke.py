@@ -16,8 +16,9 @@ as a verification mode and must agree exactly.
 
 The algebra is a polynomial ring over Z on the classes T_k of elementary
 abelian groups (Z/p)^k for 1 <= k <= n, so every element decomposes as
-an integer polynomial in T_1..T_n; the decomposition is found degree by
-degree with an exact linear solve.
+an integer polynomial in T_1..T_n; the decomposition peels off leading
+terms in integer arithmetic, since the T-monomials are unitriangular
+against the classes in dominance order.
 
 >>> ctx = HeckeContext(p=2, n=2)
 >>> print(multiply(basis_element((1,), ctx), basis_element((1,), ctx), ctx))
@@ -28,13 +29,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import ParseError, VerificationError
 from .modmat import _span_contains_rows
 from .partitions import (
     Partition,
+    conjugate,
     format_partition,
     order_exponent,
     p_rank,
@@ -227,10 +228,7 @@ def parse_element(text: str, p: int, n: int) -> HeckeElement:
         sign, coeff, part = m.groups()
         if sign is None and not first:
             raise ParseError(f"missing +/- between terms in {text!r}")
-        try:
-            lam = parse_partition(part)
-        except ParseError:
-            raise
+        lam = parse_partition(part)
         value = int(coeff) if sign != "-" else -int(coeff)
         terms[lam] = terms.get(lam, 0) + value
         pos = m.end()
@@ -446,23 +444,6 @@ class GeneratorPoly:
         return self.to_text()
 
 
-def _monomial_exponents(d: int, n: int) -> list[tuple[int, ...]]:
-    """Exponent vectors with graded degree d, in a fixed order."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(k: int, rest: int, acc: tuple[int, ...]) -> None:
-        if k == 0:
-            if rest == 0:
-                out.append(acc)
-            return
-        # exponent of T_k chosen first, largest first
-        for a in range(rest // k, -1, -1):
-            rec(k - 1, rest - a * k, (a,) + acc)
-
-    rec(n, d, ())
-    return out
-
-
 def _eval_monomial(exps: tuple[int, ...], ctx: HeckeContext) -> HeckeElement:
     hit = ctx._monos.get(exps)
     if hit is not None:
@@ -478,60 +459,39 @@ def _eval_monomial(exps: tuple[int, ...], ctx: HeckeContext) -> HeckeElement:
     return value
 
 
-def _solve_exact(matrix: list[list[int]], rhs: list[int]) -> list[Fraction]:
-    size = len(matrix)
-    work = [
-        [Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(matrix, rhs)
-    ]
-    for col in range(size):
-        pivot = next((i for i in range(col, size) if work[i][col]), None)
-        if pivot is None:
-            raise VerificationError("singular system in generator decomposition")
-        work[col], work[pivot] = work[pivot], work[col]
-        pv = work[col][col]
-        work[col] = [x / pv for x in work[col]]
-        for i in range(size):
-            if i != col and work[i][col]:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[col])]
-    return [work[i][size] for i in range(size)]
+def _leading_monomial(lam: Partition, n: int) -> tuple[int, ...]:
+    """Exponents of T_1..T_n in prod_i T_(lam'_i), lam' the conjugate of lam."""
+    cols = conjugate(lam)
+    return tuple(cols.count(k) for k in range(1, n + 1))
 
 
 def decompose_in_generators(x: HeckeElement, ctx: HeckeContext) -> GeneratorPoly:
-    """Write x as an integer polynomial in T_1..T_n, degree by degree.
+    """Write x as an integer polynomial in T_1..T_n by peeling leading terms.
 
-    The graded piece of degree d is solved against the monomial basis of
-    that degree; partitions of d with at most n parts and monomials of
-    graded degree d are equinumerous (conjugation), so the system is
-    square.  A singular system or a non-integer solution is a fatal
-    verification failure, not a rounding matter.
+    The monomial prod_i T_(lam'_i) has lam as its largest term in
+    dominance order, with coefficient 1 (Macdonald, Symmetric Functions
+    and Hall Polynomials, Ch. II-III), and within one degree the tuple
+    order on partitions refines dominance.  So the largest class left
+    fixes the coefficient of its monomial, and subtracting that multiple
+    leaves only smaller classes; the arithmetic stays in the integers.  A
+    monomial that does not lead with its class and coefficient 1 is a
+    fatal verification failure.
     """
     if x.p != ctx.p or x.n != ctx.n:
         raise ValueError("element does not match context")
     coeffs: dict[tuple[int, ...], int] = {}
-    degrees = sorted({order_exponent(lam) for lam in x.terms})
-    for d in degrees:
-        basis = list(partitions_of_exponent(d, ctx.n))
-        monos = _monomial_exponents(d, ctx.n)
-        if len(basis) != len(monos):
+    rest = x
+    while rest.terms:
+        lam = max(rest.terms)
+        exps = _leading_monomial(lam, ctx.n)
+        mono = _eval_monomial(exps, ctx)
+        if mono.terms.get(lam) != 1 or max(mono.terms) != lam:
             raise VerificationError(
-                f"degree {d}: {len(basis)} classes vs {len(monos)} monomials"
+                f"monomial {exps} does not lead with 1*{format_partition(lam)}: "
+                f"{mono.to_text()}"
             )
-        index = {lam: i for i, lam in enumerate(basis)}
-        matrix = [[0] * len(monos) for _ in basis]
-        for j, exps in enumerate(monos):
-            value = _eval_monomial(exps, ctx)
-            for lam, c in value.terms.items():
-                matrix[index[lam]][j] = c
-        rhs = [x.terms.get(lam, 0) for lam in basis]
-        solution = _solve_exact(matrix, rhs)
-        for exps, val in zip(monos, solution):
-            if val.denominator != 1:
-                raise VerificationError(
-                    f"non-integer coefficient {val} for monomial {exps}"
-                )
-            if val:
-                coeffs[exps] = int(val)
+        coeffs[exps] = rest.terms[lam]
+        rest = rest - mono.scaled(rest.terms[lam])
     return GeneratorPoly(ctx.n, coeffs)
 
 

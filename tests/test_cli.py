@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line surface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +181,34 @@ def test_budget_exit_code(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "a", "--p", "2", "--n", "2", "--max-order-exp", "3", "--budget", "5"],
+        ["verify", "hom", "--p", "2", "--n", "1", "--max-order-exp", "3", "--budget", "20"],
+    ],
+)
+def test_budget_overrun_in_sweeps(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert "budget" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "c", "--p", "2", "--n", "1"],
+        ["verify", "hom", "--p", "2", "--n", "1"],
+        ["acoeff", "--p", "2", "--n", "1", "--M", "[1]", "--N", "[]"],
+    ],
+)
+def test_jobs_is_not_an_option(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_mismatched_rank_element_is_usage_error(capsys):
     code, _, err = run(capsys, "mul", "--p", "2", "--n", "1", "1*[1,1]", "1*[]")
     assert code == 2
@@ -243,24 +272,6 @@ def test_poisoned_cache_value_is_used_verbatim(tmp_path, capsys):
     assert out.strip() == "77"
 
 
-def test_jobs_match_sequential_table(capsys):
-    argv = ["table", "a", "--p", "2", "--n", "1", "--max-order-exp", "2"]
-    code, seq, _ = run(capsys, *argv)
-    assert code == 0
-    code, par, _ = run(capsys, *argv, "--jobs", "2")
-    assert code == 0
-    assert par == seq
-
-
-def test_jobs_match_sequential_verify(capsys):
-    argv = ["verify", "hom", "--p", "2", "--n", "1", "--max-order-exp", "1"]
-    code, seq, _ = run(capsys, *argv)
-    assert code == 0
-    code, par, _ = run(capsys, *argv, "--jobs", "2")
-    assert code == 0
-    assert par == seq
-
-
 def test_split_and_trunc_flags_change_nothing(capsys):
     base = run(capsys, "acoeff", "--p", "2", "--n", "1", "--M", "[2]", "--N", "[]")
     alt = run(
@@ -270,3 +281,15 @@ def test_split_and_trunc_flags_change_nothing(capsys):
     )
     assert base[0] == alt[0] == 0
     assert base[1] == alt[1]
+
+
+# stdout of the table and single-coefficient commands in every output
+# format, recorded once and compared byte for byte
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"]))
+def test_golden_stdout(capsys, case):
+    code, out, _ = run(capsys, *case["argv"])
+    assert code == case["exit"]
+    assert out == case["stdout"]

@@ -9,6 +9,8 @@ from heckealg.hecke import (
     GeneratorPoly,
     HeckeContext,
     HeckeElement,
+    _eval_monomial,
+    _leading_monomial,
     basis_element,
     c_coeff,
     decompose_in_generators,
@@ -170,6 +172,24 @@ def test_every_small_class_round_trips(ctx22):
         elem = basis_element(lam, ctx22)
         poly = decompose_in_generators(elem, ctx22)
         assert eval_generator_poly(poly, ctx22) == elem
+
+
+def _dominates(lam, mu):
+    return all(sum(mu[:i]) <= sum(lam[:i]) for i in range(1, len(mu) + 1))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_leading_monomials_are_unitriangular(p, n):
+    # the T-monomial of lam leads with 1*lam in dominance order, and the
+    # tuple order on partitions of one degree refines dominance; this is
+    # what lets decompose_in_generators peel off leading terms
+    ctx = HeckeContext(p=p, n=n)
+    for lam in partitions_up_to(5, n):
+        mono = _eval_monomial(_leading_monomial(lam, n), ctx)
+        assert mono.terms[lam] == 1
+        assert max(mono.terms) == lam
+        assert all(_dominates(lam, mu) for mu in mono.terms)
 
 
 def test_decompose_mixed_element(ctx22):
