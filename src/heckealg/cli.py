@@ -17,10 +17,13 @@ Exit codes: 0 success, 2 bad arguments or unparsable input, 3 an
 enumeration would exceed --budget, 4 a verification check failed.
 
 For `omega`, `acoeff` and `table a` the class M lives in the rank-(n+1)
-algebra upstairs; --n names the target rank.  `count-subgroups` reads
-the truncation exponent from --trunc (default 1).  --cache points at a
-directory holding the append-only coefficient cache (environment
-variable HECKE_CACHE_DIR supplies the default).
+algebra upstairs; --n names the target rank.  For the transfer commands
+(`acoeff`, `bcoeff`, `omega`, `table`, `verify`) --trunc only raises the
+truncation exponent the transfer works in; for `count-subgroups` it is
+the exponent r of (Z/p^r)^n (default 1).  --cache points at a directory
+holding the append-only coefficient cache (environment variable
+HECKE_CACHE_DIR supplies the default).  Each command accepts only the
+options it reads.
 """
 
 from __future__ import annotations
@@ -84,47 +87,40 @@ __all__ = ["main"]
 # --- option plumbing ---------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser, *, need_rank: bool = True) -> None:
-    parser.add_argument("--p", type=int, required=need_rank, help="the prime")
-    parser.add_argument(
-        "--n", type=int, required=need_rank, help="algebra rank (target rank for omega)"
-    )
-    parser.add_argument(
-        "--budget",
+_OPTIONS = {
+    "p": dict(type=int, required=True, help="the prime"),
+    "n": dict(type=int, required=True, help="algebra rank (target rank for omega)"),
+    "budget": dict(
         type=int,
         default=DEFAULT_BUDGET,
         help="abort any enumeration larger than this (exit 3)",
-    )
-    parser.add_argument(
-        "--cache",
-        default=None,
-        help=f"cache directory (default: ${CACHE_ENV} if set)",
-    )
-    parser.add_argument(
-        "--output",
-        choices=("text", "json", "csv"),
-        default="text",
-        help="output format",
-    )
-    parser.add_argument(
-        "--split",
+    ),
+    "cache": dict(help=f"cache directory (default: ${CACHE_ENV} if set)"),
+    "output": dict(
+        choices=("text", "json", "csv"), default="text", help="output format"
+    ),
+    "split": dict(
         choices=("first", "last"),
         default="first",
         help="which coordinate block forms the transfer kernel",
-    )
-    parser.add_argument(
-        "--trunc",
-        type=int,
-        default=None,
-        help="raise the truncation exponent (never lowers it)",
-    )
-    parser.add_argument(
-        "--max-order-exp",
-        dest="max_order_exp",
+    ),
+    "trunc": dict(type=int, help="raise the truncation exponent (never lowers it)"),
+    "max-order-exp": dict(
         type=int,
         default=3,
         help="order-exponent bound for tables and verification sweeps",
-    )
+    ),
+}
+
+# the options each command reads, by what it computes
+_CELL_OPTIONS = "p n budget cache output"
+_TRANSFER_OPTIONS = _CELL_OPTIONS + " split trunc"
+_SWEEP_OPTIONS = _TRANSFER_OPTIONS + " max-order-exp"
+
+
+def _add_options(parser: argparse.ArgumentParser, names: str) -> None:
+    for name in names.split():
+        parser.add_argument(f"--{name}", **_OPTIONS[name])
 
 
 def _cache_dir(args: argparse.Namespace) -> str | None:
@@ -357,14 +353,6 @@ def _table_omega(args) -> int:
 # --- verification suites --------------------------------------------------------
 
 
-def _check(checks: list, name: str, fn) -> None:
-    try:
-        ok, detail = fn()
-    except VerificationError as exc:
-        ok, detail = False, str(exc)
-    checks.append((name, ok, detail))
-
-
 def _suite_hom(args, memo, checks) -> None:
     ctx = _omega_ctx(args, memo)
     parts = list(partitions_up_to(args.max_order_exp, args.n + 1))
@@ -425,22 +413,22 @@ def _suite_inverse(args, memo, checks) -> None:
 
 def _suite_shimura(args, memo, checks) -> None:
     ctx = _hecke_ctx(args, memo)
-    for lam in partitions_up_to(args.max_order_exp, args.n):
-        def attempt(lam=lam):
-            elem = basis_element(lam, ctx)
+    targets = [
+        (f"L={format_partition(lam)}", f"{format_partition(lam)} =", basis_element, lam)
+        for lam in partitions_up_to(args.max_order_exp, args.n)
+    ] + [
+        (f"aggregate r={r}", f"aggregate r={r}:", t_aggregate, r)
+        for r in range(args.max_order_exp + 1)
+    ]
+    for name, label, make, arg in targets:
+        try:
+            elem = make(arg, ctx)
             poly = decompose_in_generators(elem, ctx)
-            back = eval_generator_poly(poly, ctx)
-            return back == elem, f"{format_partition(lam)} = {poly.to_text()}"
-
-        _check(checks, f"generators L={format_partition(lam)}", attempt)
-    for r in range(args.max_order_exp + 1):
-        def attempt_aggregate(r=r):
-            elem = t_aggregate(r, ctx)
-            poly = decompose_in_generators(elem, ctx)
-            back = eval_generator_poly(poly, ctx)
-            return back == elem, f"aggregate r={r}: {poly.to_text()}"
-
-        _check(checks, f"generators aggregate r={r}", attempt_aggregate)
+            ok = eval_generator_poly(poly, ctx) == elem
+            detail = f"{label} {poly.to_text()}"
+        except VerificationError as exc:
+            ok, detail = False, str(exc)
+        checks.append((f"generators {name}", ok, detail))
 
 
 def _suite_oracle(args, memo, checks) -> None:
@@ -451,20 +439,13 @@ def _suite_oracle(args, memo, checks) -> None:
         amb = Ambient(p, n, r)
         return sum(1 for _ in enumerate_subgroups(amb, budget=budget))
 
-    checks.append(
-        ("count rank2 exponent1", total(2, 1) == p + 3, f"got {total(2, 1)}")
-    )
-    checks.append(
-        (
-            "count rank3 exponent1",
-            total(3, 1) == 2 * p * p + 2 * p + 4,
-            f"got {total(3, 1)}",
-        )
-    )
-    for r in range(1, 5):
-        checks.append(
-            (f"count chain r={r}", total(1, r) == r + 1, f"got {total(1, r)}")
-        )
+    expected_totals = [
+        ("count rank2 exponent1", 2, 1, p + 3),
+        ("count rank3 exponent1", 3, 1, 2 * p * p + 2 * p + 4),
+    ] + [(f"count chain r={r}", 1, r, r + 1) for r in range(1, 5)]
+    for name, nn, rr, want in expected_totals:
+        got = total(nn, rr)
+        checks.append((name, got == want, f"got {got}"))
     for nn, rr in ((1, 1), (1, 2), (2, 1), (2, 2)):
         all_types = [
             m
@@ -472,13 +453,9 @@ def _suite_oracle(args, memo, checks) -> None:
             if not m or m[0] <= rr
         ]
         sum_m = sum(m_count(m, nn, p, budget=budget) for m in all_types)
-        checks.append(
-            (
-                f"m-sum n={nn} r={rr}",
-                sum_m == total(nn, rr),
-                f"sum {sum_m} vs total {total(nn, rr)}",
-            )
-        )
+        got = total(nn, rr)
+        detail = f"sum {sum_m} vs total {got}"
+        checks.append((f"m-sum n={nn} r={rr}", sum_m == got, detail))
     maxoe = args.max_order_exp
     shapes = [lam for d in range(maxoe + 1) for lam in partitions_of_exponent(d, d or 1)]
     for lam in shapes:
@@ -521,19 +498,20 @@ def _suite_oracle(args, memo, checks) -> None:
 
 
 _SUITES = {
-    "hom": [_suite_hom],
-    "tp": [_suite_tp],
-    "inverse": [_suite_inverse],
-    "shimura": [_suite_shimura],
-    "oracle": [_suite_oracle],
+    "hom": _suite_hom,
+    "tp": _suite_tp,
+    "inverse": _suite_inverse,
+    "shimura": _suite_shimura,
+    "oracle": _suite_oracle,
 }
-_SUITES["all"] = [
-    _suite_hom,
-    _suite_tp,
-    _suite_inverse,
-    _suite_shimura,
-    _suite_oracle,
-]
+
+
+def _run_suites(args, memo: dict[str, int]) -> list:
+    names = list(_SUITES) if args.suite == "all" else [args.suite]
+    checks: list = []
+    for name in names:
+        _SUITES[name](args, memo, checks)
+    return checks
 
 
 def _emit_checks(args, suite: str, checks: list) -> int:
@@ -570,16 +548,13 @@ def _emit_checks(args, suite: str, checks: list) -> int:
 
 def _cmd_verify(args) -> int:
     store, memo = _open_cache(args)
-    checks: list = []
-    for suite_fn in _SUITES[args.suite]:
-        suite_fn(args, memo, checks)
+    checks = _run_suites(args, memo)
     _close_cache(store, memo)
     return _emit_checks(args, args.suite, checks)
 
 
 def _cmd_count_subgroups(args) -> int:
-    r = args.trunc if args.trunc is not None else 1
-    amb = Ambient(args.p, args.n, r)
+    amb = Ambient(args.p, args.n, args.trunc)
     by_type: dict = {}
     for s in enumerate_subgroups(amb, budget=args.budget):
         t = type_of(s)
@@ -592,7 +567,7 @@ def _cmd_count_subgroups(args) -> int:
                 {
                     "p": args.p,
                     "n": args.n,
-                    "r": r,
+                    "r": args.trunc,
                     "total": total,
                     "by_type": [
                         {"type": list(t), "count": c} for t, c in ordered
@@ -610,20 +585,12 @@ def _cmd_count_subgroups(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    ns = argparse.Namespace(
-        p=2,
-        n=1,
-        budget=args.budget,
-        cache=None,
-        output=args.output,
-        split="first",
-        trunc=None,
-        max_order_exp=2,
+    ns = _build_parser().parse_args(
+        ["verify", "all", "--p", "2", "--n", "1", "--max-order-exp", "2",
+         "--budget", str(args.budget), "--output", args.output]
     )
-    checks: list = []
-    for suite_fn in _SUITES["all"]:
-        suite_fn(ns, {}, checks)
-    return _emit_checks(ns, "selftest", checks)
+    # a fresh memo: the self-test never reads or writes a cache
+    return _emit_checks(ns, "selftest", _run_suites(ns, {}))
 
 
 # --- entry point -----------------------------------------------------------------
@@ -638,69 +605,69 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("ccoeff", help="structure constant c(M, N; L)")
-    _add_common(sp)
+    _add_options(sp, _CELL_OPTIONS)
     sp.add_argument("--M", required=True, help='partition literal, e.g. "[1]"')
     sp.add_argument("--N", required=True)
     sp.add_argument("--L", required=True)
     sp.set_defaults(func=_cmd_coeff, kind="c")
 
     sp = sub.add_parser("acoeff", help="transfer coefficient a(M, N)")
-    _add_common(sp)
+    _add_options(sp, _TRANSFER_OPTIONS)
     sp.add_argument("--M", required=True, help="class upstairs (rank n+1)")
     sp.add_argument("--N", required=True, help="class downstairs (rank n)")
     sp.set_defaults(func=_cmd_coeff, kind="a")
 
     sp = sub.add_parser("bcoeff", help="inverse-transfer coefficient b(B, A)")
-    _add_common(sp)
+    _add_options(sp, _TRANSFER_OPTIONS)
     sp.add_argument("--B", required=True)
     sp.add_argument("--A", required=True)
     sp.set_defaults(func=_cmd_coeff, kind="b")
 
     sp = sub.add_parser("mul", help="product of two elements")
-    _add_common(sp)
+    _add_options(sp, _CELL_OPTIONS)
     sp.add_argument("x", help='element literal, e.g. "1*[1] + 2*[]"')
     sp.add_argument("y")
     sp.set_defaults(func=_cmd_mul)
 
     sp = sub.add_parser("omega", help="transfer an element down one rank")
-    _add_common(sp)
+    _add_options(sp, _TRANSFER_OPTIONS)
     sp.add_argument("x", help="element of the rank-(n+1) algebra")
     sp.set_defaults(func=_cmd_omega)
 
     sp = sub.add_parser("decompose", help="write an element in the generators T_k")
-    _add_common(sp)
+    _add_options(sp, _CELL_OPTIONS)
     sp.add_argument("x")
     sp.set_defaults(func=_cmd_decompose)
 
     sp = sub.add_parser("table", help="tabulate coefficients")
     sp.add_argument("kind", choices=("c", "a", "b", "omega"))
-    _add_common(sp)
+    _add_options(sp, _SWEEP_OPTIONS)
     sp.set_defaults(func=_cmd_table)
 
     sp = sub.add_parser("verify", help="run a verification suite")
-    sp.add_argument(
-        "suite", choices=("hom", "tp", "inverse", "shimura", "oracle", "all")
-    )
-    _add_common(sp)
+    sp.add_argument("suite", choices=(*_SUITES, "all"))
+    _add_options(sp, _SWEEP_OPTIONS)
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser(
         "count-subgroups", help="count subgroups of (Z/p^r)^n, r from --trunc"
     )
-    _add_common(sp)
+    _add_options(sp, "p n budget output")
+    sp.add_argument("--trunc", type=int, default=1, help="truncation exponent r")
     sp.set_defaults(func=_cmd_count_subgroups)
 
     sp = sub.add_parser("selftest", help="small fixed verification run")
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    sp.add_argument("--output", choices=("text", "json", "csv"), default="text")
+    _add_options(sp, "budget output")
     sp.set_defaults(func=_cmd_selftest)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return exc.code
     try:
         return args.func(args)
     except ParseError as exc:

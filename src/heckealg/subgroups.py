@@ -28,7 +28,6 @@ from .modmat import (
     _span_contains_rows,
     _val_table,
     howell_form,
-    span_contains,
 )
 from .partitions import (
     Partition,
@@ -109,7 +108,11 @@ class SubgroupRep:
 
     def contains(self, other: "SubgroupRep") -> bool:
         _require_same_ambient(self, other)
-        return all(span_contains(self.basis, row) for row in other.basis.rows)
+        # the basis is already canonical, so membership needs no Howell pass
+        p, r = self.ambient.p, self.ambient.r
+        return all(
+            _span_contains_rows(self.basis.rows, row, p, r) for row in other.basis.rows
+        )
 
 
 def subgroup_from_rows(
@@ -154,7 +157,7 @@ def _row_value_lists(
     cols: tuple[int, ...],
     es: tuple[int, ...],
     i: int,
-) -> list[tuple[int, list[int]]]:
+) -> list[tuple[int, range]]:
     """(column, allowed values) pairs for the open entries of row i."""
     lower_pivots = {cols[i2]: es[i2] for i2 in range(i + 1, len(cols))}
     out = []
@@ -164,7 +167,7 @@ def _row_value_lists(
             top = p ** lower_pivots[j]  # entries above a pivot p^e reduced mod p^e
         else:
             top = p**r
-        out.append((j, list(range(0, top, step)) if top > step else [0]))
+        out.append((j, range(0, top, step)))  # top >= 1, so never empty
     return out
 
 
@@ -269,24 +272,38 @@ def enumerate_subgroups(
 # --- isomorphism types -----------------------------------------------------
 
 
+def _quotient_type_rows(
+    rows: tuple[tuple[int, ...], ...],
+    sub_rows: tuple[tuple[int, ...], ...],
+    p: int,
+    r: int,
+    n: int,
+) -> Partition:
+    """Type of <rows>/<sub_rows> for canonical bases, the second span inside the first.
+
+    Uses |(L/M)[p^k]| = |L| / |p^k L + M|: the profile needs one Howell
+    form of the joined span per k, nothing else.  For k = 0 the join is
+    L itself.
+    """
+    pr = p**r
+    oe_top = oe = _span_order_exp(rows, p, r)
+    oe_sub = _span_order_exp(sub_rows, p, r)
+    profile = [0]
+    cur = rows
+    while oe != oe_sub:
+        cur = _howell_rows([tuple(x * p % pr for x in row) for row in cur], p, r, n)
+        join = _howell_rows(cur + sub_rows, p, r, n) if sub_rows else cur
+        oe = _span_order_exp(join, p, r)
+        profile.append(oe_top - oe)
+    return type_from_torsion_profile(profile)
+
+
 @lru_cache(maxsize=1 << 18)
 def _type_of_rows(
     hrows: tuple[tuple[int, ...], ...], p: int, r: int, n: int
 ) -> Partition:
-    """Type from a canonical basis via d_k = oe(S) - oe(p^k S)."""
-    pr = p**r
-    exps = []
-    cur = hrows
-    while True:
-        oe = _span_order_exp(cur, p, r)
-        exps.append(oe)
-        if oe == 0:
-            break
-        cur = _howell_rows(
-            [tuple(x * p % pr for x in row) for row in cur], p, r, n
-        )
-    profile = [exps[0] - e for e in exps]
-    return type_from_torsion_profile(profile)
+    """Type from a canonical basis: the type of S/0."""
+    return _quotient_type_rows(hrows, (), p, r, n)
 
 
 def type_of(s: SubgroupRep) -> Partition:
@@ -337,31 +354,12 @@ def intersect(a: SubgroupRep, b: SubgroupRep) -> SubgroupRep:
 
 
 def quotient_type(l: SubgroupRep, m: SubgroupRep) -> Partition:
-    """Type of L/M for M a subgroup of L.
-
-    Uses |(L/M)[p^k]| = |L| / |p^k L + M|: the profile needs one Howell
-    form of the joined span per k, nothing else.
-    """
+    """Type of L/M for M a subgroup of L."""
     _require_same_ambient(l, m)
     if not l.contains(m):
         raise ValueError("quotient undefined: second argument is not a subgroup of the first")
     amb = l.ambient
-    p, r, n = amb.p, amb.r, amb.n
-    pr = p**r
-    oe_l = l.order_exp
-    oe_m = m.order_exp
-    profile = []
-    cur = l.basis.rows
-    while True:
-        join = _howell_rows(cur + m.basis.rows, p, r, n)
-        oe_join = _span_order_exp(join, p, r)
-        profile.append(oe_l - oe_join)
-        if oe_join == oe_m:
-            break
-        cur = _howell_rows(
-            [tuple(x * p % pr for x in row) for row in cur], p, r, n
-        )
-    return type_from_torsion_profile(profile)
+    return _quotient_type_rows(l.basis.rows, m.basis.rows, amb.p, amb.r, amb.n)
 
 
 # --- counting --------------------------------------------------------------

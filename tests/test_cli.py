@@ -203,10 +203,59 @@ def test_budget_overrun_in_sweeps(capsys, argv):
     ],
 )
 def test_jobs_is_not_an_option(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--jobs", "2"])
-    assert exc.value.code == 2
-    assert "--jobs" in capsys.readouterr().err
+    code, _, err = run(capsys, *argv, "--jobs", "2")
+    assert code == 2
+    assert "--jobs" in err
+
+
+# each command accepts only the options it reads
+_CELL_ARGV = {
+    "ccoeff": ["--M", "[1]", "--N", "[1]", "--L", "[1,1]"],
+    "mul": ["1*[1]", "1*[1]"],
+    "decompose": ["1*[2]"],
+    "acoeff": ["--M", "[2,1]", "--N", "[1]"],
+    "bcoeff": ["--B", "[2]", "--A", "[]"],
+    "omega": ["1*[1,1]"],
+    "count-subgroups": [],
+}
+_FOREIGN_OPTIONS = [
+    ("ccoeff", "--split", "last"),
+    ("ccoeff", "--trunc", "2"),
+    ("ccoeff", "--max-order-exp", "2"),
+    ("mul", "--split", "last"),
+    ("mul", "--trunc", "2"),
+    ("mul", "--max-order-exp", "2"),
+    ("decompose", "--split", "last"),
+    ("decompose", "--trunc", "2"),
+    ("decompose", "--max-order-exp", "2"),
+    ("count-subgroups", "--cache", "unused-dir"),
+    ("count-subgroups", "--split", "last"),
+    ("count-subgroups", "--max-order-exp", "2"),
+    ("acoeff", "--max-order-exp", "2"),
+    ("bcoeff", "--max-order-exp", "2"),
+    ("omega", "--max-order-exp", "2"),
+]
+
+
+@pytest.mark.parametrize("command,option,value", _FOREIGN_OPTIONS)
+def test_foreign_option_is_a_usage_error(capsys, command, option, value):
+    argv = [command, "--p", "2", "--n", "1", *_CELL_ARGV[command], option, value]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert option in err
+    assert out == ""
+
+
+def test_missing_required_option_returns_2(capsys):
+    code, _, err = run(capsys, "ccoeff", "--p", "2", "--n", "2", "--N", "[1]", "--L", "[1]")
+    assert code == 2
+    assert "--M" in err
+
+
+def test_help_returns_0(capsys):
+    code, out, _ = run(capsys, "table", "--help")
+    assert code == 0
+    assert "--max-order-exp" in out
 
 
 def test_mismatched_rank_element_is_usage_error(capsys):

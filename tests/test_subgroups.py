@@ -1,6 +1,7 @@
 """The subgroup enumeration engine and its derived counts."""
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -200,6 +201,19 @@ def test_budget_is_checked_before_work():
         list(enumerate_subgroups(Ambient(2, 3, 3), budget=10))
     assert err.value.needed > 10
     assert err.value.budget == 10
+
+
+def test_budget_is_checked_before_allocating_value_lists():
+    # with p = 1009 an open entry ranges over up to p^2 values; the
+    # candidate count must come from the range sizes, not from lists
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            list(enumerate_subgroups(Ambient(1009, 2, 2), budget=1000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_budget_message_names_both_numbers():
