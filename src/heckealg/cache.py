@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from itertools import islice
 
 CACHE_ENV = "HECKE_CACHE_DIR"
 CACHE_FILENAME = "hecke-cache.jsonl"
@@ -31,13 +32,14 @@ class CacheStore:
     def __init__(self, directory: str):
         self.directory = directory
         self.path = os.path.join(directory, CACHE_FILENAME)
-        self.loaded: dict[str, int] = {}
+        self.n_loaded = 0
 
     def load(self) -> dict[str, int]:
         """Parse the cache file into a key -> value dict.
 
-        Also remembers what was read, so a later flush appends only the
-        keys that are genuinely new.
+        Callers extend that dict in place and hand it back to flush.  A
+        dict keeps insertion order and a loaded key is never added again,
+        so the new entries are exactly those past the first n_loaded.
         """
         out: dict[str, int] = {}
         if os.path.exists(self.path):
@@ -64,12 +66,12 @@ class CacheStore:
                         )
                         continue
                     out[key] = value
-        self.loaded = dict(out)
-        return dict(out)
+        self.n_loaded = len(out)
+        return out
 
     def flush(self, memo: dict[str, int]) -> int:
-        """Append every memo entry not seen at load time; returns how many."""
-        new = {k: v for k, v in memo.items() if k not in self.loaded}
+        """Append the entries added since load or the last flush; returns how many."""
+        new = dict(islice(memo.items(), self.n_loaded, None))
         if not new:
             return 0
         os.makedirs(self.directory, exist_ok=True)
@@ -81,5 +83,5 @@ class CacheStore:
                     )
                     + "\n"
                 )
-        self.loaded.update(new)
+        self.n_loaded = len(memo)
         return len(new)

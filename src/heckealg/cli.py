@@ -17,13 +17,14 @@ Exit codes: 0 success, 2 bad arguments or unparsable input, 3 an
 enumeration would exceed --budget, 4 a verification check failed.
 
 For `omega`, `acoeff` and `table a` the class M lives in the rank-(n+1)
-algebra upstairs; --n names the target rank.  For the transfer commands
-(`acoeff`, `bcoeff`, `omega`, `table`, `verify`) --trunc only raises the
-truncation exponent the transfer works in; for `count-subgroups` it is
-the exponent r of (Z/p^r)^n (default 1).  --cache points at a directory
-holding the append-only coefficient cache (environment variable
-HECKE_CACHE_DIR supplies the default).  Each command accepts only the
-options it reads.
+algebra upstairs; --n names the target rank.  Commands that compute a
+transfer take --split (the transfer kernel) and --trunc, which only
+raises the truncation exponent; `table c` and `verify shimura` take
+neither.  For `count-subgroups` --trunc is the exponent r of (Z/p^r)^n
+(default 1).  --cache points at a directory holding the append-only
+coefficient cache (environment variable HECKE_CACHE_DIR supplies the
+default).  Each command, table kind and suite accepts only the options
+it reads; `table --help` and `verify --help` list them.
 """
 
 from __future__ import annotations
@@ -115,12 +116,27 @@ _OPTIONS = {
 # the options each command reads, by what it computes
 _CELL_OPTIONS = "p n budget cache output"
 _TRANSFER_OPTIONS = _CELL_OPTIONS + " split trunc"
+_CELL_SWEEP_OPTIONS = _CELL_OPTIONS + " max-order-exp"
 _SWEEP_OPTIONS = _TRANSFER_OPTIONS + " max-order-exp"
 
 
 def _add_options(parser: argparse.ArgumentParser, names: str) -> None:
     for name in names.split():
         parser.add_argument(f"--{name}", **_OPTIONS[name])
+
+
+def _add_kinds(
+    parser: argparse.ArgumentParser, dest: str, kinds: dict[str, str], func
+) -> None:
+    """One nested subparser per table kind or verify suite, with its own options."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, names in kinds.items():
+        _add_options(sub.add_parser(name), names)
+    parser.set_defaults(func=func)
+    parser.formatter_class = argparse.RawDescriptionHelpFormatter
+    parser.epilog = f"options by {dest}:\n" + "\n".join(
+        f"  {name}: --" + " --".join(names.split()) for name, names in kinds.items()
+    )
 
 
 def _cache_dir(args: argparse.Namespace) -> str | None:
@@ -498,11 +514,11 @@ def _suite_oracle(args, memo, checks) -> None:
 
 
 _SUITES = {
-    "hom": _suite_hom,
-    "tp": _suite_tp,
-    "inverse": _suite_inverse,
-    "shimura": _suite_shimura,
-    "oracle": _suite_oracle,
+    "hom": (_suite_hom, _SWEEP_OPTIONS),
+    "tp": (_suite_tp, _SWEEP_OPTIONS),
+    "inverse": (_suite_inverse, _SWEEP_OPTIONS),
+    "shimura": (_suite_shimura, _CELL_SWEEP_OPTIONS),
+    "oracle": (_suite_oracle, _SWEEP_OPTIONS),
 }
 
 
@@ -510,7 +526,7 @@ def _run_suites(args, memo: dict[str, int]) -> list:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     checks: list = []
     for name in names:
-        _SUITES[name](args, memo, checks)
+        _SUITES[name][0](args, memo, checks)
     return checks
 
 
@@ -640,14 +656,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_decompose)
 
     sp = sub.add_parser("table", help="tabulate coefficients")
-    sp.add_argument("kind", choices=("c", "a", "b", "omega"))
-    _add_options(sp, _SWEEP_OPTIONS)
-    sp.set_defaults(func=_cmd_table)
+    transfers = dict.fromkeys(("a", "b", "omega"), _SWEEP_OPTIONS)
+    _add_kinds(sp, "kind", {"c": _CELL_SWEEP_OPTIONS, **transfers}, _cmd_table)
 
     sp = sub.add_parser("verify", help="run a verification suite")
-    sp.add_argument("suite", choices=(*_SUITES, "all"))
-    _add_options(sp, _SWEEP_OPTIONS)
-    sp.set_defaults(func=_cmd_verify)
+    suites = {name: names for name, (_, names) in _SUITES.items()}
+    _add_kinds(sp, "suite", {**suites, "all": _SWEEP_OPTIONS}, _cmd_verify)
 
     sp = sub.add_parser(
         "count-subgroups", help="count subgroups of (Z/p^r)^n, r from --trunc"

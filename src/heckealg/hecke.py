@@ -36,6 +36,7 @@ from .modmat import _span_contains_rows
 from .partitions import (
     Partition,
     conjugate,
+    embeds,
     format_partition,
     order_exponent,
     p_rank,
@@ -384,6 +385,9 @@ def multiply(x: HeckeElement, y: HeckeElement, ctx: HeckeContext) -> HeckeElemen
             weight = cx * cy
             d = order_exponent(mx) + order_exponent(my)
             for l in partitions_of_exponent(d, ctx.n):
+                # a subgroup and a quotient of L both embed in L
+                if not (embeds(mx, l) and embeds(my, l)):
+                    continue
                 c = c_coeff(mx, my, l, ctx)
                 if c:
                     out[l] = out.get(l, 0) + weight * c

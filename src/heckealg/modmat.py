@@ -21,26 +21,10 @@ reduction pass.  All arithmetic is exact on Python ints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from math import gcd
 from typing import Iterable, Sequence
 
 __all__ = ["ModMatrix", "howell_form", "span_contains", "span_equal"]
-
-
-@lru_cache(maxsize=None)
-def _val_table(p: int, r: int) -> tuple[int, ...]:
-    """p-adic valuation of every residue in [0, p^r); the zero residue maps to r."""
-    pr = p**r
-    out = [0] * pr
-    out[0] = r
-    for x in range(1, pr):
-        v = 0
-        y = x
-        while y % p == 0:
-            y //= p
-            v += 1
-        out[x] = v
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -100,9 +84,8 @@ def _howell_rows(
 ) -> tuple[tuple[int, ...], ...]:
     """Howell form as raw row tuples; the hot path for the whole package."""
     pr = p**r
-    val = _val_table(p, r)
     work = [row for row in rows if any(row)]
-    pivots: list[tuple[int, int, tuple[int, ...]]] = []  # (col, e, row)
+    pivots: list[tuple[int, int, tuple[int, ...]]] = []  # (col, p^e, row)
     for j in range(n_cols):
         if not work:
             break
@@ -113,10 +96,10 @@ def _howell_rows(
         if not cur:
             work = rest
             continue
-        i0 = min(range(len(cur)), key=lambda i: val[cur[i][j]])
+        # gcd(x, p^r) = p^(valuation of x): the pivot has the least valuation
+        i0 = min(range(len(cur)), key=lambda i: gcd(cur[i][j], pr))
         piv = cur.pop(i0)
-        e = val[piv[j]]
-        pe = p**e
+        pe = gcd(piv[j], pr)
         unit = piv[j] // pe
         if unit != 1:
             inv = pow(unit, -1, pr)
@@ -126,16 +109,15 @@ def _howell_rows(
             w2 = tuple((a - q * b) % pr for a, b in zip(w, piv))
             if any(w2):
                 rest.append(w2)
-        if e:
+        if pe != 1:
             # shadow row: keeps the span's deeper leading columns visible
-            shadow = tuple(p ** (r - e) * x % pr for x in piv)
+            shadow = tuple(pr // pe * x % pr for x in piv)
             if any(shadow):
                 rest.append(shadow)
-        pivots.append((j, e, piv))
+        pivots.append((j, pe, piv))
         work = rest
     out = [piv for (_, _, piv) in pivots]
-    for idx, (j, e, _) in enumerate(pivots):
-        pe = p**e
+    for idx, (j, pe, _) in enumerate(pivots):
         base = out[idx]
         for i2 in range(idx):
             q = out[i2][j] // pe
@@ -161,18 +143,27 @@ def _span_contains_rows(
 ) -> bool:
     """Membership of v in the span of Howell-form rows."""
     pr = p**r
-    val = _val_table(p, r)
     w = [x % pr for x in v]
     for row in hrows:
         j = _leading(row)
         if w[j]:
-            pe = p ** val[row[j]]
-            q = w[j] // pe
+            q = w[j] // row[j]  # a Howell pivot is exactly p^e
             if q:
                 w = [(a - q * b) % pr for a, b in zip(w, row)]
             if w[j]:
                 return False
     return not any(w)
+
+
+def _span_order_exp(hrows: Sequence[tuple[int, ...]], p: int, r: int) -> int:
+    """d with |span| = p^d for Howell-form rows: a pivot p^e adds r - e."""
+    d = r * len(hrows)
+    for row in hrows:
+        pivot = row[_leading(row)]
+        while pivot > 1:
+            pivot //= p
+            d -= 1
+    return d
 
 
 def span_contains(a: ModMatrix, v: Sequence[int]) -> bool:

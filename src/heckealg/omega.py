@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from math import prod
 from typing import Sequence
 
 from .errors import BudgetExceededError, VerificationError
@@ -54,7 +55,7 @@ from .subgroups import (
     DEFAULT_BUDGET,
     Ambient,
     SubgroupRep,
-    _type_of_rows,
+    _quotient_type_rows,
     enumerate_subgroups,
     intersect,
     m_count,
@@ -136,27 +137,23 @@ def _transversal_bins(
     N' is the diagonal standard copy of n_ inside V[p^r]; v runs over
     representatives of the cosets of N' that p^t maps into N'.  The
     result maps each arising type M to its number of cosets, which is
-    exactly a(M, n_) for every M of truncation exponent r.
+    exactly a(M, n_) for every M of truncation exponent r.  Needs
+    0 < t <= r; a_coeff settles every other gap before calling.
     """
     key = (n_, t, r)
     hit = ctx._bins.get(key)
     if hit is not None:
         return hit
     p, n = ctx.p, ctx.n
-    if t == 0:
-        bins = {n_: 1}
-    elif t > r:
-        # a cyclic quotient of a group of exponent p^r has order <= p^r
-        bins = {}
-    elif not n_:
+    if not n_:
         # trivial intersection forces a cyclic type; every coset counts
         bins = {(t,): p ** (t * n)}
     else:
         nu = tuple(n_) + (0,) * (n - len(n_))
-        counts = [p ** min(t, r - nu[i]) for i in range(n)]
-        total = 1
-        for c in counts:
-            total *= c
+        value_ranges = [
+            range(0, p ** (r - nu[i]), p ** max(r - nu[i] - t, 0)) for i in range(n)
+        ]
+        total = prod(len(values) for values in value_ranges)
         if total > ctx.budget:
             raise BudgetExceededError(total, ctx.budget, what="coset representatives")
         width = n + 1
@@ -167,9 +164,6 @@ def _transversal_bins(
             row = [0] * width
             row[v_pos[i]] = p ** (r - nu[i])
             base_rows.append(tuple(row))
-        value_ranges = [
-            range(0, p ** (r - nu[i]), p ** max(r - nu[i] - t, 0)) for i in range(n)
-        ]
         bins = {}
         c0 = p ** (r - t)
         for vs in product(*value_ranges):
@@ -178,7 +172,8 @@ def _transversal_bins(
                 row[v_pos[i]] = vs[i]
             row[mu_pos] = c0
             raw = tuple(base_rows) + (tuple(row),)
-            m = _type_of_rows(_howell_rows(raw, p, r, width), p, r, width)
+            # distinct cosets give distinct subgroups: a type cache never hits
+            m = _quotient_type_rows(_howell_rows(raw, p, r, width), (), p, r, width)
             bins[m] = bins.get(m, 0) + 1
     ctx._bins[key] = bins
     return bins

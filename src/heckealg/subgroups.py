@@ -24,9 +24,8 @@ from .errors import BudgetExceededError
 from .modmat import (
     ModMatrix,
     _howell_rows,
-    _leading,
     _span_contains_rows,
-    _val_table,
+    _span_order_exp,
     howell_form,
 )
 from .partitions import (
@@ -126,11 +125,6 @@ def subgroup_from_rows(
 def _require_same_ambient(a: SubgroupRep, b: SubgroupRep) -> None:
     if a.ambient != b.ambient:
         raise ValueError(f"ambient mismatch: {a.ambient} vs {b.ambient}")
-
-
-def _span_order_exp(hrows: Sequence[tuple[int, ...]], p: int, r: int) -> int:
-    val = _val_table(p, r)
-    return sum(r - val[row[_leading(row)]] for row in hrows)
 
 
 # --- enumeration -----------------------------------------------------------
@@ -281,19 +275,18 @@ def _quotient_type_rows(
 ) -> Partition:
     """Type of <rows>/<sub_rows> for canonical bases, the second span inside the first.
 
-    Uses |(L/M)[p^k]| = |L| / |p^k L + M|: the profile needs one Howell
-    form of the joined span per k, nothing else.  For k = 0 the join is
-    L itself.
+    Uses |(L/M)[p^k]| = |L| / |p^k L + M|.  p^k L is spanned by p^k
+    times the rows of L, so each k needs one Howell form of those rows
+    stacked with M's, nothing else.  For k = 0 the join is L itself.
     """
     pr = p**r
     oe_top = oe = _span_order_exp(rows, p, r)
     oe_sub = _span_order_exp(sub_rows, p, r)
     profile = [0]
-    cur = rows
     while oe != oe_sub:
-        cur = _howell_rows([tuple(x * p % pr for x in row) for row in cur], p, r, n)
-        join = _howell_rows(cur + sub_rows, p, r, n) if sub_rows else cur
-        oe = _span_order_exp(join, p, r)
+        pk = p ** len(profile)
+        join = [tuple(x * pk % pr for x in row) for row in rows] + list(sub_rows)
+        oe = _span_order_exp(_howell_rows(join, p, r, n), p, r)
         profile.append(oe_top - oe)
     return type_from_torsion_profile(profile)
 

@@ -1,11 +1,12 @@
 """End-to-end checks of the command-line surface."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from heckealg.cache import CACHE_ENV, CACHE_FILENAME
+from heckealg.cache import CACHE_ENV, CACHE_FILENAME, CacheStore
 from heckealg.cli import main
 
 
@@ -246,6 +247,38 @@ def test_foreign_option_is_a_usage_error(capsys, command, option, value):
     assert out == ""
 
 
+# table kinds and verify suites take only the options they read as well
+_KIND_FOREIGN_OPTIONS = [
+    ("table c", "--split", "last"),
+    ("table c", "--trunc", "4"),
+    ("verify shimura", "--split", "last"),
+    ("verify shimura", "--trunc", "4"),
+]
+
+
+@pytest.mark.parametrize("command,option,value", _KIND_FOREIGN_OPTIONS)
+def test_foreign_option_of_a_kind_is_a_usage_error(capsys, command, option, value):
+    argv = [*command.split(), "--p", "2", "--n", "1", "--max-order-exp", "2", option, value]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert option in err
+    assert out == ""
+
+
+def test_large_prime_needs_no_residue_sized_memory(capsys):
+    # valuations come from the Howell form, never from a table of p^r entries
+    tracemalloc.start()
+    try:
+        code, out, _ = run(
+            capsys, "ccoeff", "--p", "1009", "--n", "1", "--M", "[1]", "--N", "[1]", "--L", "[2]"
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out.strip() == "1"
+    assert peak < 1 << 20
+
+
 def test_missing_required_option_returns_2(capsys):
     code, _, err = run(capsys, "ccoeff", "--p", "2", "--n", "2", "--N", "[1]", "--L", "[1]")
     assert code == 2
@@ -278,6 +311,26 @@ def test_cache_round_trip(tmp_path, capsys):
     assert warm == cold
     # warm run adds nothing
     assert cache_file.stat().st_size == first_size
+
+
+def test_flush_appends_only_entries_added_after_load(tmp_path):
+    cache_file = tmp_path / CACHE_FILENAME
+    cache_file.write_text(
+        '{"version": "1", "key": "k1", "value": "1"}\n'
+        '{"version": "1", "key": "k2", "value": "2"}\n'
+        '{"version": "1", "key": "k1", "value": "1"}\n'
+    )
+    store = CacheStore(str(tmp_path))
+    memo = store.load()
+    assert memo == {"k1": 1, "k2": 2}
+    memo["k3"] = 3
+    memo["k0"] = 0
+    assert store.flush(memo) == 2
+    assert store.flush(memo) == 0
+    memo["k4"] = 4
+    assert store.flush(memo) == 1
+    assert CacheStore(str(tmp_path)).load() == {"k1": 1, "k2": 2, "k3": 3, "k0": 0, "k4": 4}
+    assert len(cache_file.read_text().splitlines()) == 6
 
 
 def test_cache_env_variable(tmp_path, capsys, monkeypatch):

@@ -16,7 +16,12 @@ from heckealg.omega import (
     verify_tp_formula,
 )
 from heckealg.partitions import embeds, order_exponent, partitions_up_to
-from heckealg.subgroups import Ambient, enumerate_subgroups, standard_split
+from heckealg.subgroups import (
+    Ambient,
+    _type_of_rows,
+    enumerate_subgroups,
+    standard_split,
+)
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +56,14 @@ def test_a_guards(ctx1):
     assert a_coeff((2,), (1, 1), ctx1) == 0  # rank over n
     assert a_coeff((1, 1), (), ctx1) == 0  # non-cyclic cannot meet V trivially
     assert a_coeff((2, 2), (1,), ctx1) == 0  # does not embed
+
+
+def test_transversal_bypasses_the_type_cache():
+    # its candidates are pairwise distinct subgroups, so caching their
+    # types would only hold memory
+    before = _type_of_rows.cache_info().currsize
+    assert a_coeff((3, 2, 1), (2, 1), OmegaContext(p=5, n=2)) > 0
+    assert _type_of_rows.cache_info().currsize == before
 
 
 @pytest.mark.parametrize("p", [2, 3])

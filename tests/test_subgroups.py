@@ -1,6 +1,7 @@
 """The subgroup enumeration engine and its derived counts."""
 
 import itertools
+import math
 import tracemalloc
 
 import pytest
@@ -157,6 +158,42 @@ def test_quotient_type_examples():
     assert quotient_type(whole, whole) == ()
     two_torsion = subgroup_from_rows(amb, [(2, 0), (0, 2)])
     assert quotient_type(whole, two_torsion) == (1, 1)
+
+
+def _type_from_element_sets(big, small, p):
+    """Type of big/small from |p^k (big/small)| = |p^k big + small| / |small|.
+
+    The number of parts of size > k is log_p |p^k G| - log_p |p^(k+1) G|,
+    which gives the conjugate partition part by part.
+    """
+    pr = p ** big.ambient.r
+    points, sub = elements_of(big), elements_of(small)
+    sizes = []
+    k = 0
+    while not sizes or sizes[-1] > 1:
+        pk = p**k
+        scaled = {tuple(pk * x % pr for x in v) for v in points}
+        join = {tuple((a + b) % pr for a, b in zip(u, w)) for u in scaled for w in sub}
+        sizes.append(len(join) // len(sub))
+        k += 1
+    exps = [round(math.log(size, p)) for size in sizes]
+    conj = [a - b for a, b in zip(exps, exps[1:])]
+    return tuple(sum(1 for c in conj if c >= i) for i in range(1, max(conj, default=0) + 1))
+
+
+@pytest.mark.parametrize("p,r,pairs", [(2, 2, 69), (3, 2, 114), (2, 3, 286)])
+def test_types_match_element_set_counts(p, r, pairs):
+    reps = list(enumerate_subgroups(Ambient(p, 2, r)))
+    zero = reps[0]
+    assert zero.order_exp == 0
+    seen = 0
+    for big in reps:
+        assert type_of(big) == _type_from_element_sets(big, zero, p)
+        for small in reps:
+            if big.contains(small):
+                assert quotient_type(big, small) == _type_from_element_sets(big, small, p)
+                seen += 1
+    assert seen == pairs
 
 
 def test_quotient_exponent_is_additive():
