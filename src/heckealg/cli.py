@@ -20,11 +20,15 @@ For `omega`, `acoeff` and `table a` the class M lives in the rank-(n+1)
 algebra upstairs; --n names the target rank.  Commands that compute a
 transfer take --split (the transfer kernel) and --trunc, which only
 raises the truncation exponent; `table c` and `verify shimura` take
-neither.  For `count-subgroups` --trunc is the exponent r of (Z/p^r)^n
-(default 1).  --cache points at a directory holding the append-only
-coefficient cache (environment variable HECKE_CACHE_DIR supplies the
-default).  Each command, table kind and suite accepts only the options
-it reads; `table --help` and `verify --help` list them.
+neither.  The transfer's default route ("transversal" in `verify
+oracle`) is a closed form that neither changes; they steer its
+enumeration oracle.  --budget bounds enumerations, so `acoeff`,
+`bcoeff`, `omega`, `table a|b|omega` and `verify tp|inverse` do not
+take it.  For `count-subgroups` --trunc is the exponent r of
+(Z/p^r)^n (default 1).  --cache points at a directory holding the
+append-only coefficient cache (environment variable HECKE_CACHE_DIR
+supplies the default).  Each command, table kind and suite accepts
+only the options it reads; `table --help` and `verify --help` list them.
 """
 
 from __future__ import annotations
@@ -113,11 +117,12 @@ _OPTIONS = {
     ),
 }
 
-# the options each command reads, by what it computes
+# the options each command reads, by what it computes (--budget if it enumerates)
 _CELL_OPTIONS = "p n budget cache output"
-_TRANSFER_OPTIONS = _CELL_OPTIONS + " split trunc"
+_TRANSFER_OPTIONS = "p n cache output split trunc"
 _CELL_SWEEP_OPTIONS = _CELL_OPTIONS + " max-order-exp"
-_SWEEP_OPTIONS = _TRANSFER_OPTIONS + " max-order-exp"
+_TRANSFER_SWEEP_OPTIONS = _TRANSFER_OPTIONS + " max-order-exp"
+_SWEEP_OPTIONS = _TRANSFER_SWEEP_OPTIONS + " budget"
 
 
 def _add_options(parser: argparse.ArgumentParser, names: str) -> None:
@@ -168,7 +173,7 @@ def _omega_ctx(args: argparse.Namespace, memo: dict[str, int]) -> OmegaContext:
         n=args.n,
         split=args.split,
         trunc_override=args.trunc,
-        budget=args.budget,
+        budget=getattr(args, "budget", DEFAULT_BUDGET),
         memo=memo,
     )
 
@@ -515,8 +520,8 @@ def _suite_oracle(args, memo, checks) -> None:
 
 _SUITES = {
     "hom": (_suite_hom, _SWEEP_OPTIONS),
-    "tp": (_suite_tp, _SWEEP_OPTIONS),
-    "inverse": (_suite_inverse, _SWEEP_OPTIONS),
+    "tp": (_suite_tp, _TRANSFER_SWEEP_OPTIONS),
+    "inverse": (_suite_inverse, _TRANSFER_SWEEP_OPTIONS),
     "shimura": (_suite_shimura, _CELL_SWEEP_OPTIONS),
     "oracle": (_suite_oracle, _SWEEP_OPTIONS),
 }
@@ -656,7 +661,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_decompose)
 
     sp = sub.add_parser("table", help="tabulate coefficients")
-    transfers = dict.fromkeys(("a", "b", "omega"), _SWEEP_OPTIONS)
+    transfers = dict.fromkeys(("a", "b", "omega"), _TRANSFER_SWEEP_OPTIONS)
     _add_kinds(sp, "kind", {"c": _CELL_SWEEP_OPTIONS, **transfers}, _cmd_table)
 
     sp = sub.add_parser("verify", help="run a verification suite")

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the exact division that raises one."""
 
 
 class HeckeError(Exception):
@@ -16,11 +16,11 @@ class BudgetExceededError(HeckeError):
     silently truncated count.
     """
 
-    def __init__(self, needed: int, budget: int, what: str = "subgroup bases"):
+    def __init__(self, needed: int, budget: int):
         self.needed = needed
         self.budget = budget
         super().__init__(
-            f"enumeration of {what} needs {needed} candidates, budget is {budget}"
+            f"enumeration of subgroup bases needs {needed} candidates, budget is {budget}"
         )
 
 
@@ -31,3 +31,10 @@ class VerificationError(HeckeError):
     division where divisibility is guaranteed, a count disagreeing with
     its closed form, or a non-integer solution to an integral system.
     """
+
+
+def exact_quotient(num: int, den: int, what: str) -> int:
+    """num / den, which must be an integer; otherwise a VerificationError naming what."""
+    if den == 0 or num % den:
+        raise VerificationError(f"{what}: {num} is not divisible by {den}")
+    return num // den

@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .errors import ParseError, VerificationError
+from .errors import ParseError, VerificationError, exact_quotient
 from .modmat import _span_contains_rows
 from .partitions import (
     Partition,
@@ -49,10 +49,10 @@ from .subgroups import (
     DEFAULT_BUDGET,
     Ambient,
     SubgroupRep,
+    _quotient_type_rows,
     enumerate_subgroups,
     is_prime,
     m_count,
-    quotient_type,
     subgroup_from_rows,
     type_of,
 )
@@ -268,8 +268,10 @@ def _hall_table(
     else:
         amb, copy = _standard_copy(lam, ctx.p)
         floors = tuple(lam[0] - part for part in lam)
+        # the column floors put every s inside copy: no containment check
         for s in enumerate_subgroups(amb, col_val_min=floors, budget=ctx.budget):
-            key = (type_of(s), quotient_type(copy, s))
+            q = _quotient_type_rows(copy.basis.rows, s.basis.rows, amb.p, amb.r, amb.n)
+            key = (type_of(s), q)
             table[key] = table.get(key, 0) + 1
     ctx._hall[lam] = table
     return table
@@ -342,10 +344,11 @@ def _k_table(
                 continue
             lrows = lp.basis.rows
             in_lp = lambda row: _span_contains_rows(lrows, row, p, r)
+            # row_filter puts every mp inside lp: no containment check
             for mp in enumerate_subgroups(
                 amb, row_filter=in_lp, budget=ctx.budget
             ):
-                key = (type_of(mp), quotient_type(lp, mp))
+                key = (type_of(mp), _quotient_type_rows(lrows, mp.basis.rows, p, r, ctx.n))
                 table[key] = table.get(key, 0) + 1
     ctx._ktables[l] = table
     return table
@@ -353,19 +356,10 @@ def _k_table(
 
 def _c_coeff_verified(m: Partition, n_: Partition, l: Partition, ctx: HeckeContext) -> int:
     k_value = _k_table(l, ctx).get((m, n_), 0)
-    copies = m_count(l, ctx.n, ctx.p, budget=ctx.budget)
-    if copies == 0:
-        if k_value:
-            raise VerificationError(
-                f"K-count {k_value} with no copies of {format_partition(l)}"
-            )
+    if k_value == 0:
         return 0
-    quotient, remainder = divmod(k_value, copies)
-    if remainder:
-        raise VerificationError(
-            f"|K| = {k_value} not divisible by |m({format_partition(l)})| = {copies}"
-        )
-    return quotient
+    copies = m_count(l, ctx.n, ctx.p, budget=ctx.budget)
+    return exact_quotient(k_value, copies, f"|K| over the copies of {format_partition(l)}")
 
 
 # --- products ---------------------------------------------------------------

@@ -13,41 +13,38 @@ where a(M, N) counts subgroups isomorphic to M whose intersection with V
 is a fixed copy of N (normalized by the number of copies of N), defines
 a surjective ring homomorphism down to the rank-n algebra.
 
-Two independent routes compute a(M, N):
-
-* the default fixes one standard copy N' of N inside V and counts coset
-  representatives v + N' in V[p^r]/N' with p^t v in N' whose augmented
-  span <N', (v, p^(r-t))> has type M, where t is the order gap; the
-  assignment M' -> coset is a bijection, so the count needs no division;
-* the verification route enumerates all subgroups of type M, keeps the
-  ones whose intersection with V has type N, and divides by the number
-  of copies of N inside V, checking exact divisibility.
+The default route takes a(M, N) from a closed form (see a_coeff) built
+on Macdonald's Hall polynomials and Riedtmann's formula; it enumerates
+nothing.  The enumeration route, the oracle, sweeps all subgroups of type
+M, keeps the ones whose intersection with V has type N, and divides by
+the number of copies of N inside V, checking exact divisibility.
 
 The transfer is triangular with respect to containment of classes, with
 a(M, M) = 1, so it admits an upper-triangular integer inverse b on each
 graded piece; omega composed with the resulting section is the identity.
-
-The truncation exponent defaults to the exponent of the class at hand
-and can only be raised; computed values must not depend on the choice,
-nor on which coordinate the split surjection projects onto.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import product
 from math import prod
 from typing import Sequence
 
-from .errors import BudgetExceededError, VerificationError
+from .errors import VerificationError, exact_quotient
 from .hecke import HeckeContext, HeckeElement, basis_element, multiply, t_aggregate
-from .modmat import _howell_rows
+
+# unused here, but perfbench's span self-check looks this binding up
+from .modmat import _howell_rows  # noqa: F401
 from .partitions import (
     Partition,
+    conjugate,
     embeds,
     format_partition,
+    is_horizontal_strip,
     order_exponent,
     p_rank,
+    partitions_of_exponent,
     partitions_up_to,
     validate_partition,
 )
@@ -55,7 +52,6 @@ from .subgroups import (
     DEFAULT_BUDGET,
     Ambient,
     SubgroupRep,
-    _quotient_type_rows,
     enumerate_subgroups,
     intersect,
     m_count,
@@ -86,6 +82,7 @@ class OmegaContext:
     ("first" keeps the leading n coordinates as V, "last" the trailing
     ones).  trunc_override raises the truncation exponent used for the
     ambient; it never lowers it below the exponent of the class at hand.
+    Neither changes a value of the default route.
     """
 
     p: int
@@ -94,9 +91,6 @@ class OmegaContext:
     trunc_override: int | None = None
     budget: int = DEFAULT_BUDGET
     memo: dict[str, int] = field(default_factory=dict, repr=False)
-    _bins: dict[tuple[Partition, int, int], dict[Partition, int]] = field(
-        default_factory=dict, repr=False
-    )
     _images: dict[Partition, dict[Partition, int]] = field(
         default_factory=dict, repr=False
     )
@@ -121,61 +115,58 @@ class OmegaContext:
         return base
 
 
-def _mu_position(ctx: OmegaContext) -> int:
-    return ctx.n if ctx.split == "first" else 0
+def _aut_order(lam: Partition, p: int) -> int:
+    """|Aut| of the group of type lam, m_j its parts equal to j (Macdonald II (1.6)):
+    p^(sum lam'_i^2 - sum_j m_j (m_j + 1) / 2) prod_j prod_(k <= m_j) (p^k - 1).
+    """
+    exp = sum(c * c for c in conjugate(lam))
+    value = 1
+    for m in Counter(lam).values():
+        exp -= m * (m + 1) // 2
+        value *= prod(p**k - 1 for k in range(1, m + 1))
+    return p**exp * value
 
 
-def _v_positions(ctx: OmegaContext) -> list[int]:
-    return list(range(ctx.n)) if ctx.split == "first" else list(range(1, ctx.n + 1))
+def _n_weight(lam: Partition) -> int:
+    return sum(i * part for i, part in enumerate(lam))  # n(lam) = sum (i - 1) lam_i
+
+
+def _hall_cyclic(lam: Partition, mu: Partition, p: int) -> int:
+    """G^lam_{mu,(t)}(p), lam/mu a horizontal t-strip (Macdonald III (3.2), (5.7')).
+
+    p^(n(lam) - n(mu) + 1 - sum_I m_i) prod_I (p^(m_i) - 1) / (p - 1), with m_i the
+    parts of lam equal to i and I the columns i where theta' = lam' - mu' has
+    theta'_i = 1 and theta'_(i+1) = 0.
+    """
+    cols, inner = conjugate(lam) + (0,), conjugate(mu)
+    theta = [c - (inner[i] if i < len(inner) else 0) for i, c in enumerate(cols)]
+    ends = [lam.count(i + 1) for i in range(len(theta) - 1) if theta[i : i + 2] == [1, 0]]
+    exp = _n_weight(lam) - _n_weight(mu) + 1 - sum(ends)
+    num = prod(p**m - 1 for m in ends) * p ** max(exp, 0)
+    return exact_quotient(num, (p - 1) * p ** max(-exp, 0), "a Hall polynomial")
 
 
 def _transversal_bins(
     ctx: OmegaContext, n_: Partition, t: int, r: int
 ) -> dict[Partition, int]:
-    """Types of <N', (v, p^(r-t))> binned over the coset transversal.
+    """a(M, n_) for every type M with M_1 <= r and |M| = |n_| + t; needs 0 < t <= r.
 
-    N' is the diagonal standard copy of n_ inside V[p^r]; v runs over
-    representatives of the cosets of N' that p^t maps into N'.  The
-    result maps each arising type M to its number of cosets, which is
-    exactly a(M, n_) for every M of truncation exponent r.  Needs
-    0 < t <= r; a_coeff settles every other gap before calling.
+    a(M, n_) counts the cosets v + N' of a fixed copy N' of n_ in V[p^r]
+    with p^t v in N' whose span <N', (v, p^(r-t))> has type M, so the
+    values must add up to all p^(sum_i min(t, r - nu_i)) such cosets, nu
+    the parts of n_ padded to n.
     """
-    key = (n_, t, r)
-    hit = ctx._bins.get(key)
-    if hit is not None:
-        return hit
     p, n = ctx.p, ctx.n
-    if not n_:
-        # trivial intersection forces a cyclic type; every coset counts
-        bins = {(t,): p ** (t * n)}
-    else:
-        nu = tuple(n_) + (0,) * (n - len(n_))
-        value_ranges = [
-            range(0, p ** (r - nu[i]), p ** max(r - nu[i] - t, 0)) for i in range(n)
-        ]
-        total = prod(len(values) for values in value_ranges)
-        if total > ctx.budget:
-            raise BudgetExceededError(total, ctx.budget, what="coset representatives")
-        width = n + 1
-        mu_pos = _mu_position(ctx)
-        v_pos = _v_positions(ctx)
-        base_rows = []
-        for i in range(len(n_)):
-            row = [0] * width
-            row[v_pos[i]] = p ** (r - nu[i])
-            base_rows.append(tuple(row))
-        bins = {}
-        c0 = p ** (r - t)
-        for vs in product(*value_ranges):
-            row = [0] * width
-            for i in range(n):
-                row[v_pos[i]] = vs[i]
-            row[mu_pos] = c0
-            raw = tuple(base_rows) + (tuple(row),)
-            # distinct cosets give distinct subgroups: a type cache never hits
-            m = _quotient_type_rows(_howell_rows(raw, p, r, width), (), p, r, width)
-            bins[m] = bins.get(m, 0) + 1
-    ctx._bins[key] = bins
+    what = f"a(M, {format_partition(n_)}) at gap {t}"
+    scale = p ** (t * n) * _aut_order((t,), p) * _aut_order(n_, p)
+    bins = {
+        m: exact_quotient(scale * _hall_cyclic(m, n_, p), _aut_order(m, p), what)
+        for m in partitions_of_exponent(order_exponent(n_) + t, n + 1)
+        if m[0] <= r and is_horizontal_strip(m, n_)
+    }
+    cosets = p ** sum(min(t, r - x) for x in n_ + (0,) * (n - len(n_)))
+    if sum(bins.values()) != cosets:
+        raise VerificationError(f"{what} add up to {sum(bins.values())}, not {cosets}")
     return bins
 
 
@@ -194,8 +185,16 @@ def a_coeff(
 
     M lives in the rank-(n+1) algebra, N in the rank-n one.  Zero when
     the ranks do not fit, when N does not embed in M, or when the order
-    gap exceeds the exponent of M.  method="enumeration" recomputes the
-    value by the independent normalized count and must agree.
+    gap t = |M| - |N| exceeds the exponent of M.  For t > 0 the default
+    route is Riedtmann's formula: v -> p^t v maps the p^(tn) cosets that
+    count a(M, N) (see _transversal_bins) onto Ext(Z/p^t, N) with fibers
+    of p^(tn) / |N[p^t]|, so that
+
+        a(M, N) = p^(tn) G^M_{N,(t)}(p) |Aut Z/p^t| |Aut N| / |Aut M|,
+
+    G the Hall polynomial of Macdonald III (3.2), (5.7') and |Aut| from
+    Macdonald II (1.6).  method="enumeration" recomputes the value by
+    the independent normalized count and must agree.
     """
     m = validate_partition(m)
     n_ = validate_partition(n_)
@@ -213,18 +212,14 @@ def a_coeff(
     if t == 0:
         # same order and contained, so equal
         return 1
-    if m and t > m[0]:
+    if t > m[0]:
         return 0
-    use_memo = ctx.trunc_override is None
     key = _a_key(ctx.p, ctx.n, m, n_)
-    if use_memo:
-        hit = ctx.memo.get(key)
-        if hit is not None:
-            return hit
-    r = ctx._trunc(m)
-    value = _transversal_bins(ctx, n_, t, r).get(m, 0)
-    if use_memo:
-        ctx.memo[key] = value
+    hit = ctx.memo.get(key)
+    if hit is not None:
+        return hit
+    value = _transversal_bins(ctx, n_, t, ctx._trunc(m)).get(m, 0)
+    ctx.memo[key] = value
     return value
 
 
@@ -233,7 +228,7 @@ def i_count(m: Sequence[int], n_: Sequence[int], ctx: OmegaContext) -> int:
     truncated ambient whose intersection with V has type N.
 
     Direct sweep over all subgroups; deliberately independent of the
-    coset transversal used by the default a_coeff path.
+    closed form used by the default a_coeff route.
     """
     m = validate_partition(m)
     n_ = validate_partition(n_)
@@ -255,18 +250,8 @@ def _a_by_enumeration(m: Partition, n_: Partition, ctx: OmegaContext) -> int:
     if raw == 0:
         return 0
     copies = m_count(n_, ctx.n, ctx.p, budget=ctx.budget)
-    if copies == 0:
-        raise VerificationError(
-            f"counted {raw} groups meeting V in {format_partition(n_)}, "
-            f"but V holds no copy of it"
-        )
-    quotient, remainder = divmod(raw, copies)
-    if remainder:
-        raise VerificationError(
-            f"I-count {raw} for ({format_partition(m)}, {format_partition(n_)}) "
-            f"not divisible by {copies} copies"
-        )
-    return quotient
+    what = f"I-count of ({format_partition(m)}, {format_partition(n_)}) over the copies of N"
+    return exact_quotient(raw, copies, what)
 
 
 # --- the transfer and its section -------------------------------------------
@@ -322,12 +307,10 @@ def b_coeff(b: Sequence[int], a: Sequence[int], ctx: OmegaContext) -> int:
         return 1
     if not embeds(a, b):
         return 0
-    use_memo = ctx.trunc_override is None
     key = _b_key(ctx.p, ctx.n, b, a)
-    if use_memo:
-        hit = ctx.memo.get(key)
-        if hit is not None:
-            return hit
+    hit = ctx.memo.get(key)
+    if hit is not None:
+        return hit
     total = 0
     for c in partitions_up_to(order_exponent(b), ctx.n):
         if c == b or not embeds(a, c) or not embeds(c, b):
@@ -338,8 +321,7 @@ def b_coeff(b: Sequence[int], a: Sequence[int], ctx: OmegaContext) -> int:
             if bc:
                 total += ab * bc
     value = -total
-    if use_memo:
-        ctx.memo[key] = value
+    ctx.memo[key] = value
     return value
 
 

@@ -19,6 +19,7 @@ __all__ = [
     "torsion_type",
     "conjugate",
     "embeds",
+    "is_horizontal_strip",
     "partitions_of_exponent",
     "partitions_up_to",
     "type_from_torsion_profile",
@@ -76,6 +77,16 @@ def embeds(mu: Partition, lam: Partition) -> bool:
     if len(mu) > len(lam):
         return False
     return all(m <= l for m, l in zip(mu, lam))
+
+
+def is_horizontal_strip(lam: Partition, mu: Partition) -> bool:
+    """Is lam/mu a horizontal strip, lam_1 >= mu_1 >= lam_2 >= mu_2 >= ... ?
+
+    >>> is_horizontal_strip((3, 1), (2,)), is_horizontal_strip((1, 1), ())
+    (True, False)
+    """
+    pairs = zip(lam, mu + (0,) * len(lam), lam[1:] + (0,))
+    return len(mu) <= len(lam) and all(a >= b >= c for a, b, c in pairs)
 
 
 def partitions_of_exponent(d: int, max_parts: int) -> Iterator[Partition]:

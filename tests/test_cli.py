@@ -185,7 +185,7 @@ def test_budget_exit_code(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["table", "a", "--p", "2", "--n", "2", "--max-order-exp", "3", "--budget", "5"],
+        ["table", "c", "--p", "2", "--n", "2", "--max-order-exp", "3", "--budget", "5"],
         ["verify", "hom", "--p", "2", "--n", "1", "--max-order-exp", "3", "--budget", "20"],
     ],
 )
@@ -235,6 +235,10 @@ _FOREIGN_OPTIONS = [
     ("acoeff", "--max-order-exp", "2"),
     ("bcoeff", "--max-order-exp", "2"),
     ("omega", "--max-order-exp", "2"),
+    # the transfer has a closed form: nothing there for a budget to bound
+    ("acoeff", "--budget", "5"),
+    ("bcoeff", "--budget", "5"),
+    ("omega", "--budget", "5"),
 ]
 
 
@@ -253,6 +257,11 @@ _KIND_FOREIGN_OPTIONS = [
     ("table c", "--trunc", "4"),
     ("verify shimura", "--split", "last"),
     ("verify shimura", "--trunc", "4"),
+    ("table a", "--budget", "5"),
+    ("table b", "--budget", "5"),
+    ("table omega", "--budget", "5"),
+    ("verify tp", "--budget", "5"),
+    ("verify inverse", "--budget", "5"),
 ]
 
 

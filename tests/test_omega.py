@@ -2,6 +2,9 @@
 
 import pytest
 
+from heckealg import hecke, modmat, subgroups
+from heckealg import omega as omega_module
+from heckealg.cli import main
 from heckealg.hecke import basis_element, multiply, t_aggregate
 from heckealg.modmat import _span_contains_rows
 from heckealg.omega import (
@@ -58,12 +61,48 @@ def test_a_guards(ctx1):
     assert a_coeff((2, 2), (1,), ctx1) == 0  # does not embed
 
 
-def test_transversal_bypasses_the_type_cache():
-    # its candidates are pairwise distinct subgroups, so caching their
-    # types would only hold memory
+@pytest.fixture
+def no_enumeration(monkeypatch):
+    """Make every subgroup enumeration, Howell form and quotient type raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the default route enumerated")
+
+    for module in (modmat, subgroups, hecke, omega_module):
+        for name in ("enumerate_subgroups", "_howell_rows", "_quotient_type_rows"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+
+
+def test_default_routes_enumerate_nothing(no_enumeration):
     before = _type_of_rows.cache_info().currsize
-    assert a_coeff((3, 2, 1), (2, 1), OmegaContext(p=5, n=2)) > 0
+    ctx = OmegaContext(p=5, n=2, split="last", trunc_override=5)
+    assert a_coeff((3, 2, 1), (2, 1), ctx) > 0
+    assert b_coeff((3, 2), (1,), ctx) != 0
+    lifted = lift_section((2, 1), ctx)
+    assert omega(lifted, ctx) == basis_element((2, 1), ctx.target)
     assert _type_of_rows.cache_info().currsize == before
+
+
+@pytest.mark.parametrize("kind", ["a", "omega"])
+def test_transfer_tables_enumerate_nothing(no_enumeration, capsys, kind):
+    argv = ["table", kind, "--p", "3", "--n", "2", "--max-order-exp", "6"]
+    assert main(argv) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.endswith("coeff" if kind == "omega" else "value") and rows
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 1009])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_omega_on_generators(p, n):
+    # omega(T_k) = T_k + p^(n+1-k) T_(k-1), T_0 = 1, and T_(n+1) goes to T_n
+    ctx = OmegaContext(p=p, n=n)
+    for k in range(1, n + 2):
+        image = omega(basis_element((1,) * k, ctx.source), ctx)
+        want = {(1,) * (k - 1): p ** (n + 1 - k)}
+        if k <= n:
+            want[(1,) * k] = 1
+        assert image.terms == want, k
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -110,6 +149,8 @@ def test_dual_routes_agree_other_prime():
     for m in partitions_up_to(3, 2):
         for n_ in partitions_up_to(order_exponent(m), 1):
             assert a_coeff(m, n_, ctx) == a_coeff(m, n_, ctx, method="enumeration")
+    # G((3,1)/(2)) = p - 1: its two end columns share one division by p - 1
+    assert a_coeff((3, 1), (2,), ctx) == 2 == a_coeff((3, 1), (2,), ctx, method="enumeration")
 
 
 def test_i_count_is_m_count_times_a(ctx1):
@@ -128,7 +169,9 @@ def test_split_choice_does_not_matter():
         last = OmegaContext(p=2, n=n, split="last")
         for m in partitions_up_to(3, n + 1):
             for n_ in partitions_up_to(order_exponent(m), n):
-                assert a_coeff(m, n_, first) == a_coeff(m, n_, last)
+                value = a_coeff(m, n_, first)
+                assert value == a_coeff(m, n_, last)
+                assert value == a_coeff(m, n_, last, method="enumeration"), (m, n_)
 
 
 def test_truncation_depth_does_not_matter():
@@ -136,7 +179,9 @@ def test_truncation_depth_does_not_matter():
     for m in partitions_up_to(3, 3):
         deeper = OmegaContext(p=2, n=2, trunc_override=(m[0] if m else 1) + 1)
         for n_ in partitions_up_to(order_exponent(m), 2):
-            assert a_coeff(m, n_, base) == a_coeff(m, n_, deeper)
+            value = a_coeff(m, n_, base)
+            assert value == a_coeff(m, n_, deeper)
+            assert value == a_coeff(m, n_, deeper, method="enumeration"), (m, n_)
 
 
 def test_omega_images(ctx1):
