@@ -22,13 +22,17 @@ transfer take --split (the transfer kernel) and --trunc, which only
 raises the truncation exponent; `table c` and `verify shimura` take
 neither.  The transfer's default route ("transversal" in `verify
 oracle`) is a closed form that neither changes; they steer its
-enumeration oracle.  --budget bounds enumerations, so `acoeff`,
-`bcoeff`, `omega`, `table a|b|omega` and `verify tp|inverse` do not
-take it.  For `count-subgroups` --trunc is the exponent r of
-(Z/p^r)^n (default 1).  --cache points at a directory holding the
-append-only coefficient cache (environment variable HECKE_CACHE_DIR
-supplies the default).  Each command, table kind and suite accepts
-only the options it reads; `table --help` and `verify --help` list them.
+enumeration oracle.  Products and generator decompositions take the
+elementary Pieri rule; the Hall table behind `ccoeff`, `table c` and
+the c-route of `verify oracle` is their oracle.  --budget bounds
+enumerations, so only `ccoeff`, `table c`, `verify oracle|all`,
+`count-subgroups` and `selftest` take it.  `mul` and `decompose` read
+no cache either, so they take only --p, --n and --output.  For
+`count-subgroups` --trunc is the exponent r of (Z/p^r)^n (default 1).
+--cache points at a directory holding the append-only coefficient
+cache (environment variable HECKE_CACHE_DIR supplies the default).
+Each command, table kind and suite accepts only the options it reads;
+`table --help` and `verify --help` list them.
 """
 
 from __future__ import annotations
@@ -118,11 +122,13 @@ _OPTIONS = {
 }
 
 # the options each command reads, by what it computes (--budget if it enumerates)
+_ELEMENT_OPTIONS = "p n output"
 _CELL_OPTIONS = "p n budget cache output"
 _TRANSFER_OPTIONS = "p n cache output split trunc"
 _CELL_SWEEP_OPTIONS = _CELL_OPTIONS + " max-order-exp"
 _TRANSFER_SWEEP_OPTIONS = _TRANSFER_OPTIONS + " max-order-exp"
 _SWEEP_OPTIONS = _TRANSFER_SWEEP_OPTIONS + " budget"
+_GENERATOR_SWEEP_OPTIONS = "p n cache output max-order-exp"
 
 
 def _add_options(parser: argparse.ArgumentParser, names: str) -> None:
@@ -164,7 +170,8 @@ def _close_cache(store: CacheStore | None, memo: dict[str, int]) -> None:
 
 
 def _hecke_ctx(args: argparse.Namespace, memo: dict[str, int]) -> HeckeContext:
-    return HeckeContext(p=args.p, n=args.n, budget=args.budget, memo=memo)
+    budget = getattr(args, "budget", DEFAULT_BUDGET)
+    return HeckeContext(p=args.p, n=args.n, budget=budget, memo=memo)
 
 
 def _omega_ctx(args: argparse.Namespace, memo: dict[str, int]) -> OmegaContext:
@@ -203,13 +210,10 @@ def _emit_element(args, elem: HeckeElement) -> None:
 
 
 def _cmd_mul(args) -> int:
-    store, memo = _open_cache(args)
-    ctx = _hecke_ctx(args, memo)
+    ctx = _hecke_ctx(args, {})
     x = parse_element(args.x, args.p, args.n)
     y = parse_element(args.y, args.p, args.n)
-    result = multiply(x, y, ctx)
-    _close_cache(store, memo)
-    _emit_element(args, result)
+    _emit_element(args, multiply(x, y, ctx))
     return EXIT_OK
 
 
@@ -224,11 +228,9 @@ def _cmd_omega(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    store, memo = _open_cache(args)
-    ctx = _hecke_ctx(args, memo)
+    ctx = _hecke_ctx(args, {})
     x = parse_element(args.x, args.p, args.n)
     poly = decompose_in_generators(x, ctx)
-    _close_cache(store, memo)
     if args.output == "json":
         payload = {"p": args.p, **poly.to_json_dict()}
         print(json.dumps(payload))
@@ -519,10 +521,10 @@ def _suite_oracle(args, memo, checks) -> None:
 
 
 _SUITES = {
-    "hom": (_suite_hom, _SWEEP_OPTIONS),
+    "hom": (_suite_hom, _TRANSFER_SWEEP_OPTIONS),
     "tp": (_suite_tp, _TRANSFER_SWEEP_OPTIONS),
     "inverse": (_suite_inverse, _TRANSFER_SWEEP_OPTIONS),
-    "shimura": (_suite_shimura, _CELL_SWEEP_OPTIONS),
+    "shimura": (_suite_shimura, _GENERATOR_SWEEP_OPTIONS),
     "oracle": (_suite_oracle, _SWEEP_OPTIONS),
 }
 
@@ -645,7 +647,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_coeff, kind="b")
 
     sp = sub.add_parser("mul", help="product of two elements")
-    _add_options(sp, _CELL_OPTIONS)
+    _add_options(sp, _ELEMENT_OPTIONS)
     sp.add_argument("x", help='element literal, e.g. "1*[1] + 2*[]"')
     sp.add_argument("y")
     sp.set_defaults(func=_cmd_mul)
@@ -656,7 +658,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_omega)
 
     sp = sub.add_parser("decompose", help="write an element in the generators T_k")
-    _add_options(sp, _CELL_OPTIONS)
+    _add_options(sp, _ELEMENT_OPTIONS)
     sp.add_argument("x")
     sp.set_defaults(func=_cmd_decompose)
 

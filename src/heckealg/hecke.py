@@ -8,17 +8,23 @@ two classes counts configurations inside the colimit lattice
     M * N = sum over L of c(M, N; L) L,
 
 where c(M, N; L) is the number of subgroups of a fixed group of type L
-that are isomorphic to M with quotient isomorphic to N.  That fixed-
-representative description already divides out the transitive action of
-the ambient automorphisms; the definitional count over pairs of nested
-subgroups of (Q_p/Z_p)^n, divided by the number of copies of L, is kept
-as a verification mode and must agree exactly.
+that are isomorphic to M with quotient isomorphic to N.
 
 The algebra is a polynomial ring over Z on the classes T_k of elementary
-abelian groups (Z/p)^k for 1 <= k <= n, so every element decomposes as
-an integer polynomial in T_1..T_n; the decomposition peels off leading
-terms in integer arithmetic, since the T-monomials are unitriangular
-against the classes in dominance order.
+abelian groups (Z/p)^k for 1 <= k <= n, and multiplying by T_k is the
+elementary Pieri rule for Hall polynomials (Macdonald, Symmetric
+Functions and Hall Polynomials, II (4.6); see hall._hall_vertical).
+Products and generator decompositions take that route and enumerate no
+subgroups: the decomposition peels off leading terms in integer
+arithmetic, since the T-monomials are unitriangular against the classes
+in dominance order, and a product applies the T-monomials of one factor
+to the other.
+
+The structure constant c(M, N; L) itself is read off the Hall table of
+L, one sweep over the subgroups of a fixed group of type L.  That table
+is the oracle for products.  The definitional count over pairs of nested
+subgroups of (Q_p/Z_p)^n, divided by the number of copies of L, is kept
+as a verification mode of c and must agree exactly.
 
 >>> ctx = HeckeContext(p=2, n=2)
 >>> print(multiply(basis_element((1,), ctx), basis_element((1,), ctx), ctx))
@@ -32,12 +38,13 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import ParseError, VerificationError, exact_quotient
+from .hall import _hall_vertical
 from .modmat import _span_contains_rows
 from .partitions import (
     Partition,
     conjugate,
-    embeds,
     format_partition,
+    is_horizontal_strip,
     order_exponent,
     p_rank,
     parse_partition,
@@ -74,7 +81,7 @@ __all__ = [
 
 @dataclass
 class HeckeContext:
-    """Shared state for one (p, n): structure-constant memo and budget."""
+    """Shared state for one (p, n): memos, and the budget of the oracles."""
 
     p: int
     n: int
@@ -84,6 +91,9 @@ class HeckeContext:
         default_factory=dict, repr=False
     )
     _ktables: dict[Partition, dict[tuple[Partition, Partition], int]] = field(
+        default_factory=dict, repr=False
+    )
+    _pieri: dict[tuple[Partition, int], dict[Partition, int]] = field(
         default_factory=dict, repr=False
     )
     _monos: dict[tuple[int, ...], "HeckeElement"] = field(
@@ -365,27 +375,80 @@ def _c_coeff_verified(m: Partition, n_: Partition, l: Partition, ctx: HeckeConte
 # --- products ---------------------------------------------------------------
 
 
+def _pieri_row(mu: Partition, k: int, ctx: HeckeContext) -> dict[Partition, int]:
+    """u_mu T_k = sum of G^lam_{mu,(1^k)}(p) u_lam, lam/mu a vertical k-strip.
+
+    Dropping the lam with more than n parts is exact: those classes span
+    an ideal, since c(M, N; L) != 0 needs M and N to embed in L.
+    """
+    row = ctx._pieri.get((mu, k))
+    if row is None:
+        inner = conjugate(mu)
+        row = {
+            lam: _hall_vertical(lam, mu, ctx.p)
+            for lam in partitions_of_exponent(order_exponent(mu) + k, ctx.n)
+            if is_horizontal_strip(conjugate(lam), inner)
+        }
+        ctx._pieri[mu, k] = row
+    return row
+
+
+def _times_monomial(
+    x: HeckeElement,
+    exps: tuple[int, ...],
+    ctx: HeckeContext,
+    memo: dict[tuple[int, ...], HeckeElement],
+) -> HeckeElement:
+    """x T_1^a_1 ... T_n^a_n by one Pieri step per factor.
+
+    memo holds the products of this x with monomials, keyed by exponents,
+    so monomials that share their lower factors share the steps.
+    """
+    hit = memo.get(exps)
+    if hit is not None:
+        return hit
+    if not any(exps):
+        value = x
+    else:
+        k = max(i for i, a in enumerate(exps) if a)
+        prev = exps[:k] + (exps[k] - 1,) + exps[k + 1 :]
+        out: dict[Partition, int] = {}
+        for mu, c in _times_monomial(x, prev, ctx, memo).terms.items():
+            for lam, g in _pieri_row(mu, k + 1, ctx).items():
+                out[lam] = out.get(lam, 0) + c * g
+        value = HeckeElement(ctx.p, ctx.n, out)
+    memo[exps] = value
+    return value
+
+
+def _times_poly(
+    x: HeckeElement,
+    coeffs: Mapping[tuple[int, ...], int],
+    ctx: HeckeContext,
+    memo: dict[tuple[int, ...], HeckeElement],
+) -> HeckeElement:
+    out: dict[Partition, int] = {}
+    for exps, c in coeffs.items():
+        for lam, v in _times_monomial(x, exps, ctx, memo).terms.items():
+            out[lam] = out.get(lam, 0) + c * v
+    return HeckeElement(ctx.p, ctx.n, out)
+
+
 def multiply(x: HeckeElement, y: HeckeElement, ctx: HeckeContext) -> HeckeElement:
-    """Bilinear product; the zero element is absorbing as usual."""
+    """Bilinear product; the zero element is absorbing as usual.
+
+    y is written in the generators (decompose_in_generators), and each of
+    its T-monomials is applied to x by repeated elementary Pieri steps, so
+    no subgroup is enumerated.  The Hall table behind c_coeff is the
+    independent oracle for the result.
+    """
     x._check_compatible(y)
     if x.p != ctx.p or x.n != ctx.n:
         raise ValueError(
             f"element (p={x.p}, n={x.n}) does not match context "
             f"(p={ctx.p}, n={ctx.n})"
         )
-    out: dict[Partition, int] = {}
-    for mx, cx in x.terms.items():
-        for my, cy in y.terms.items():
-            weight = cx * cy
-            d = order_exponent(mx) + order_exponent(my)
-            for l in partitions_of_exponent(d, ctx.n):
-                # a subgroup and a quotient of L both embed in L
-                if not (embeds(mx, l) and embeds(my, l)):
-                    continue
-                c = c_coeff(mx, my, l, ctx)
-                if c:
-                    out[l] = out.get(l, 0) + weight * c
-    return HeckeElement(ctx.p, ctx.n, out)
+    return _times_poly(x, decompose_in_generators(y, ctx).coeffs, ctx, {})
 
 
 # --- generator decomposition -------------------------------------------------
@@ -443,18 +506,7 @@ class GeneratorPoly:
 
 
 def _eval_monomial(exps: tuple[int, ...], ctx: HeckeContext) -> HeckeElement:
-    hit = ctx._monos.get(exps)
-    if hit is not None:
-        return hit
-    if not any(exps):
-        value = identity(ctx)
-    else:
-        k = max(i for i, a in enumerate(exps) if a)
-        prev = exps[:k] + (exps[k] - 1,) + exps[k + 1 :]
-        t_k = basis_element((1,) * (k + 1), ctx)
-        value = multiply(_eval_monomial(prev, ctx), t_k, ctx)
-    ctx._monos[exps] = value
-    return value
+    return _times_monomial(identity(ctx), exps, ctx, ctx._monos)
 
 
 def _leading_monomial(lam: Partition, n: int) -> tuple[int, ...]:
@@ -471,9 +523,10 @@ def decompose_in_generators(x: HeckeElement, ctx: HeckeContext) -> GeneratorPoly
     and Hall Polynomials, Ch. II-III), and within one degree the tuple
     order on partitions refines dominance.  So the largest class left
     fixes the coefficient of its monomial, and subtracting that multiple
-    leaves only smaller classes; the arithmetic stays in the integers.  A
-    monomial that does not lead with its class and coefficient 1 is a
-    fatal verification failure.
+    leaves only smaller classes; the arithmetic stays in the integers.
+    Each monomial is evaluated by elementary Pieri steps, and one that
+    does not lead with its class and coefficient 1 is a fatal
+    verification failure, so this is a built-in check on the Pieri rule.
     """
     if x.p != ctx.p or x.n != ctx.n:
         raise ValueError("element does not match context")
@@ -499,10 +552,10 @@ def eval_generator_poly(poly: GeneratorPoly, ctx: HeckeContext) -> HeckeElement:
         raise ValueError(
             f"polynomial mentions T_{poly.n}, context rank is {ctx.n}"
         )
-    out = HeckeElement(ctx.p, ctx.n, {})
+    padding = (0,) * (ctx.n - poly.n)
+    coeffs: dict[tuple[int, ...], int] = {}
     for exps, c in poly.coeffs.items():
         if len(exps) != poly.n:
             raise ValueError(f"exponent vector {exps} does not have length {poly.n}")
-        padded = tuple(exps) + (0,) * (ctx.n - poly.n)
-        out = out + _eval_monomial(padded, ctx).scaled(c)
-    return out
+        coeffs[tuple(exps) + padding] = c
+    return _times_poly(identity(ctx), coeffs, ctx, ctx._monos)

@@ -26,19 +26,17 @@ graded piece; omega composed with the resulting section is the identity.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from math import prod
 from typing import Sequence
 
 from .errors import VerificationError, exact_quotient
+from .hall import _aut_order, _hall_cyclic
 from .hecke import HeckeContext, HeckeElement, basis_element, multiply, t_aggregate
 
 # unused here, but perfbench's span self-check looks this binding up
 from .modmat import _howell_rows  # noqa: F401
 from .partitions import (
     Partition,
-    conjugate,
     embeds,
     format_partition,
     is_horizontal_strip,
@@ -113,37 +111,6 @@ class OmegaContext:
         if self.trunc_override is not None:
             return max(base, self.trunc_override)
         return base
-
-
-def _aut_order(lam: Partition, p: int) -> int:
-    """|Aut| of the group of type lam, m_j its parts equal to j (Macdonald II (1.6)):
-    p^(sum lam'_i^2 - sum_j m_j (m_j + 1) / 2) prod_j prod_(k <= m_j) (p^k - 1).
-    """
-    exp = sum(c * c for c in conjugate(lam))
-    value = 1
-    for m in Counter(lam).values():
-        exp -= m * (m + 1) // 2
-        value *= prod(p**k - 1 for k in range(1, m + 1))
-    return p**exp * value
-
-
-def _n_weight(lam: Partition) -> int:
-    return sum(i * part for i, part in enumerate(lam))  # n(lam) = sum (i - 1) lam_i
-
-
-def _hall_cyclic(lam: Partition, mu: Partition, p: int) -> int:
-    """G^lam_{mu,(t)}(p), lam/mu a horizontal t-strip (Macdonald III (3.2), (5.7')).
-
-    p^(n(lam) - n(mu) + 1 - sum_I m_i) prod_I (p^(m_i) - 1) / (p - 1), with m_i the
-    parts of lam equal to i and I the columns i where theta' = lam' - mu' has
-    theta'_i = 1 and theta'_(i+1) = 0.
-    """
-    cols, inner = conjugate(lam) + (0,), conjugate(mu)
-    theta = [c - (inner[i] if i < len(inner) else 0) for i, c in enumerate(cols)]
-    ends = [lam.count(i + 1) for i in range(len(theta) - 1) if theta[i : i + 2] == [1, 0]]
-    exp = _n_weight(lam) - _n_weight(mu) + 1 - sum(ends)
-    num = prod(p**m - 1 for m in ends) * p ** max(exp, 0)
-    return exact_quotient(num, (p - 1) * p ** max(-exp, 0), "a Hall polynomial")
 
 
 def _transversal_bins(

@@ -186,7 +186,7 @@ def test_budget_exit_code(capsys):
     "argv",
     [
         ["table", "c", "--p", "2", "--n", "2", "--max-order-exp", "3", "--budget", "5"],
-        ["verify", "hom", "--p", "2", "--n", "1", "--max-order-exp", "3", "--budget", "20"],
+        ["verify", "oracle", "--p", "2", "--n", "2", "--max-order-exp", "3", "--budget", "20"],
     ],
 )
 def test_budget_overrun_in_sweeps(capsys, argv):
@@ -239,6 +239,11 @@ _FOREIGN_OPTIONS = [
     ("acoeff", "--budget", "5"),
     ("bcoeff", "--budget", "5"),
     ("omega", "--budget", "5"),
+    # products and decompositions take the Pieri rule: no enumeration, no cache
+    ("mul", "--budget", "5"),
+    ("mul", "--cache", "unused-dir"),
+    ("decompose", "--budget", "5"),
+    ("decompose", "--cache", "unused-dir"),
 ]
 
 
@@ -262,6 +267,8 @@ _KIND_FOREIGN_OPTIONS = [
     ("table omega", "--budget", "5"),
     ("verify tp", "--budget", "5"),
     ("verify inverse", "--budget", "5"),
+    ("verify hom", "--budget", "5"),
+    ("verify shimura", "--budget", "5"),
 ]
 
 
@@ -307,7 +314,10 @@ def test_mismatched_rank_element_is_usage_error(capsys):
 
 def test_cache_round_trip(tmp_path, capsys):
     cache_dir = str(tmp_path / "store")
-    args = ["mul", "--p", "2", "--n", "2", "1*[1]", "1*[1]", "--cache", cache_dir]
+    args = [
+        "ccoeff", "--p", "2", "--n", "2", "--M", "[1]", "--N", "[1]", "--L", "[1,1]",
+        "--cache", cache_dir,
+    ]
     code, cold, _ = run(capsys, *args)
     assert code == 0
     cache_file = tmp_path / "store" / CACHE_FILENAME
@@ -360,10 +370,11 @@ def test_corrupt_cache_lines_warn_and_continue(tmp_path, capsys):
     )
     code, out, err = run(
         capsys,
-        "mul", "--p", "2", "--n", "2", "1*[1]", "1*[1]", "--cache", str(tmp_path),
+        "ccoeff", "--p", "2", "--n", "2", "--M", "[1]", "--N", "[1]", "--L", "[1,1]",
+        "--cache", str(tmp_path),
     )
     assert code == 0
-    assert out.strip() == "1*[2] + 3*[1,1]"
+    assert out.strip() == "3"
     assert err.count("skipping bad cache line") == 2
 
 

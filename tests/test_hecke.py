@@ -1,9 +1,11 @@
 """Products, structure constants and generator decompositions."""
 
+import doctest
 import itertools
 
 import pytest
 
+from heckealg import hall
 from heckealg.errors import ParseError, VerificationError
 from heckealg.hecke import (
     GeneratorPoly,
@@ -109,6 +111,30 @@ def test_product_is_associative(ctx22):
         lhs = multiply(multiply(x, y, ctx22), z, ctx22)
         rhs = multiply(x, multiply(y, z, ctx22), ctx22)
         assert lhs == rhs
+
+
+@pytest.mark.parametrize(
+    "p,n,d", [(2, 2, 6), (3, 2, 6), (2, 3, 6), (3, 3, 5), (5, 2, 4), (2, 4, 5)]
+)
+def test_products_match_the_hall_table(p, n, d):
+    # multiply takes the Pieri rule; the Hall table behind c_coeff is its oracle
+    ctx = HeckeContext(p=p, n=n)
+    classes = list(partitions_up_to(d, n))
+    for m, n_ in itertools.product(classes, repeat=2):
+        e = order_exponent(m) + order_exponent(n_)
+        if e > d:
+            continue
+        want = {}
+        for l in partitions_of_exponent(e, n):
+            c = c_coeff(m, n_, l, ctx)
+            if c:
+                want[l] = c
+        got = multiply(basis_element(m, ctx), basis_element(n_, ctx), ctx)
+        assert got.terms == want, (m, n_)
+
+
+def test_hall_doctests():
+    assert doctest.testmod(hall).failed == 0
 
 
 def test_c_guards(ctx22):

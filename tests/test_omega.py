@@ -92,6 +92,22 @@ def test_transfer_tables_enumerate_nothing(no_enumeration, capsys, kind):
     assert header.endswith("coeff" if kind == "omega" else "value") and rows
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mul", "--p", "3", "--n", "3", "1*[2,2,1]", "1*[2,1,1]"],
+        ["decompose", "--p", "3", "--n", "4", "1*[2,2,2,2]"],
+        ["verify", "hom", "--p", "3", "--n", "2", "--max-order-exp", "4"],
+        ["verify", "shimura", "--p", "3", "--n", "4", "--max-order-exp", "6"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_products_enumerate_nothing(no_enumeration, capsys, argv):
+    # products and decompositions take the Pieri rule, never the Hall table
+    assert main(argv) == 0
+    assert capsys.readouterr().out
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 1009])
 @pytest.mark.parametrize("n", range(1, 7))
 def test_omega_on_generators(p, n):
