@@ -22,12 +22,12 @@ transfer take --split (the transfer kernel) and --trunc, which only
 raises the truncation exponent; `table c` and `verify shimura` take
 neither.  The transfer's default route ("transversal" in `verify
 oracle`) is a closed form that neither changes; they steer its
-enumeration oracle.  Products and generator decompositions take the
-elementary Pieri rule; the Hall table behind `ccoeff`, `table c` and
-the c-route of `verify oracle` is their oracle.  --budget bounds
-enumerations, so only `ccoeff`, `table c`, `verify oracle|all`,
-`count-subgroups` and `selftest` take it.  `mul` and `decompose` read
-no cache either, so they take only --p, --n and --output.  For
+enumeration oracle.  Products, generator decompositions and the
+structure constants of `ccoeff` and `table c` take the elementary Pieri
+rule; the Hall table in the c-route of `verify oracle` is their oracle.
+--budget bounds enumerations, so only `verify oracle|all`,
+`count-subgroups` and `selftest` take it.  `mul`, `decompose` and
+`verify shimura` read no cache either, so they take no --cache.  For
 `count-subgroups` --trunc is the exponent r of (Z/p^r)^n (default 1).
 --cache points at a directory holding the append-only coefficient
 cache (environment variable HECKE_CACHE_DIR supplies the default).
@@ -121,14 +121,13 @@ _OPTIONS = {
     ),
 }
 
-# the options each command reads, by what it computes (--budget if it enumerates)
+# the options each command reads, by what it computes (--budget if it
+# enumerates, --cache if it memoises coefficients)
 _ELEMENT_OPTIONS = "p n output"
-_CELL_OPTIONS = "p n budget cache output"
-_TRANSFER_OPTIONS = "p n cache output split trunc"
-_CELL_SWEEP_OPTIONS = _CELL_OPTIONS + " max-order-exp"
+_COEFF_OPTIONS = "p n cache output"
+_TRANSFER_OPTIONS = _COEFF_OPTIONS + " split trunc"
 _TRANSFER_SWEEP_OPTIONS = _TRANSFER_OPTIONS + " max-order-exp"
 _SWEEP_OPTIONS = _TRANSFER_SWEEP_OPTIONS + " budget"
-_GENERATOR_SWEEP_OPTIONS = "p n cache output max-order-exp"
 
 
 def _add_options(parser: argparse.ArgumentParser, names: str) -> None:
@@ -151,6 +150,8 @@ def _add_kinds(
 
 
 def _cache_dir(args: argparse.Namespace) -> str | None:
+    if "cache" not in args:  # verify shimura memoises nothing: ignore $HECKE_CACHE_DIR
+        return None
     if args.cache:
         return args.cache
     return os.environ.get(CACHE_ENV) or None
@@ -507,6 +508,8 @@ def _suite_oracle(args, memo, checks) -> None:
                 )
             )
     hctx = _hecke_ctx(args, memo)
+    # labels kept so that stdout stays byte-identical: "table" is the
+    # Pieri product, "normalized count" the Hall table
     for m, n_, l in _c_cells(args):
         vc = c_coeff(m, n_, l, hctx)
         vv = c_coeff(m, n_, l, hctx, verify=True)
@@ -524,7 +527,7 @@ _SUITES = {
     "hom": (_suite_hom, _TRANSFER_SWEEP_OPTIONS),
     "tp": (_suite_tp, _TRANSFER_SWEEP_OPTIONS),
     "inverse": (_suite_inverse, _TRANSFER_SWEEP_OPTIONS),
-    "shimura": (_suite_shimura, _GENERATOR_SWEEP_OPTIONS),
+    "shimura": (_suite_shimura, _ELEMENT_OPTIONS + " max-order-exp"),
     "oracle": (_suite_oracle, _SWEEP_OPTIONS),
 }
 
@@ -628,7 +631,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("ccoeff", help="structure constant c(M, N; L)")
-    _add_options(sp, _CELL_OPTIONS)
+    _add_options(sp, _COEFF_OPTIONS)
     sp.add_argument("--M", required=True, help='partition literal, e.g. "[1]"')
     sp.add_argument("--N", required=True)
     sp.add_argument("--L", required=True)
@@ -664,7 +667,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("table", help="tabulate coefficients")
     transfers = dict.fromkeys(("a", "b", "omega"), _TRANSFER_SWEEP_OPTIONS)
-    _add_kinds(sp, "kind", {"c": _CELL_SWEEP_OPTIONS, **transfers}, _cmd_table)
+    kinds = {"c": _COEFF_OPTIONS + " max-order-exp", **transfers}
+    _add_kinds(sp, "kind", kinds, _cmd_table)
 
     sp = sub.add_parser("verify", help="run a verification suite")
     suites = {name: names for name, (_, names) in _SUITES.items()}

@@ -14,17 +14,17 @@ The algebra is a polynomial ring over Z on the classes T_k of elementary
 abelian groups (Z/p)^k for 1 <= k <= n, and multiplying by T_k is the
 elementary Pieri rule for Hall polynomials (Macdonald, Symmetric
 Functions and Hall Polynomials, II (4.6); see hall._hall_vertical).
-Products and generator decompositions take that route and enumerate no
-subgroups: the decomposition peels off leading terms in integer
-arithmetic, since the T-monomials are unitriangular against the classes
-in dominance order, and a product applies the T-monomials of one factor
-to the other.
+Products, generator decompositions and the structure constants take
+that route and enumerate no subgroups: the decomposition peels off
+leading terms in integer arithmetic, since the T-monomials are
+unitriangular against the classes in dominance order, a product applies
+the T-monomials of one factor to the other, and c(M, N; L) is the
+coefficient of L in the product of M and N.
 
-The structure constant c(M, N; L) itself is read off the Hall table of
-L, one sweep over the subgroups of a fixed group of type L.  That table
-is the oracle for products.  The definitional count over pairs of nested
-subgroups of (Q_p/Z_p)^n, divided by the number of copies of L, is kept
-as a verification mode of c and must agree exactly.
+The one oracle for products and structure constants is the Hall table
+of L, one sweep over the subgroups of a fixed group of type L that
+counts them by type and quotient type; c_coeff(..., verify=True) reads
+c off it.
 
 >>> ctx = HeckeContext(p=2, n=2)
 >>> print(multiply(basis_element((1,), ctx), basis_element((1,), ctx), ctx))
@@ -37,9 +37,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .errors import ParseError, VerificationError, exact_quotient
+from .errors import ParseError, VerificationError
 from .hall import _hall_vertical
-from .modmat import _span_contains_rows
 from .partitions import (
     Partition,
     conjugate,
@@ -59,7 +58,6 @@ from .subgroups import (
     _quotient_type_rows,
     enumerate_subgroups,
     is_prime,
-    m_count,
     subgroup_from_rows,
     type_of,
 )
@@ -88,9 +86,6 @@ class HeckeContext:
     budget: int = DEFAULT_BUDGET
     memo: dict[str, int] = field(default_factory=dict, repr=False)
     _hall: dict[Partition, dict[tuple[Partition, Partition], int]] = field(
-        default_factory=dict, repr=False
-    )
-    _ktables: dict[Partition, dict[tuple[Partition, Partition], int]] = field(
         default_factory=dict, repr=False
     )
     _pieri: dict[tuple[Partition, int], dict[Partition, int]] = field(
@@ -268,7 +263,12 @@ def _standard_copy(lam: Partition, p: int) -> tuple[Ambient, SubgroupRep]:
 def _hall_table(
     lam: Partition, ctx: HeckeContext
 ) -> dict[tuple[Partition, Partition], int]:
-    """All structure constants with target class lam, in one sweep."""
+    """All structure constants with target class lam, in one sweep.
+
+    The oracle for c_coeff and multiply: it counts the subgroups of a
+    fixed group of type lam by type and quotient type, and shares no code
+    with the Pieri rule.
+    """
     cached = ctx._hall.get(lam)
     if cached is not None:
         return cached
@@ -298,10 +298,11 @@ def c_coeff(
     """Structure constant c(M, N; L) of the rank-ctx.n algebra.
 
     Zero unless all three classes have p-rank at most ctx.n and the order
-    exponents add up.  With verify=True the definitional count (pairs of
-    nested subgroups in the rank-n lattice, divided by the number of
-    copies of L) is computed instead; inexact division there is a fatal
-    verification failure.
+    exponents add up.  Otherwise it is the coefficient of L in the
+    product of M and N (see multiply), which enumerates nothing.  With
+    verify=True it is read off the Hall table of L instead, the one
+    sweep over the subgroups of a fixed group of type L; that value is
+    not memoised.
     """
     m = validate_partition(m)
     n_ = validate_partition(n_)
@@ -312,12 +313,13 @@ def c_coeff(
     if order_exponent(m) + order_exponent(n_) != order_exponent(l):
         return 0
     if verify:
-        return _c_coeff_verified(m, n_, l, ctx)
+        return _hall_table(l, ctx).get((m, n_), 0)
     key = _c_key(ctx.p, ctx.n, m, n_, l)
     hit = ctx.memo.get(key)
     if hit is not None:
         return hit
-    value = _hall_table(l, ctx).get((m, n_), 0)
+    product = multiply(basis_element(m, ctx), basis_element(n_, ctx), ctx)
+    value = product.terms.get(l, 0)
     ctx.memo[key] = value
     return value
 
@@ -327,49 +329,6 @@ def _c_key(p: int, n: int, m: Partition, n_: Partition, l: Partition) -> str:
         f"c:p={p}:n={n}:M={format_partition(m)}"
         f":N={format_partition(n_)}:L={format_partition(l)}"
     )
-
-
-def _k_table(
-    l: Partition, ctx: HeckeContext
-) -> dict[tuple[Partition, Partition], int]:
-    """|K(M, N; L)| for all (M, N): double enumeration in the rank-n lattice.
-
-    Counts pairs (M', L') with L' of type L inside (Z/p^r)^n, r = l_1, and
-    M' a subgroup of L'.  Deliberately independent of the fixed-
-    representative route used by the default c_coeff path.
-    """
-    cached = ctx._ktables.get(l)
-    if cached is not None:
-        return cached
-    table: dict[tuple[Partition, Partition], int] = {}
-    if not l:
-        table[(), ()] = 1
-    else:
-        amb = Ambient(ctx.p, ctx.n, l[0])
-        p, r = amb.p, amb.r
-        for lp in enumerate_subgroups(
-            amb, order_exp=order_exponent(l), budget=ctx.budget
-        ):
-            if type_of(lp) != l:
-                continue
-            lrows = lp.basis.rows
-            in_lp = lambda row: _span_contains_rows(lrows, row, p, r)
-            # row_filter puts every mp inside lp: no containment check
-            for mp in enumerate_subgroups(
-                amb, row_filter=in_lp, budget=ctx.budget
-            ):
-                key = (type_of(mp), _quotient_type_rows(lrows, mp.basis.rows, p, r, ctx.n))
-                table[key] = table.get(key, 0) + 1
-    ctx._ktables[l] = table
-    return table
-
-
-def _c_coeff_verified(m: Partition, n_: Partition, l: Partition, ctx: HeckeContext) -> int:
-    k_value = _k_table(l, ctx).get((m, n_), 0)
-    if k_value == 0:
-        return 0
-    copies = m_count(l, ctx.n, ctx.p, budget=ctx.budget)
-    return exact_quotient(k_value, copies, f"|K| over the copies of {format_partition(l)}")
 
 
 # --- products ---------------------------------------------------------------
@@ -439,8 +398,8 @@ def multiply(x: HeckeElement, y: HeckeElement, ctx: HeckeContext) -> HeckeElemen
 
     y is written in the generators (decompose_in_generators), and each of
     its T-monomials is applied to x by repeated elementary Pieri steps, so
-    no subgroup is enumerated.  The Hall table behind c_coeff is the
-    independent oracle for the result.
+    no subgroup is enumerated.  The Hall tables, which c_coeff reads with
+    verify=True, are the independent oracle for the result.
     """
     x._check_compatible(y)
     if x.p != ctx.p or x.n != ctx.n:

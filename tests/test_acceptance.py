@@ -124,13 +124,13 @@ def test_criterion_04_structure_constant_routes():
                 for dm in range(d + 1):
                     for m in partitions_of_exponent(dm, n):
                         for n_ in partitions_of_exponent(d - dm, n):
-                            table = c_coeff(m, n_, l, ctx)
-                            counted = c_coeff(m, n_, l, ctx, verify=True)
-                            if table != counted:
-                                bad.append((p, n, m, n_, l, table, counted))
+                            pieri = c_coeff(m, n_, l, ctx)
+                            hall = c_coeff(m, n_, l, ctx, verify=True)
+                            if pieri != hall:
+                                bad.append((p, n, m, n_, l, pieri, hall))
         assert not bad, f"c-routes disagree at {bad[:5]}"
 
-    _run(4, "fixed-representative vs normalized pair count", body)
+    _run(4, "Pieri product vs Hall table", body)
 
 
 def test_criterion_05_commutative_associative():

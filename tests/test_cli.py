@@ -185,7 +185,7 @@ def test_budget_exit_code(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["table", "c", "--p", "2", "--n", "2", "--max-order-exp", "3", "--budget", "5"],
+        ["verify", "all", "--p", "2", "--n", "2", "--max-order-exp", "3", "--budget", "20"],
         ["verify", "oracle", "--p", "2", "--n", "2", "--max-order-exp", "3", "--budget", "20"],
     ],
 )
@@ -239,7 +239,9 @@ _FOREIGN_OPTIONS = [
     ("acoeff", "--budget", "5"),
     ("bcoeff", "--budget", "5"),
     ("omega", "--budget", "5"),
-    # products and decompositions take the Pieri rule: no enumeration, no cache
+    # structure constants take the Pieri rule: no enumeration
+    ("ccoeff", "--budget", "5"),
+    # so do products and decompositions, which memoise nothing: no cache either
     ("mul", "--budget", "5"),
     ("mul", "--cache", "unused-dir"),
     ("decompose", "--budget", "5"),
@@ -269,6 +271,8 @@ _KIND_FOREIGN_OPTIONS = [
     ("verify inverse", "--budget", "5"),
     ("verify hom", "--budget", "5"),
     ("verify shimura", "--budget", "5"),
+    ("table c", "--budget", "5"),
+    ("verify shimura", "--cache", "unused-dir"),
 ]
 
 

@@ -117,7 +117,8 @@ def test_product_is_associative(ctx22):
     "p,n,d", [(2, 2, 6), (3, 2, 6), (2, 3, 6), (3, 3, 5), (5, 2, 4), (2, 4, 5)]
 )
 def test_products_match_the_hall_table(p, n, d):
-    # multiply takes the Pieri rule; the Hall table behind c_coeff is its oracle
+    # multiply takes the Pieri rule; the Hall table, read by c_coeff with
+    # verify=True, is its oracle
     ctx = HeckeContext(p=p, n=n)
     classes = list(partitions_up_to(d, n))
     for m, n_ in itertools.product(classes, repeat=2):
@@ -126,7 +127,7 @@ def test_products_match_the_hall_table(p, n, d):
             continue
         want = {}
         for l in partitions_of_exponent(e, n):
-            c = c_coeff(m, n_, l, ctx)
+            c = c_coeff(m, n_, l, ctx, verify=True)
             if c:
                 want[l] = c
         got = multiply(basis_element(m, ctx), basis_element(n_, ctx), ctx)
@@ -163,6 +164,22 @@ def test_c_verification_mode_other_prime():
             for m in partitions_of_exponent(dm, 2):
                 for n_ in partitions_of_exponent(d - dm, 2):
                     assert c_coeff(m, n_, l, ctx) == c_coeff(m, n_, l, ctx, verify=True)
+
+
+def test_c_of_elementary_classes_counts_subspaces():
+    # c((1^a), (1^b); (1^(a+b))) counts the a-dimensional subspaces of
+    # F_p^(a+b); at p = 1009 only the Pieri route can reach it
+    p = 1009
+    ctx = HeckeContext(p=p, n=4)
+    for a in range(5):
+        for b in range(5 - a):
+            top = bottom = 1
+            for i in range(a):
+                top *= p ** (a + b) - p**i
+                bottom *= p**a - p**i
+            want, rest = divmod(top, bottom)
+            assert rest == 0
+            assert c_coeff((1,) * a, (1,) * b, (1,) * (a + b), ctx) == want, (a, b)
 
 
 def test_memo_keys_are_scoped(ctx22):

@@ -99,11 +99,14 @@ def test_transfer_tables_enumerate_nothing(no_enumeration, capsys, kind):
         ["decompose", "--p", "3", "--n", "4", "1*[2,2,2,2]"],
         ["verify", "hom", "--p", "3", "--n", "2", "--max-order-exp", "4"],
         ["verify", "shimura", "--p", "3", "--n", "4", "--max-order-exp", "6"],
+        ["ccoeff", "--p", "1009", "--n", "3", "--M", "[1]", "--N", "[1,1]", "--L", "[1,1,1]"],
+        ["table", "c", "--p", "1009", "--n", "3", "--max-order-exp", "4"],
     ],
     ids=lambda argv: " ".join(argv[:2]),
 )
 def test_products_enumerate_nothing(no_enumeration, capsys, argv):
-    # products and decompositions take the Pieri rule, never the Hall table
+    # products, decompositions and structure constants take the Pieri rule,
+    # never the Hall table
     assert main(argv) == 0
     assert capsys.readouterr().out
 
