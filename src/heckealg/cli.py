@@ -32,7 +32,8 @@ rule; the Hall table in the c-route of `verify oracle` is their oracle.
 --cache points at a directory holding the append-only coefficient
 cache (environment variable HECKE_CACHE_DIR supplies the default).
 Each command, table kind and suite accepts only the options it reads;
-`table --help` and `verify --help` list them.
+`table --help` and `verify --help` list them.  Each call builds only the
+parser it uses: the other commands, kinds and suites are names alone.
 """
 
 from __future__ import annotations
@@ -133,20 +134,6 @@ _SWEEP_OPTIONS = _TRANSFER_SWEEP_OPTIONS + " budget"
 def _add_options(parser: argparse.ArgumentParser, names: str) -> None:
     for name in names.split():
         parser.add_argument(f"--{name}", **_OPTIONS[name])
-
-
-def _add_kinds(
-    parser: argparse.ArgumentParser, dest: str, kinds: dict[str, str], func
-) -> None:
-    """One nested subparser per table kind or verify suite, with its own options."""
-    sub = parser.add_subparsers(dest=dest, required=True)
-    for name, names in kinds.items():
-        _add_options(sub.add_parser(name), names)
-    parser.set_defaults(func=func)
-    parser.formatter_class = argparse.RawDescriptionHelpFormatter
-    parser.epilog = f"options by {dest}:\n" + "\n".join(
-        f"  {name}: --" + " --".join(names.split()) for name, names in kinds.items()
-    )
 
 
 def _cache_dir(args: argparse.Namespace) -> str | None:
@@ -611,10 +598,9 @@ def _cmd_count_subgroups(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    ns = _build_parser().parse_args(
-        ["verify", "all", "--p", "2", "--n", "1", "--max-order-exp", "2",
-         "--budget", str(args.budget), "--output", args.output]
-    )
+    argv = ["verify", "all", "--p", "2", "--n", "1", "--max-order-exp", "2",
+            "--budget", str(args.budget), "--output", args.output]
+    ns = _build_parser(argv).parse_args(argv)
     # a fresh memo: the self-test never reads or writes a cache
     return _emit_checks(ns, "selftest", _run_suites(ns, {}))
 
@@ -622,75 +608,116 @@ def _cmd_selftest(args) -> int:
 # --- entry point -----------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _named(argv: list[str]) -> tuple[str | None, list[str]]:
+    """The name argparse dispatches on, and the tokens after it.
+
+    The root, `table` and `verify` take no option with a value, so that is
+    the first token without a leading dash.  A dash token read as a
+    positional (say -1) names nothing, and argparse rejects it anyway.
+    """
+    for i, token in enumerate(argv):
+        if not token.startswith("-"):
+            return token, argv[i + 1 :]
+    return None, []
+
+
+def _command(options: str, arguments: dict[str, dict], **defaults) -> Callable:
+    """The fill(parser, rest of argv) of a plain command: the shared
+    options, then its own arguments."""
+
+    def fill(parser: argparse.ArgumentParser, rest: list[str]) -> None:
+        _add_options(parser, options)
+        for flag, kwargs in arguments.items():
+            parser.add_argument(flag, **kwargs)
+        parser.set_defaults(**defaults)
+
+    return fill
+
+
+def _kinds(dest: str, kinds: dict[str, str], func: Callable) -> Callable:
+    """The fill of `table` or `verify`: a nested subparser per kind or
+    suite, and only the one the rest of argv names gets its options."""
+
+    def fill(parser: argparse.ArgumentParser, rest: list[str]) -> None:
+        sub = parser.add_subparsers(dest=dest, required=True)
+        chosen = _named(rest)[0]
+        for name, names in kinds.items():
+            sp = sub.add_parser(name, add_help=name == chosen)
+            if name == chosen:
+                _add_options(sp, names)
+        parser.set_defaults(func=func)
+        parser.formatter_class = argparse.RawDescriptionHelpFormatter
+        parser.epilog = f"options by {dest}:\n" + "\n".join(
+            f"  {name}: --" + " --".join(names.split()) for name, names in kinds.items()
+        )
+
+    return fill
+
+
+_REQUIRED = dict(required=True)
+
+# command -> (help, fill); a parser is filled only for the command argv names
+_COMMANDS = {
+    "ccoeff": ("structure constant c(M, N; L)", _command(
+        _COEFF_OPTIONS,
+        {"--M": dict(required=True, help='partition literal, e.g. "[1]"'),
+         "--N": _REQUIRED, "--L": _REQUIRED},
+        func=_cmd_coeff, kind="c")),
+    "acoeff": ("transfer coefficient a(M, N)", _command(
+        _TRANSFER_OPTIONS,
+        {"--M": dict(required=True, help="class upstairs (rank n+1)"),
+         "--N": dict(required=True, help="class downstairs (rank n)")},
+        func=_cmd_coeff, kind="a")),
+    "bcoeff": ("inverse-transfer coefficient b(B, A)", _command(
+        _TRANSFER_OPTIONS, {"--B": _REQUIRED, "--A": _REQUIRED}, func=_cmd_coeff, kind="b")),
+    "mul": ("product of two elements", _command(
+        _ELEMENT_OPTIONS,
+        {"x": dict(help='element literal, e.g. "1*[1] + 2*[]"'), "y": {}}, func=_cmd_mul)),
+    "omega": ("transfer an element down one rank", _command(
+        _TRANSFER_OPTIONS, {"x": dict(help="element of the rank-(n+1) algebra")},
+        func=_cmd_omega)),
+    "decompose": ("write an element in the generators T_k", _command(
+        _ELEMENT_OPTIONS, {"x": {}}, func=_cmd_decompose)),
+    "table": ("tabulate coefficients", _kinds("kind", {
+        "c": _COEFF_OPTIONS + " max-order-exp",
+        **dict.fromkeys(("a", "b", "omega"), _TRANSFER_SWEEP_OPTIONS),
+    }, _cmd_table)),
+    "verify": ("run a verification suite", _kinds("suite", {
+        **{name: names for name, (_, names) in _SUITES.items()},
+        "all": _SWEEP_OPTIONS,
+    }, _cmd_verify)),
+    "count-subgroups": ("count subgroups of (Z/p^r)^n, r from --trunc", _command(
+        "p n budget output",
+        {"--trunc": dict(type=int, default=1, help="truncation exponent r")},
+        func=_cmd_count_subgroups)),
+    "selftest": ("small fixed verification run", _command(
+        "budget output", {}, func=_cmd_selftest)),
+}
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for argv: every command keeps its name and help, but only
+    the one argv names gets its arguments and -h, since each add_argument
+    costs a help formatter and a terminal-size query."""
     parser = argparse.ArgumentParser(
         prog="heckealg",
         description="Exact structure constants, transfers and checks "
         "for algebras of finite abelian p-groups of bounded rank.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("ccoeff", help="structure constant c(M, N; L)")
-    _add_options(sp, _COEFF_OPTIONS)
-    sp.add_argument("--M", required=True, help='partition literal, e.g. "[1]"')
-    sp.add_argument("--N", required=True)
-    sp.add_argument("--L", required=True)
-    sp.set_defaults(func=_cmd_coeff, kind="c")
-
-    sp = sub.add_parser("acoeff", help="transfer coefficient a(M, N)")
-    _add_options(sp, _TRANSFER_OPTIONS)
-    sp.add_argument("--M", required=True, help="class upstairs (rank n+1)")
-    sp.add_argument("--N", required=True, help="class downstairs (rank n)")
-    sp.set_defaults(func=_cmd_coeff, kind="a")
-
-    sp = sub.add_parser("bcoeff", help="inverse-transfer coefficient b(B, A)")
-    _add_options(sp, _TRANSFER_OPTIONS)
-    sp.add_argument("--B", required=True)
-    sp.add_argument("--A", required=True)
-    sp.set_defaults(func=_cmd_coeff, kind="b")
-
-    sp = sub.add_parser("mul", help="product of two elements")
-    _add_options(sp, _ELEMENT_OPTIONS)
-    sp.add_argument("x", help='element literal, e.g. "1*[1] + 2*[]"')
-    sp.add_argument("y")
-    sp.set_defaults(func=_cmd_mul)
-
-    sp = sub.add_parser("omega", help="transfer an element down one rank")
-    _add_options(sp, _TRANSFER_OPTIONS)
-    sp.add_argument("x", help="element of the rank-(n+1) algebra")
-    sp.set_defaults(func=_cmd_omega)
-
-    sp = sub.add_parser("decompose", help="write an element in the generators T_k")
-    _add_options(sp, _ELEMENT_OPTIONS)
-    sp.add_argument("x")
-    sp.set_defaults(func=_cmd_decompose)
-
-    sp = sub.add_parser("table", help="tabulate coefficients")
-    transfers = dict.fromkeys(("a", "b", "omega"), _TRANSFER_SWEEP_OPTIONS)
-    kinds = {"c": _COEFF_OPTIONS + " max-order-exp", **transfers}
-    _add_kinds(sp, "kind", kinds, _cmd_table)
-
-    sp = sub.add_parser("verify", help="run a verification suite")
-    suites = {name: names for name, (_, names) in _SUITES.items()}
-    _add_kinds(sp, "suite", {**suites, "all": _SWEEP_OPTIONS}, _cmd_verify)
-
-    sp = sub.add_parser(
-        "count-subgroups", help="count subgroups of (Z/p^r)^n, r from --trunc"
-    )
-    _add_options(sp, "p n budget output")
-    sp.add_argument("--trunc", type=int, default=1, help="truncation exponent r")
-    sp.set_defaults(func=_cmd_count_subgroups)
-
-    sp = sub.add_parser("selftest", help="small fixed verification run")
-    _add_options(sp, "budget output")
-    sp.set_defaults(func=_cmd_selftest)
-
+    chosen, rest = _named(argv)
+    for name, (help_text, fill) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text, add_help=name == chosen)
+        if name == chosen:
+            fill(sp, rest)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return exc.code
     try:

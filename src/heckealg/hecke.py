@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Mapping, Sequence
 
 from .errors import ParseError, VerificationError
@@ -43,7 +44,6 @@ from .partitions import (
     Partition,
     conjugate,
     format_partition,
-    is_horizontal_strip,
     order_exponent,
     p_rank,
     parse_partition,
@@ -92,6 +92,10 @@ class HeckeContext:
         default_factory=dict, repr=False
     )
     _monos: dict[tuple[int, ...], "HeckeElement"] = field(
+        default_factory=dict, repr=False
+    )
+    # products of basis classes for c_coeff, never written to a cache
+    _products: dict[tuple[Partition, Partition], "HeckeElement"] = field(
         default_factory=dict, repr=False
     )
 
@@ -299,7 +303,8 @@ def c_coeff(
 
     Zero unless all three classes have p-rank at most ctx.n and the order
     exponents add up.  Otherwise it is the coefficient of L in the
-    product of M and N (see multiply), which enumerates nothing.  With
+    product of M and N (see multiply), which enumerates nothing and is
+    computed once per context for every L.  With
     verify=True it is read off the Hall table of L instead, the one
     sweep over the subgroups of a fixed group of type L; that value is
     not memoised.
@@ -318,7 +323,10 @@ def c_coeff(
     hit = ctx.memo.get(key)
     if hit is not None:
         return hit
-    product = multiply(basis_element(m, ctx), basis_element(n_, ctx), ctx)
+    product = ctx._products.get((m, n_))
+    if product is None:
+        product = multiply(basis_element(m, ctx), basis_element(n_, ctx), ctx)
+        ctx._products[m, n_] = product
     value = product.terms.get(l, 0)
     ctx.memo[key] = value
     return value
@@ -337,17 +345,22 @@ def _c_key(p: int, n: int, m: Partition, n_: Partition, l: Partition) -> str:
 def _pieri_row(mu: Partition, k: int, ctx: HeckeContext) -> dict[Partition, int]:
     """u_mu T_k = sum of G^lam_{mu,(1^k)}(p) u_lam, lam/mu a vertical k-strip.
 
-    Dropping the lam with more than n parts is exact: those classes span
-    an ideal, since c(M, N; L) != 0 needs M and N to embed in L.
+    Each strip adds one box to k distinct rows of mu padded to n rows, so
+    the lam with more than n parts are dropped.  That is exact: those
+    classes span an ideal, since c(M, N; L) != 0 needs M and N to embed
+    in L.
     """
     row = ctx._pieri.get((mu, k))
     if row is None:
-        inner = conjugate(mu)
-        row = {
-            lam: _hall_vertical(lam, mu, ctx.p)
-            for lam in partitions_of_exponent(order_exponent(mu) + k, ctx.n)
-            if is_horizontal_strip(conjugate(lam), inner)
-        }
+        padded = mu + (0,) * (ctx.n - len(mu))
+        row = {}
+        for rows in combinations(range(ctx.n), k):
+            grown = list(padded)
+            for i in rows:
+                grown[i] += 1
+            if all(a >= b for a, b in zip(grown, grown[1:])):
+                lam = tuple(part for part in grown if part)
+                row[lam] = _hall_vertical(lam, mu, ctx.p)
         ctx._pieri[mu, k] = row
     return row
 

@@ -1,6 +1,8 @@
 """End-to-end checks of the command-line surface."""
 
+import argparse
 import json
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -419,3 +421,41 @@ def test_golden_stdout(capsys, case):
     code, out, _ = run(capsys, *case["argv"])
     assert code == case["exit"]
     assert out == case["stdout"]
+
+
+# stdout, stderr and exit code of help and usage-error command lines at
+# COLUMNS=80; argparse words its messages differently in other versions
+SURFACE = json.loads((Path(__file__).parent / "data" / "cli_surface_golden.json").read_text())
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="recorded with Python 3.11")
+@pytest.mark.parametrize("case", SURFACE, ids=lambda c: " ".join(c["argv"]) or "(none)")
+def test_help_and_usage_errors(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, *case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mul", "--p", "2", "--n", "2", "1*[1]", "1*[1]"],
+        ["table", "omega", "--p", "2", "--n", "1", "--max-order-exp", "2"],
+    ],
+)
+def test_only_the_named_parser_gets_arguments(capsys, monkeypatch, argv):
+    calls = []
+    real = argparse.ArgumentParser.add_argument
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    assert run(capsys, *argv)[0] == 0
+    assert len(calls) <= 20
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["heckealg", "mul", "--p", "2", "--n", "2", "1*[1]", "1*[1]"])
+    assert main() == 0
+    assert capsys.readouterr().out == "1*[2] + 3*[1,1]\n"

@@ -5,7 +5,8 @@ import itertools
 
 import pytest
 
-from heckealg import hall
+from heckealg import hall, hecke
+from heckealg.cli import main
 from heckealg.errors import ParseError, VerificationError
 from heckealg.hecke import (
     GeneratorPoly,
@@ -13,6 +14,7 @@ from heckealg.hecke import (
     HeckeElement,
     _eval_monomial,
     _leading_monomial,
+    _pieri_row,
     basis_element,
     c_coeff,
     decompose_in_generators,
@@ -23,6 +25,8 @@ from heckealg.hecke import (
     t_aggregate,
 )
 from heckealg.partitions import (
+    conjugate,
+    is_horizontal_strip,
     order_exponent,
     partitions_of_exponent,
     partitions_up_to,
@@ -132,6 +136,36 @@ def test_products_match_the_hall_table(p, n, d):
                 want[l] = c
         got = multiply(basis_element(m, ctx), basis_element(n_, ctx), ctx)
         assert got.terms == want, (m, n_)
+
+
+def test_pieri_rows_by_strip_match_the_filter():
+    # the row adds a box to k distinct rows of mu; the filter over all
+    # partitions of |mu| + k keeps those with lam/mu a vertical strip
+    for n in range(1, 6):
+        ctx = HeckeContext(p=2, n=n)
+        for mu in partitions_up_to(6, n):
+            for k in range(1, n + 1):
+                want = {
+                    lam: hall._hall_vertical(lam, mu, 2)
+                    for lam in partitions_of_exponent(order_exponent(mu) + k, n)
+                    if is_horizontal_strip(conjugate(lam), conjugate(mu))
+                }
+                assert _pieri_row(mu, k, ctx) == want, (n, mu, k)
+
+
+def test_table_c_computes_each_product_once(monkeypatch, capsys):
+    calls = []
+    real = hecke.multiply
+
+    def counting(x, y, ctx):
+        calls.append((x, y))
+        return real(x, y, ctx)
+
+    monkeypatch.setattr(hecke, "multiply", counting)
+    assert main(["table", "c", "--p", "3", "--n", "2", "--max-order-exp", "4"]) == 0
+    capsys.readouterr()
+    # one product for each of the 30 pairs (M, N) with |M| + |N| <= 4
+    assert len(calls) == 30
 
 
 def test_hall_doctests():
