@@ -1,12 +1,7 @@
 """Append-only JSONL store for computed scalar coefficients.
 
 One record per line: {"version": "1", "key": "...", "value": "..."}.
-Keys name the coefficient and its full argument tuple, e.g.
-
-    c:p=2:n=2:M=[1]:N=[1]:L=[1,1]
-    a:p=2:n=2:M=[2,1]:N=[1]
-    b:p=2:n=2:B=[2]:A=[]
-
+Keys name the coefficient and its full argument tuple (see coeff_key).
 Values are decimal strings.  The file is only ever appended to, so
 concurrent readers see a prefix; unreadable lines are skipped with a
 warning rather than aborting the run.
@@ -19,11 +14,25 @@ import os
 import sys
 from itertools import islice
 
+from .partitions import Partition, format_partition
+
 CACHE_ENV = "HECKE_CACHE_DIR"
 CACHE_FILENAME = "hecke-cache.jsonl"
 SCHEMA_VERSION = "1"
 
-__all__ = ["CacheStore", "CACHE_ENV", "CACHE_FILENAME", "SCHEMA_VERSION"]
+__all__ = ["CacheStore", "CACHE_ENV", "CACHE_FILENAME", "SCHEMA_VERSION", "coeff_key"]
+
+
+def coeff_key(kind: str, p: int, n: int, **classes: Partition) -> str:
+    """The cache key of coefficient kind at (p, n) and the named classes.
+
+    >>> coeff_key("c", 2, 2, M=(1,), N=(1,), L=(1, 1))
+    'c:p=2:n=2:M=[1]:N=[1]:L=[1,1]'
+    >>> coeff_key("b", 2, 2, B=(2,), A=())
+    'b:p=2:n=2:B=[2]:A=[]'
+    """
+    named = (f"{name}={format_partition(lam)}" for name, lam in classes.items())
+    return ":".join([kind, f"p={p}", f"n={n}", *named])
 
 
 class CacheStore:

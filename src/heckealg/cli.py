@@ -34,6 +34,14 @@ cache (environment variable HECKE_CACHE_DIR supplies the default).
 Each command, table kind and suite accepts only the options it reads;
 `table --help` and `verify --help` list them.  Each call builds only the
 parser it uses: the other commands, kinds and suites are names alone.
+A negative --max-order-exp or a --budget below 1 is a usage error.
+
+Commands return their output in every format and print nothing; `main`
+prints the one --output names (the text form of a table is its csv).
+`main` also loads the cache before the command runs and flushes it only
+after the command returns, so a usage error, a budget overrun or a
+failed exact identity (exit 2, 3 or 4 from an error) writes nothing,
+while a verify run whose checks fail (exit 4) keeps what it computed.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .cache import CACHE_ENV, CacheStore
-from .errors import BudgetExceededError, ParseError, VerificationError
+from .errors import BudgetExceededError, VerificationError
 from .hecke import (
     HeckeContext,
     HeckeElement,
@@ -97,11 +105,24 @@ __all__ = ["main"]
 # --- option plumbing ---------------------------------------------------------
 
 
+def _at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 _OPTIONS = {
     "p": dict(type=int, required=True, help="the prime"),
     "n": dict(type=int, required=True, help="algebra rank (target rank for omega)"),
     "budget": dict(
-        type=int,
+        type=_at_least(1),
         default=DEFAULT_BUDGET,
         help="abort any enumeration larger than this (exit 3)",
     ),
@@ -116,7 +137,7 @@ _OPTIONS = {
     ),
     "trunc": dict(type=int, help="raise the truncation exponent (never lowers it)"),
     "max-order-exp": dict(
-        type=int,
+        type=_at_least(0),
         default=3,
         help="order-exponent bound for tables and verification sweeps",
     ),
@@ -144,19 +165,6 @@ def _cache_dir(args: argparse.Namespace) -> str | None:
     return os.environ.get(CACHE_ENV) or None
 
 
-def _open_cache(args: argparse.Namespace) -> tuple[CacheStore | None, dict[str, int]]:
-    directory = _cache_dir(args)
-    if not directory:
-        return None, {}
-    store = CacheStore(directory)
-    return store, store.load()
-
-
-def _close_cache(store: CacheStore | None, memo: dict[str, int]) -> None:
-    if store is not None:
-        store.flush(memo)
-
-
 def _hecke_ctx(args: argparse.Namespace, memo: dict[str, int]) -> HeckeContext:
     budget = getattr(args, "budget", DEFAULT_BUDGET)
     return HeckeContext(p=args.p, n=args.n, budget=budget, memo=memo)
@@ -173,66 +181,64 @@ def _omega_ctx(args: argparse.Namespace, memo: dict[str, int]) -> OmegaContext:
     )
 
 
-# --- output helpers -----------------------------------------------------------
+# --- output -----------------------------------------------------------------
 
 
-def _write_csv(header: list[str], rows) -> None:
-    w = csv.writer(sys.stdout, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
+@dataclass(frozen=True)
+class _Output:
+    """What a command returns: its result in every output format.
+
+    payload is the JSON object, header and rows the csv table, text the
+    text form (None: the csv table), code the exit code.
+    """
+
+    payload: dict
+    header: list[str]
+    rows: list[list[str]]
+    text: str | None = None
+    code: int = EXIT_OK
 
 
-def _emit_element(args, elem: HeckeElement) -> None:
+def _emit(args, out: _Output) -> None:
     if args.output == "json":
-        print(json.dumps(elem.to_json_dict()))
-    elif args.output == "csv":
-        _write_csv(
-            ["lambda", "coeff"],
-            ([format_partition(lam), str(c)] for lam, c in elem.sorted_terms()),
-        )
+        print(json.dumps(out.payload))
+    elif args.output == "csv" or out.text is None:
+        w = csv.writer(sys.stdout, lineterminator="\n")
+        w.writerow(out.header)
+        w.writerows(out.rows)
     else:
-        print(elem.to_text())
+        print(out.text)
+
+
+def _element_output(elem: HeckeElement) -> _Output:
+    rows = [[format_partition(lam), str(c)] for lam, c in elem.sorted_terms()]
+    return _Output(elem.to_json_dict(), ["lambda", "coeff"], rows, elem.to_text())
 
 
 # --- element commands ---------------------------------------------------------
 
 
-def _cmd_mul(args) -> int:
-    ctx = _hecke_ctx(args, {})
+def _cmd_mul(args, memo) -> _Output:
+    ctx = _hecke_ctx(args, memo)
     x = parse_element(args.x, args.p, args.n)
     y = parse_element(args.y, args.p, args.n)
-    _emit_element(args, multiply(x, y, ctx))
-    return EXIT_OK
+    return _element_output(multiply(x, y, ctx))
 
 
-def _cmd_omega(args) -> int:
-    store, memo = _open_cache(args)
+def _cmd_omega(args, memo) -> _Output:
     ctx = _omega_ctx(args, memo)
-    x = parse_element(args.x, args.p, args.n + 1)
-    result = omega(x, ctx)
-    _close_cache(store, memo)
-    _emit_element(args, result)
-    return EXIT_OK
+    return _element_output(omega(parse_element(args.x, args.p, args.n + 1), ctx))
 
 
-def _cmd_decompose(args) -> int:
-    ctx = _hecke_ctx(args, {})
-    x = parse_element(args.x, args.p, args.n)
-    poly = decompose_in_generators(x, ctx)
-    if args.output == "json":
-        payload = {"p": args.p, **poly.to_json_dict()}
-        print(json.dumps(payload))
-    elif args.output == "csv":
-        _write_csv(
-            ["exponents", "coeff"],
-            (
-                ["[" + ",".join(str(a) for a in exps) + "]", str(c)]
-                for exps, c in poly.sorted_terms()
-            ),
-        )
-    else:
-        print(poly.to_text())
-    return EXIT_OK
+def _cmd_decompose(args, memo) -> _Output:
+    ctx = _hecke_ctx(args, memo)
+    poly = decompose_in_generators(parse_element(args.x, args.p, args.n), ctx)
+    rows = [
+        ["[" + ",".join(str(a) for a in exps) + "]", str(c)]
+        for exps, c in poly.sorted_terms()
+    ]
+    payload = {"p": args.p, **poly.to_json_dict()}
+    return _Output(payload, ["exponents", "coeff"], rows, poly.to_text())
 
 
 # --- scalar coefficients and their tables --------------------------------------
@@ -269,6 +275,15 @@ class _CoeffSpec:
     cells: Callable
     value: Callable
 
+    def tabulate(self, cells: list[tuple], values: list[int]) -> tuple:
+        """The JSON fields of each cell, then the csv header and rows."""
+        pairs = list(zip(cells, values))
+        fields = [
+            {**dict(zip(self.columns, map(list, c))), "value": str(v)} for c, v in pairs
+        ]
+        rows = [[*map(format_partition, c), str(v)] for c, v in pairs]
+        return fields, [*self.columns, "value"], rows
+
 
 _COEFFS = {
     "c": _CoeffSpec(("M", "N", "L"), _hecke_ctx, _c_cells, c_coeff),
@@ -287,78 +302,43 @@ _COEFFS = {
 }
 
 
-def _cell_fields(columns: tuple[str, ...], cell: tuple, value: int) -> dict:
-    fields: dict = {name: list(lam) for name, lam in zip(columns, cell)}
-    fields["value"] = str(value)
-    return fields
-
-
-def _cell_row(cell: tuple, value: int) -> list[str]:
-    return [format_partition(lam) for lam in cell] + [str(value)]
-
-
-def _cmd_coeff(args) -> int:
+def _cmd_coeff(args, memo) -> _Output:
     spec = _COEFFS[args.kind]
     cell = tuple(parse_partition(getattr(args, name)) for name in spec.columns)
-    store, memo = _open_cache(args)
     value = spec.value(*cell, spec.context(args, memo))
-    _close_cache(store, memo)
-    if args.output == "json":
-        fields = _cell_fields(spec.columns, cell, value)
-        print(json.dumps({"p": args.p, "n": args.n, **fields}))
-    elif args.output == "csv":
-        _write_csv([*spec.columns, "value"], [_cell_row(cell, value)])
-    else:
-        print(value)
-    return EXIT_OK
+    (fields,), *table = spec.tabulate([cell], [value])
+    return _Output({"p": args.p, "n": args.n, **fields}, *table, text=str(value))
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args, memo) -> _Output:
     if args.kind == "omega":
-        return _table_omega(args)
+        return _table_omega(args, memo)
     spec = _COEFFS[args.kind]
-    store, memo = _open_cache(args)
     cells = list(spec.cells(args))
     ctx = spec.context(args, memo)
-    values = [spec.value(*cell, ctx) for cell in cells]
-    _close_cache(store, memo)
-    if args.output == "json":
-        rows = [_cell_fields(spec.columns, cell, v) for cell, v in zip(cells, values)]
-        print(json.dumps({"p": args.p, "n": args.n, "table": args.kind, "rows": rows}))
-    else:
-        # text tables are the csv form
-        _write_csv(
-            [*spec.columns, "value"],
-            (_cell_row(cell, v) for cell, v in zip(cells, values)),
-        )
-    return EXIT_OK
+    fields, *table = spec.tabulate(cells, [spec.value(*cell, ctx) for cell in cells])
+    payload = {"p": args.p, "n": args.n, "table": args.kind, "rows": fields}
+    return _Output(payload, *table)
 
 
-def _table_omega(args) -> int:
-    store, memo = _open_cache(args)
+def _table_omega(args, memo) -> _Output:
     ms = list(partitions_up_to(args.max_order_exp, args.n + 1))
     ctx = _omega_ctx(args, memo)
     images = [omega(basis_element(m, ctx.source), ctx).sorted_terms() for m in ms]
-    _close_cache(store, memo)
-    if args.output == "json":
-        entries = [
-            {
-                "M": list(m),
-                "image": [{"lambda": list(lam), "coeff": str(c)} for lam, c in image],
-            }
-            for m, image in zip(ms, images)
-        ]
-        print(json.dumps({"p": args.p, "n": args.n, "entries": entries}))
-    else:
-        _write_csv(
-            ["M", "lambda", "coeff"],
-            (
-                [format_partition(m), format_partition(lam), str(c)]
-                for m, image in zip(ms, images)
-                for lam, c in image
-            ),
-        )
-    return EXIT_OK
+    entries = [
+        {
+            "M": list(m),
+            "image": [{"lambda": list(lam), "coeff": str(c)} for lam, c in image],
+        }
+        for m, image in zip(ms, images)
+    ]
+    rows = [
+        [format_partition(m), format_partition(lam), str(c)]
+        for m, image in zip(ms, images)
+        for lam, c in image
+    ]
+    payload = {"p": args.p, "n": args.n, "entries": entries}
+    return _Output(payload, ["M", "lambda", "coeff"], rows)
 
 
 # --- verification suites --------------------------------------------------------
@@ -519,54 +499,30 @@ _SUITES = {
 }
 
 
-def _run_suites(args, memo: dict[str, int]) -> list:
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
+def _cmd_verify(args, memo, label: str | None = None) -> _Output:
+    """Run args.suite (every suite for "all"); label names it in the JSON."""
     checks: list = []
-    for name in names:
+    for name in list(_SUITES) if args.suite == "all" else [args.suite]:
         _SUITES[name][0](args, memo, checks)
-    return checks
+    failures = sum(not ok for _, ok, _ in checks)
+    lines = [f"ok   {c}" if ok else f"FAIL {c}: {why}" for c, ok, why in checks]
+    payload = {
+        "suite": label or args.suite,
+        "p": args.p,
+        "n": args.n,
+        "passed": not failures,
+        "checks": [{"name": c, "passed": ok, "detail": why} for c, ok, why in checks],
+    }
+    return _Output(
+        payload,
+        ["name", "passed", "detail"],
+        [[c, "true" if ok else "false", why] for c, ok, why in checks],
+        "\n".join([*lines, f"{len(checks)} checks, {failures} failed"]),
+        EXIT_VERIFY if failures else EXIT_OK,
+    )
 
 
-def _emit_checks(args, suite: str, checks: list) -> int:
-    failures = [c for c in checks if not c[1]]
-    if args.output == "json":
-        print(
-            json.dumps(
-                {
-                    "suite": suite,
-                    "p": args.p,
-                    "n": args.n,
-                    "passed": not failures,
-                    "checks": [
-                        {"name": name, "passed": ok, "detail": detail}
-                        for name, ok, detail in checks
-                    ],
-                }
-            )
-        )
-    elif args.output == "csv":
-        _write_csv(
-            ["name", "passed", "detail"],
-            ([name, "true" if ok else "false", detail] for name, ok, detail in checks),
-        )
-    else:
-        for name, ok, detail in checks:
-            if ok:
-                print(f"ok   {name}")
-            else:
-                print(f"FAIL {name}: {detail}")
-        print(f"{len(checks)} checks, {len(failures)} failed")
-    return EXIT_VERIFY if failures else EXIT_OK
-
-
-def _cmd_verify(args) -> int:
-    store, memo = _open_cache(args)
-    checks = _run_suites(args, memo)
-    _close_cache(store, memo)
-    return _emit_checks(args, args.suite, checks)
-
-
-def _cmd_count_subgroups(args) -> int:
+def _cmd_count_subgroups(args, memo) -> _Output:
     amb = Ambient(args.p, args.n, args.trunc)
     by_type: dict = {}
     for s in enumerate_subgroups(amb, budget=args.budget):
@@ -574,35 +530,23 @@ def _cmd_count_subgroups(args) -> int:
         by_type[t] = by_type.get(t, 0) + 1
     total = sum(by_type.values())
     ordered = sorted(by_type.items(), key=lambda kv: (order_exponent(kv[0]), kv[0]))
-    if args.output == "json":
-        print(
-            json.dumps(
-                {
-                    "p": args.p,
-                    "n": args.n,
-                    "r": args.trunc,
-                    "total": total,
-                    "by_type": [
-                        {"type": list(t), "count": c} for t, c in ordered
-                    ],
-                }
-            )
-        )
-    elif args.output == "csv":
-        _write_csv(
-            ["type", "count"], ([format_partition(t), str(c)] for t, c in ordered)
-        )
-    else:
-        print(total)
-    return EXIT_OK
+    payload = {
+        "p": args.p,
+        "n": args.n,
+        "r": args.trunc,
+        "total": total,
+        "by_type": [{"type": list(t), "count": c} for t, c in ordered],
+    }
+    rows = [[format_partition(t), str(c)] for t, c in ordered]
+    return _Output(payload, ["type", "count"], rows, str(total))
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args, memo) -> _Output:
     argv = ["verify", "all", "--p", "2", "--n", "1", "--max-order-exp", "2",
-            "--budget", str(args.budget), "--output", args.output]
+            "--budget", str(args.budget)]
     ns = _build_parser(argv).parse_args(argv)
-    # a fresh memo: the self-test never reads or writes a cache
-    return _emit_checks(ns, "selftest", _run_suites(ns, {}))
+    # memo is empty: the self-test takes no --cache
+    return _cmd_verify(ns, memo, label="selftest")
 
 
 # --- entry point -----------------------------------------------------------------
@@ -720,20 +664,21 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser(argv).parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return exc.code
+    directory = _cache_dir(args)
+    store = CacheStore(directory) if directory else None
     try:
-        return args.func(args)
-    except ParseError as exc:
+        memo = store.load() if store else {}
+        out = args.func(args, memo)
+        if store:
+            store.flush(memo)
+        _emit(args, out)
+        return out.code
+    except (ValueError, BudgetExceededError, VerificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except VerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if isinstance(exc, BudgetExceededError):
+            return EXIT_BUDGET
+        # a ParseError is a ValueError
+        return EXIT_VERIFY if isinstance(exc, VerificationError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Mapping, Sequence
 
+from .cache import coeff_key
 from .errors import ParseError, VerificationError
 from .hall import _hall_vertical
 from .partitions import (
@@ -319,7 +320,7 @@ def c_coeff(
         return 0
     if verify:
         return _hall_table(l, ctx).get((m, n_), 0)
-    key = _c_key(ctx.p, ctx.n, m, n_, l)
+    key = coeff_key("c", ctx.p, ctx.n, M=m, N=n_, L=l)
     hit = ctx.memo.get(key)
     if hit is not None:
         return hit
@@ -330,13 +331,6 @@ def c_coeff(
     value = product.terms.get(l, 0)
     ctx.memo[key] = value
     return value
-
-
-def _c_key(p: int, n: int, m: Partition, n_: Partition, l: Partition) -> str:
-    return (
-        f"c:p={p}:n={n}:M={format_partition(m)}"
-        f":N={format_partition(n_)}:L={format_partition(l)}"
-    )
 
 
 # --- products ---------------------------------------------------------------

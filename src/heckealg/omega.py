@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from .cache import coeff_key
 from .errors import VerificationError, exact_quotient
 from .hall import _aut_order, _hall_cyclic
 from .hecke import HeckeContext, HeckeElement, basis_element, multiply, t_aggregate
@@ -137,10 +138,6 @@ def _transversal_bins(
     return bins
 
 
-def _a_key(p: int, n: int, m: Partition, n_: Partition) -> str:
-    return f"a:p={p}:n={n}:M={format_partition(m)}:N={format_partition(n_)}"
-
-
 def a_coeff(
     m: Sequence[int],
     n_: Sequence[int],
@@ -181,7 +178,7 @@ def a_coeff(
         return 1
     if t > m[0]:
         return 0
-    key = _a_key(ctx.p, ctx.n, m, n_)
+    key = coeff_key("a", ctx.p, ctx.n, M=m, N=n_)
     hit = ctx.memo.get(key)
     if hit is not None:
         return hit
@@ -253,10 +250,6 @@ def omega(x: HeckeElement, ctx: OmegaContext) -> HeckeElement:
     return HeckeElement(ctx.p, ctx.n, out)
 
 
-def _b_key(p: int, n: int, b: Partition, a: Partition) -> str:
-    return f"b:p={p}:n={n}:B={format_partition(b)}:A={format_partition(a)}"
-
-
 def b_coeff(b: Sequence[int], a: Sequence[int], ctx: OmegaContext) -> int:
     """Entry of the inverse of the triangular matrix (a(B, A)).
 
@@ -274,7 +267,7 @@ def b_coeff(b: Sequence[int], a: Sequence[int], ctx: OmegaContext) -> int:
         return 1
     if not embeds(a, b):
         return 0
-    key = _b_key(ctx.p, ctx.n, b, a)
+    key = coeff_key("b", ctx.p, ctx.n, B=b, A=a)
     hit = ctx.memo.get(key)
     if hit is not None:
         return hit

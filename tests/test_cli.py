@@ -411,16 +411,68 @@ def test_split_and_trunc_flags_change_nothing(capsys):
     assert base[1] == alt[1]
 
 
-# stdout of the table and single-coefficient commands in every output
-# format, recorded once and compared byte for byte
+# stdout of every command in every output format, recorded once and
+# compared byte for byte; a case with a "cache" entry runs against a cache
+# directory that holds "before" (no file if null) and must leave "after"
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 
-@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"]))
+@pytest.mark.parametrize(
+    "case", [c for c in GOLDEN if "cache" not in c], ids=lambda c: " ".join(c["argv"])
+)
 def test_golden_stdout(capsys, case):
     code, out, _ = run(capsys, *case["argv"])
     assert code == case["exit"]
     assert out == case["stdout"]
+
+
+@pytest.mark.parametrize(
+    "case", [c for c in GOLDEN if "cache" in c], ids=lambda c: " ".join(c["argv"])
+)
+def test_golden_cache_lifecycle(tmp_path, capsys, case):
+    # success and failed checks (exit 4) flush the cache; a usage error or
+    # a budget overrun (exit 2 or 3) writes nothing
+    cache_file = tmp_path / CACHE_FILENAME
+    if case["cache"]["before"] is not None:
+        cache_file.write_text(case["cache"]["before"])
+    code, out, _ = run(capsys, *case["argv"], "--cache", str(tmp_path))
+    assert (code, out) == (case["exit"], case["stdout"])
+    after = cache_file.read_text() if cache_file.exists() else None
+    assert after == case["cache"]["after"]
+
+
+# a negative --max-order-exp or a --budget below 1 is a usage error
+# wherever the option is taken; --max-order-exp 0 sweeps the trivial class
+_BOUNDED_OPTIONS = [
+    *((f"{command} {kind}", "--max-order-exp", "-1")
+      for command, kinds in (("table", "c a b omega"),
+                             ("verify", "hom tp inverse shimura oracle all"))
+      for kind in kinds.split()),
+    *((command, "--budget", value)
+      for command in ("verify oracle", "verify all", "count-subgroups", "selftest")
+      for value in ("0", "-5")),
+]
+
+
+@pytest.mark.parametrize("command,option,value", _BOUNDED_OPTIONS)
+def test_out_of_range_bound_is_a_usage_error(capsys, command, option, value):
+    argv = command.split()
+    if command != "selftest":
+        argv += ["--p", "2", "--n", "1"]
+    code, out, err = run(capsys, *argv, option, value)
+    assert code == 2
+    assert option in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["table", "c", "--p", "2", "--n", "1"], ["verify", "tp", "--p", "2", "--n", "1"]],
+)
+def test_max_order_exp_zero_is_valid(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--max-order-exp", "0")
+    assert code == 0
+    assert out
 
 
 # stdout, stderr and exit code of help and usage-error command lines at

@@ -2,6 +2,7 @@
 
 import doctest
 
+import heckealg.cache
 import heckealg.hecke
 import heckealg.modmat
 import heckealg.partitions
@@ -11,7 +12,13 @@ import pytest
 
 @pytest.mark.parametrize(
     "module",
-    [heckealg.partitions, heckealg.modmat, heckealg.subgroups, heckealg.hecke],
+    [
+        heckealg.partitions,
+        heckealg.modmat,
+        heckealg.subgroups,
+        heckealg.hecke,
+        heckealg.cache,
+    ],
     ids=lambda m: m.__name__,
 )
 def test_module_doctests(module):
