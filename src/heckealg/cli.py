@@ -13,8 +13,9 @@ verification suites, all over exact integers.  Examples:
     heckealg count-subgroups --p 2 --n 2 --trunc 2
     heckealg selftest
 
-Exit codes: 0 success, 2 bad arguments or unparsable input, 3 an
-enumeration would exceed --budget, 4 a verification check failed.
+Exit codes: 0 success, 2 bad arguments, unparsable input or an unusable
+--cache, 3 an enumeration would exceed --budget, 4 a verification check
+failed.
 
 For `omega`, `acoeff` and `table a` the class M lives in the rank-(n+1)
 algebra upstairs; --n names the target rank.  Commands that compute a
@@ -30,7 +31,8 @@ rule; the Hall table in the c-route of `verify oracle` is their oracle.
 `verify shimura` read no cache either, so they take no --cache.  For
 `count-subgroups` --trunc is the exponent r of (Z/p^r)^n (default 1).
 --cache points at a directory holding the append-only coefficient
-cache (environment variable HECKE_CACHE_DIR supplies the default).
+cache (environment variable HECKE_CACHE_DIR supplies the default); one
+that cannot be read or written as such is a usage error (exit 2).
 Each command, table kind and suite accepts only the options it reads;
 `table --help` and `verify --help` list them.  Each call builds only the
 parser it uses: the other commands, kinds and suites are names alone.
@@ -158,7 +160,8 @@ def _add_options(parser: argparse.ArgumentParser, names: str) -> None:
 
 
 def _cache_dir(args: argparse.Namespace) -> str | None:
-    if "cache" not in args:  # verify shimura memoises nothing: ignore $HECKE_CACHE_DIR
+    # mul, decompose and verify shimura memoise nothing: ignore $HECKE_CACHE_DIR
+    if "cache" not in args:
         return None
     if args.cache:
         return args.cache
@@ -671,14 +674,17 @@ def main(argv: list[str] | None = None) -> int:
         out = args.func(args, memo)
         if store:
             store.flush(memo)
-        _emit(args, out)
-        return out.code
+    except OSError as exc:  # only the cache reads or writes files
+        print(f"error: cache {directory}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, BudgetExceededError, VerificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, BudgetExceededError):
             return EXIT_BUDGET
         # a ParseError is a ValueError
         return EXIT_VERIFY if isinstance(exc, VerificationError) else EXIT_USAGE
+    _emit(args, out)
+    return out.code
 
 
 if __name__ == "__main__":

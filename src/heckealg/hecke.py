@@ -15,11 +15,11 @@ abelian groups (Z/p)^k for 1 <= k <= n, and multiplying by T_k is the
 elementary Pieri rule for Hall polynomials (Macdonald, Symmetric
 Functions and Hall Polynomials, II (4.6); see hall._hall_vertical).
 Products, generator decompositions and the structure constants take
-that route and enumerate no subgroups: the decomposition peels off
-leading terms in integer arithmetic, since the T-monomials are
-unitriangular against the classes in dominance order, a product applies
-the T-monomials of one factor to the other, and c(M, N; L) is the
-coefficient of L in the product of M and N.
+that route and enumerate no subgroups: a decomposition peels off
+leading terms (_peel, the one solver that also inverts the transfer in
+omega), since the T-monomials are unitriangular against the classes, a
+product applies the T-monomials of one factor to the other, and
+c(M, N; L) is the coefficient of L in the product of M and N.
 
 The one oracle for products and structure constants is the Hall table
 of L, one sweep over the subgroups of a fixed group of type L that
@@ -36,7 +36,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .cache import coeff_key
 from .errors import ParseError, VerificationError
@@ -481,35 +481,51 @@ def _leading_monomial(lam: Partition, n: int) -> tuple[int, ...]:
     return tuple(cols.count(k) for k in range(1, n + 1))
 
 
+def _peel(
+    x: Mapping[Partition, int], image: Callable[[Partition], Mapping[Partition, int]]
+) -> dict[Partition, int]:
+    """The c_lam with x = sum of c_lam image(lam), by peeling leading terms.
+
+    Each image(lam) must lead with 1*lam in the tuple order on partitions,
+    so the largest class left fixes its own coefficient and subtracting
+    that multiple of its image leaves only smaller classes.  An image that
+    does not lead so is a fatal verification failure.
+    """
+    rest = {lam: c for lam, c in x.items() if c}
+    out: dict[Partition, int] = {}
+    while rest:
+        lam = max(rest)
+        img = image(lam)
+        if img.get(lam) != 1 or max(img) != lam:
+            shown = " + ".join(f"{v}*{format_partition(mu)}" for mu, v in img.items())
+            name = format_partition(lam)
+            raise VerificationError(f"image of {name} does not lead with 1*{name}: {shown}")
+        c = out[lam] = rest[lam]
+        for mu, v in img.items():
+            rest[mu] = rest.get(mu, 0) - c * v
+            if not rest[mu]:
+                del rest[mu]
+    return out
+
+
 def decompose_in_generators(x: HeckeElement, ctx: HeckeContext) -> GeneratorPoly:
-    """Write x as an integer polynomial in T_1..T_n by peeling leading terms.
+    """Write x as an integer polynomial in T_1..T_n.
 
     The monomial prod_i T_(lam'_i) has lam as its largest term in
     dominance order, with coefficient 1 (Macdonald, Symmetric Functions
     and Hall Polynomials, Ch. II-III), and within one degree the tuple
-    order on partitions refines dominance.  So the largest class left
-    fixes the coefficient of its monomial, and subtracting that multiple
-    leaves only smaller classes; the arithmetic stays in the integers.
-    Each monomial is evaluated by elementary Pieri steps, and one that
-    does not lead with its class and coefficient 1 is a fatal
-    verification failure, so this is a built-in check on the Pieri rule.
+    order on partitions refines dominance.  So _peel, which also inverts
+    the transfer (omega.lift_section), solves for the coefficients, and
+    its leading-term check on the monomials, evaluated by elementary Pieri
+    steps, is a built-in check on the Pieri rule.
     """
     if x.p != ctx.p or x.n != ctx.n:
         raise ValueError("element does not match context")
-    coeffs: dict[tuple[int, ...], int] = {}
-    rest = x
-    while rest.terms:
-        lam = max(rest.terms)
-        exps = _leading_monomial(lam, ctx.n)
-        mono = _eval_monomial(exps, ctx)
-        if mono.terms.get(lam) != 1 or max(mono.terms) != lam:
-            raise VerificationError(
-                f"monomial {exps} does not lead with 1*{format_partition(lam)}: "
-                f"{mono.to_text()}"
-            )
-        coeffs[exps] = rest.terms[lam]
-        rest = rest - mono.scaled(rest.terms[lam])
-    return GeneratorPoly(ctx.n, coeffs)
+    n = ctx.n
+    coeffs = _peel(
+        x.terms, lambda lam: _eval_monomial(_leading_monomial(lam, n), ctx).terms
+    )
+    return GeneratorPoly(n, {_leading_monomial(lam, n): c for lam, c in coeffs.items()})
 
 
 def eval_generator_poly(poly: GeneratorPoly, ctx: HeckeContext) -> HeckeElement:

@@ -19,9 +19,11 @@ nothing.  The enumeration route, the oracle, sweeps all subgroups of type
 M, keeps the ones whose intersection with V has type N, and divides by
 the number of copies of N inside V, checking exact divisibility.
 
-The transfer is triangular with respect to containment of classes, with
-a(M, M) = 1, so it admits an upper-triangular integer inverse b on each
-graded piece; omega composed with the resulting section is the identity.
+The transfer is unitriangular: a(M, M) = 1, and every other class in
+omega(M) lies inside M, so it is smaller in the tuple order.  So the
+leading-term peel that writes elements in the generators (hecke._peel)
+also solves omega(lift(N)) = N for the section, and the integer inverse
+b(B, A) of a is the coefficient of A in lift(B).
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ from typing import Sequence
 from .cache import coeff_key
 from .errors import VerificationError, exact_quotient
 from .hall import _aut_order, _hall_cyclic
-from .hecke import HeckeContext, HeckeElement, basis_element, multiply, t_aggregate
+from .hecke import (
+    HeckeContext, HeckeElement, _peel, basis_element, multiply, t_aggregate
+)
 
 # unused here, but perfbench's span self-check looks this binding up
 from .modmat import _howell_rows  # noqa: F401
@@ -93,6 +97,7 @@ class OmegaContext:
     _images: dict[Partition, dict[Partition, int]] = field(
         default_factory=dict, repr=False
     )
+    _lifts: dict[Partition, HeckeElement] = field(default_factory=dict, repr=False)
     source: HeckeContext = field(init=False, repr=False)
     target: HeckeContext = field(init=False, repr=False)
 
@@ -222,17 +227,10 @@ def _a_by_enumeration(m: Partition, n_: Partition, ctx: OmegaContext) -> int:
 
 
 def _omega_image(m: Partition, ctx: OmegaContext) -> dict[Partition, int]:
-    hit = ctx._images.get(m)
-    if hit is not None:
-        return hit
-    image: dict[Partition, int] = {}
-    for n_ in partitions_up_to(order_exponent(m), ctx.n):
-        if not embeds(n_, m):
-            continue
-        value = a_coeff(m, n_, ctx)
-        if value:
-            image[n_] = value
-    ctx._images[m] = image
+    image = ctx._images.get(m)
+    if image is None:
+        below = (n_ for n_ in partitions_up_to(order_exponent(m), ctx.n) if embeds(n_, m))
+        image = ctx._images[m] = {n_: a for n_ in below if (a := a_coeff(m, n_, ctx))}
     return image
 
 
@@ -251,14 +249,9 @@ def omega(x: HeckeElement, ctx: OmegaContext) -> HeckeElement:
 
 
 def b_coeff(b: Sequence[int], a: Sequence[int], ctx: OmegaContext) -> int:
-    """Entry of the inverse of the triangular matrix (a(B, A)).
-
-    Defined by b(A, A) = 1 and, for A strictly contained in B,
-
-        b(B, A) = - sum over A <= C < B of a(B, C) b(C, A).
-
-    Both compositions with a are the Kronecker delta.
-    """
+    """Entry of the inverse of the triangular matrix (a(B, A)): the
+    coefficient of A in lift_section(B).  Both compositions with a are the
+    Kronecker delta."""
     b = validate_partition(b)
     a = validate_partition(a)
     if p_rank(b) > ctx.n or p_rank(a) > ctx.n:
@@ -271,16 +264,7 @@ def b_coeff(b: Sequence[int], a: Sequence[int], ctx: OmegaContext) -> int:
     hit = ctx.memo.get(key)
     if hit is not None:
         return hit
-    total = 0
-    for c in partitions_up_to(order_exponent(b), ctx.n):
-        if c == b or not embeds(a, c) or not embeds(c, b):
-            continue
-        ab = a_coeff(b, c, ctx)
-        if ab:
-            bc = b_coeff(c, a, ctx)
-            if bc:
-                total += ab * bc
-    value = -total
+    value = lift_section(b, ctx).terms.get(a, 0)
     ctx.memo[key] = value
     return value
 
@@ -288,20 +272,18 @@ def b_coeff(b: Sequence[int], a: Sequence[int], ctx: OmegaContext) -> int:
 def lift_section(n_: Sequence[int], ctx: OmegaContext) -> HeckeElement:
     """The element of the rank-(n+1) algebra that omega sends to n_.
 
-    lift(N) = sum over A <= N of b(N, A) A; omega(lift(N)) = N because b
-    inverts the triangular coefficient matrix.
+    omega(C) leads with 1*C, so hecke._peel, which also writes elements
+    in the generators, solves for it and checks that leading term of each
+    image it uses.  Memoised per class.
     """
     n_ = validate_partition(n_)
     if p_rank(n_) > ctx.n:
         raise ValueError(f"{format_partition(n_)} has rank over {ctx.n}")
-    terms: dict[Partition, int] = {}
-    for a in partitions_up_to(order_exponent(n_), ctx.n):
-        if not embeds(a, n_):
-            continue
-        c = b_coeff(n_, a, ctx)
-        if c:
-            terms[a] = c
-    return HeckeElement(ctx.p, ctx.n + 1, terms)
+    hit = ctx._lifts.get(n_)
+    if hit is None:
+        terms = _peel({n_: 1}, lambda c: _omega_image(c, ctx))
+        hit = ctx._lifts[n_] = HeckeElement(ctx.p, ctx.n + 1, terms)
+    return hit
 
 
 # --- subgroup-fiber count ----------------------------------------------------

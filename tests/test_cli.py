@@ -400,6 +400,50 @@ def test_poisoned_cache_value_is_used_verbatim(tmp_path, capsys):
     assert out.strip() == "77"
 
 
+def _tree(root):
+    return sorted(
+        (str(path.relative_to(root)), path.is_dir() or path.read_bytes())
+        for path in root.rglob("*")
+    )
+
+
+@pytest.mark.parametrize("layout", ["file", "cache file is a directory"])
+def test_unusable_cache_is_a_usage_error(tmp_path, capsys, layout):
+    # a regular file fails in flush (FileExistsError), a directory in place
+    # of the cache file in load (IsADirectoryError)
+    if layout == "file":
+        cache = tmp_path / "F"
+        cache.write_text("not a directory\n")
+    else:
+        cache = tmp_path / "store"
+        (cache / CACHE_FILENAME).mkdir(parents=True)
+    before = _tree(tmp_path)
+    code, out, err = run(
+        capsys,
+        "ccoeff", "--p", "2", "--n", "2", "--M", "[1]", "--N", "[1]", "--L", "[1,1]",
+        "--cache", str(cache),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cache {cache}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert _tree(tmp_path) == before
+
+
+def test_poisoned_b_value_fails_verify_inverse(tmp_path, capsys):
+    # b(B, A) is read off the lift of B, so a planted b value feeds no other
+    # lift, but verify inverse still reads it through b_coeff
+    (tmp_path / CACHE_FILENAME).write_text(
+        '{"version": "1", "key": "b:p=2:n=1:B=[1]:A=[]", "value": "5"}\n'
+    )
+    argv = ["--p", "2", "--n", "1", "--cache", str(tmp_path)]
+    code, out, _ = run(capsys, "bcoeff", "--B", "[2]", "--A", "[]", *argv)
+    assert code == 0 and out.strip() == "-2"
+    code, out, _ = run(capsys, "verify", "inverse", "--max-order-exp", "2", *argv)
+    assert code == 4
+    assert "FAIL inverse B=[1] A=[]: a.b = 7, b.a = 7, expected 0" in out
+
+
 def test_split_and_trunc_flags_change_nothing(capsys):
     base = run(capsys, "acoeff", "--p", "2", "--n", "1", "--M", "[2]", "--N", "[]")
     alt = run(

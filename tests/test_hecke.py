@@ -269,6 +269,18 @@ def test_leading_monomials_are_unitriangular(p, n):
         assert all(_dominates(lam, mu) for mu in mono.terms)
 
 
+def test_decompose_failure_names_its_class(monkeypatch):
+    # a monomial that does not lead with 1*lam stops the decomposition at lam
+    def doubled(exps, ctx):
+        mono = _eval_monomial(exps, ctx)
+        return mono.scaled(2) if exps == (2, 0) else mono
+
+    monkeypatch.setattr(hecke, "_eval_monomial", doubled)
+    ctx = HeckeContext(p=2, n=2)
+    with pytest.raises(VerificationError, match=r"does not lead with 1\*\[2\]"):
+        decompose_in_generators(basis_element((2,), ctx), ctx)
+
+
 def test_decompose_mixed_element(ctx22):
     elem = HeckeElement(2, 2, {(2, 1): 2, (1,): -1, (): 7})
     poly = decompose_in_generators(elem, ctx22)

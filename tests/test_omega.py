@@ -1,10 +1,12 @@
 """The rank-lowering transfer, its inverse and its fiber counts."""
 
+import sys
+
 import pytest
 
 from heckealg import hecke, modmat, subgroups
-from heckealg import omega as omega_module
 from heckealg.cli import main
+from heckealg.errors import VerificationError
 from heckealg.hecke import basis_element, multiply, t_aggregate
 from heckealg.modmat import _span_contains_rows
 from heckealg.omega import (
@@ -25,6 +27,9 @@ from heckealg.subgroups import (
     enumerate_subgroups,
     standard_split,
 )
+
+# the package binds the name omega to the function, not the module
+omega_module = sys.modules["heckealg.omega"]
 
 
 @pytest.fixture(scope="module")
@@ -251,6 +256,64 @@ def test_delta_identities(p, n):
             want = 1 if a == b else 0
             assert sum(a_coeff(b, c, ctx) * b_coeff(c, a, ctx) for c in mids) == want
             assert sum(b_coeff(b, c, ctx) * a_coeff(c, a, ctx) for c in mids) == want
+
+
+def _b_by_recursion(ctx):
+    """b by its defining recursion, the reference for b_coeff and lift_section:
+    b(A, A) = 1 and b(B, A) = - sum over A <= C < B of a(B, C) b(C, A)."""
+    memo = {}
+
+    def b(big, small):
+        if big == small:
+            return 1
+        if not embeds(small, big):
+            return 0
+        if (big, small) not in memo:
+            memo[big, small] = -sum(
+                a_coeff(big, c, ctx) * b(c, small)
+                for c in partitions_up_to(order_exponent(big), ctx.n)
+                if c != big and embeds(small, c) and embeds(c, big)
+            )
+        return memo[big, small]
+
+    return b
+
+
+@pytest.mark.parametrize("p,n,d", [(2, 2, 6), (3, 3, 5), (1009, 4, 6)])
+def test_b_and_lift_match_the_recursion(p, n, d):
+    ctx = OmegaContext(p=p, n=n)
+    old = _b_by_recursion(OmegaContext(p=p, n=n))
+    for big in partitions_up_to(d, n):
+        below = [s for s in partitions_up_to(order_exponent(big), n) if embeds(s, big)]
+        for small in below:
+            assert b_coeff(big, small, ctx) == old(big, small), (big, small)
+        want = {s: old(big, s) for s in below if old(big, s)}
+        assert lift_section(big, ctx).terms == want, big
+
+
+def _corrupt_image(monkeypatch, m, extra):
+    """Make the omega-image of the class m read extra on top of the truth."""
+    real = omega_module._omega_image
+
+    def image(c, ctx):
+        return {**real(c, ctx), **extra} if c == m else real(c, ctx)
+
+    monkeypatch.setattr(omega_module, "_omega_image", image)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [{(1, 1): 2}, {(2,): 1}],
+    ids=["a(M, M) = 2", "a class outside M"],
+)
+def test_lift_checks_that_omega_is_unitriangular(monkeypatch, capsys, extra):
+    _corrupt_image(monkeypatch, (1, 1), extra)
+    ctx = OmegaContext(p=2, n=2)
+    with pytest.raises(VerificationError, match=r"image of \[1,1\] does not lead"):
+        lift_section((2, 1), ctx)
+    argv = ["bcoeff", "--p", "2", "--n", "2", "--B", "[1,1]", "--A", "[]"]
+    assert main(argv) == 4
+    assert "does not lead with 1*[1,1]" in capsys.readouterr().err
 
 
 def test_lift_section_values(ctx1):
