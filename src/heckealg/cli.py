@@ -34,8 +34,13 @@ rule; the Hall table in the c-route of `verify oracle` is their oracle.
 cache (environment variable HECKE_CACHE_DIR supplies the default); one
 that cannot be read or written as such is a usage error (exit 2).
 Each command, table kind and suite accepts only the options it reads;
-`table --help` and `verify --help` list them.  Each call builds only the
-parser it uses: the other commands, kinds and suites are names alone.
+`table --help` and `verify --help` list them.  A well-formed command
+line (the command, then the kind or suite, then positionals and exact
+`--name value` pairs, each option at most once, no value with a leading
+dash) is read straight from the option tables.  argparse parses every
+other spelling and alone prints help and usage errors; it builds only
+the parser the command line names, the other commands, kinds and suites
+being names alone.
 A negative --max-order-exp or a --budget below 1 is a usage error.
 
 Commands return their output in every format and print nothing; `main`
@@ -152,11 +157,6 @@ _COEFF_OPTIONS = "p n cache output"
 _TRANSFER_OPTIONS = _COEFF_OPTIONS + " split trunc"
 _TRANSFER_SWEEP_OPTIONS = _TRANSFER_OPTIONS + " max-order-exp"
 _SWEEP_OPTIONS = _TRANSFER_SWEEP_OPTIONS + " budget"
-
-
-def _add_options(parser: argparse.ArgumentParser, names: str) -> None:
-    for name in names.split():
-        parser.add_argument(f"--{name}", **_OPTIONS[name])
 
 
 def _cache_dir(args: argparse.Namespace) -> str | None:
@@ -376,11 +376,8 @@ def _suite_inverse(args, memo, checks) -> None:
         for a in parts:
             if order_exponent(a) > order_exponent(b) or not embeds(a, b):
                 continue
-            mids = [
-                c
-                for c in partitions_up_to(order_exponent(b), args.n)
-                if embeds(a, c) and embeds(c, b)
-            ]
+            # parts is graded by size, so this keeps its order
+            mids = [c for c in parts if embeds(a, c) and embeds(c, b)]
             lhs = sum(a_coeff(b, c, ctx) * b_coeff(c, a, ctx) for c in mids)
             rhs = sum(b_coeff(b, c, ctx) * a_coeff(c, a, ctx) for c in mids)
             want = 1 if a == b else 0
@@ -547,7 +544,7 @@ def _cmd_count_subgroups(args, memo) -> _Output:
 def _cmd_selftest(args, memo) -> _Output:
     argv = ["verify", "all", "--p", "2", "--n", "1", "--max-order-exp", "2",
             "--budget", str(args.budget)]
-    ns = _build_parser(argv).parse_args(argv)
+    ns = _parse(argv)
     # memo is empty: the self-test takes no --cache
     return _cmd_verify(ns, memo, label="selftest")
 
@@ -568,78 +565,167 @@ def _named(argv: list[str]) -> tuple[str | None, list[str]]:
     return None, []
 
 
-def _command(options: str, arguments: dict[str, dict], **defaults) -> Callable:
-    """The fill(parser, rest of argv) of a plain command: the shared
-    options, then its own arguments."""
-
-    def fill(parser: argparse.ArgumentParser, rest: list[str]) -> None:
-        _add_options(parser, options)
-        for flag, kwargs in arguments.items():
-            parser.add_argument(flag, **kwargs)
-        parser.set_defaults(**defaults)
-
-    return fill
+def _arguments(options: str, own: dict[str, dict] | None = None) -> dict[str, dict]:
+    """flag or positional name -> add_argument keywords: the shared options
+    named in options, then own."""
+    return {**{f"--{name}": _OPTIONS[name] for name in options.split()}, **(own or {})}
 
 
-def _kinds(dest: str, kinds: dict[str, str], func: Callable) -> Callable:
-    """The fill of `table` or `verify`: a nested subparser per kind or
-    suite, and only the one the rest of argv names gets its options."""
+def _add_arguments(parser: argparse.ArgumentParser, arguments: dict[str, dict]) -> None:
+    for flag, kwargs in arguments.items():
+        parser.add_argument(flag, **kwargs)
 
-    def fill(parser: argparse.ArgumentParser, rest: list[str]) -> None:
-        sub = parser.add_subparsers(dest=dest, required=True)
+
+# _Command and _Kinds are plain classes: a dataclass costs about 1 ms of
+# import each, which every command-line call would pay
+class _Command:
+    """A plain command: the shared options it reads, its own arguments
+    and what it sets as defaults."""
+
+    def __init__(self, help: str, options: str, arguments: dict[str, dict], defaults: dict):
+        self.help, self.options, self.arguments, self.defaults = help, options, arguments, defaults
+
+    def fill(self, parser: argparse.ArgumentParser, rest: list[str]) -> None:
+        _add_arguments(parser, _arguments(self.options, self.arguments))
+        parser.set_defaults(**self.defaults)
+
+    def leaf(self, rest: list[str]) -> tuple[dict, dict, list[str]]:
+        """The arguments rest is read against, the defaults, and rest."""
+        return _arguments(self.options, self.arguments), self.defaults, rest
+
+
+class _Kinds:
+    """`table` or `verify`: a nested subparser per kind or suite (dest
+    names the one chosen), each reading the shared options kinds lists."""
+
+    def __init__(self, help: str, dest: str, kinds: dict[str, str], func: Callable):
+        self.help, self.dest, self.kinds, self.func = help, dest, kinds, func
+
+    def fill(self, parser: argparse.ArgumentParser, rest: list[str]) -> None:
+        """Only the kind or suite that rest names gets its options."""
+        sub = parser.add_subparsers(dest=self.dest, required=True)
         chosen = _named(rest)[0]
-        for name, names in kinds.items():
+        for name, names in self.kinds.items():
             sp = sub.add_parser(name, add_help=name == chosen)
             if name == chosen:
-                _add_options(sp, names)
-        parser.set_defaults(func=func)
+                _add_arguments(sp, _arguments(names))
+        parser.set_defaults(func=self.func)
         parser.formatter_class = argparse.RawDescriptionHelpFormatter
-        parser.epilog = f"options by {dest}:\n" + "\n".join(
-            f"  {name}: --" + " --".join(names.split()) for name, names in kinds.items()
+        parser.epilog = f"options by {self.dest}:\n" + "\n".join(
+            f"  {name}: --" + " --".join(names.split()) for name, names in self.kinds.items()
         )
 
-    return fill
+    def leaf(self, rest: list[str]) -> tuple[dict, dict, list[str]] | None:
+        """As for a plain command, after the kind or suite rest[0] names
+        (None if it names none)."""
+        if not rest or rest[0] not in self.kinds:
+            return None
+        defaults = {self.dest: rest[0], "func": self.func}
+        return _arguments(self.kinds[rest[0]]), defaults, rest[1:]
 
 
 _REQUIRED = dict(required=True)
 
-# command -> (help, fill); a parser is filled only for the command argv names
+# the grammar: _build_parser fills a parser only for the command argv
+# names, and _read_argv reads a well-formed argv straight off it
 _COMMANDS = {
-    "ccoeff": ("structure constant c(M, N; L)", _command(
+    "ccoeff": _Command(
+        "structure constant c(M, N; L)",
         _COEFF_OPTIONS,
         {"--M": dict(required=True, help='partition literal, e.g. "[1]"'),
          "--N": _REQUIRED, "--L": _REQUIRED},
-        func=_cmd_coeff, kind="c")),
-    "acoeff": ("transfer coefficient a(M, N)", _command(
+        dict(func=_cmd_coeff, kind="c")),
+    "acoeff": _Command(
+        "transfer coefficient a(M, N)",
         _TRANSFER_OPTIONS,
         {"--M": dict(required=True, help="class upstairs (rank n+1)"),
          "--N": dict(required=True, help="class downstairs (rank n)")},
-        func=_cmd_coeff, kind="a")),
-    "bcoeff": ("inverse-transfer coefficient b(B, A)", _command(
-        _TRANSFER_OPTIONS, {"--B": _REQUIRED, "--A": _REQUIRED}, func=_cmd_coeff, kind="b")),
-    "mul": ("product of two elements", _command(
+        dict(func=_cmd_coeff, kind="a")),
+    "bcoeff": _Command(
+        "inverse-transfer coefficient b(B, A)",
+        _TRANSFER_OPTIONS, {"--B": _REQUIRED, "--A": _REQUIRED},
+        dict(func=_cmd_coeff, kind="b")),
+    "mul": _Command(
+        "product of two elements",
         _ELEMENT_OPTIONS,
-        {"x": dict(help='element literal, e.g. "1*[1] + 2*[]"'), "y": {}}, func=_cmd_mul)),
-    "omega": ("transfer an element down one rank", _command(
+        {"x": dict(help='element literal, e.g. "1*[1] + 2*[]"'), "y": {}},
+        dict(func=_cmd_mul)),
+    "omega": _Command(
+        "transfer an element down one rank",
         _TRANSFER_OPTIONS, {"x": dict(help="element of the rank-(n+1) algebra")},
-        func=_cmd_omega)),
-    "decompose": ("write an element in the generators T_k", _command(
-        _ELEMENT_OPTIONS, {"x": {}}, func=_cmd_decompose)),
-    "table": ("tabulate coefficients", _kinds("kind", {
+        dict(func=_cmd_omega)),
+    "decompose": _Command(
+        "write an element in the generators T_k",
+        _ELEMENT_OPTIONS, {"x": {}}, dict(func=_cmd_decompose)),
+    "table": _Kinds("tabulate coefficients", "kind", {
         "c": _COEFF_OPTIONS + " max-order-exp",
         **dict.fromkeys(("a", "b", "omega"), _TRANSFER_SWEEP_OPTIONS),
-    }, _cmd_table)),
-    "verify": ("run a verification suite", _kinds("suite", {
+    }, _cmd_table),
+    "verify": _Kinds("run a verification suite", "suite", {
         **{name: names for name, (_, names) in _SUITES.items()},
         "all": _SWEEP_OPTIONS,
-    }, _cmd_verify)),
-    "count-subgroups": ("count subgroups of (Z/p^r)^n, r from --trunc", _command(
+    }, _cmd_verify),
+    "count-subgroups": _Command(
+        "count subgroups of (Z/p^r)^n, r from --trunc",
         "p n budget output",
         {"--trunc": dict(type=int, default=1, help="truncation exponent r")},
-        func=_cmd_count_subgroups)),
-    "selftest": ("small fixed verification run", _command(
-        "budget output", {}, func=_cmd_selftest)),
+        dict(func=_cmd_count_subgroups)),
+    "selftest": _Command(
+        "small fixed verification run", "budget output", {}, dict(func=_cmd_selftest)),
 }
+
+
+def _read_argv(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives a well-formed argv, read off _COMMANDS
+    without building a parser; None for any other argv.
+
+    Well-formed: argv[0] names a command, and argv[1] the kind or suite of
+    `table` and `verify`.  Every later token is a positional without a
+    leading dash, or an exact --name the command takes, at most once,
+    followed by a value without a leading dash.  The positionals are
+    exactly as many as the command takes, every required option is there,
+    and each value passes the option's type and choices.
+    """
+    spec = _COMMANDS.get(argv[0]) if argv else None
+    leaf = spec.leaf(argv[1:]) if spec else None
+    if leaf is None:
+        return None
+    arguments, defaults, rest = leaf
+    given: dict[str, str] = {}
+    free: list[str] = []
+    tokens = iter(rest)
+    for token in tokens:
+        if not token.startswith("-"):
+            free.append(token)
+            continue
+        value = next(tokens, "-")
+        if token not in arguments or token in given or value.startswith("-"):
+            return None
+        given[token] = value
+    positionals = [name for name in arguments if not name.startswith("-")]
+    if len(free) != len(positionals):
+        return None
+    given.update(zip(positionals, free))
+    values = {"command": argv[0], **defaults}
+    for name, kwargs in arguments.items():
+        if name not in given and kwargs.get("required"):
+            return None
+        raw = given.get(name, kwargs.get("default"))
+        if isinstance(raw, str):  # argparse converts string defaults too
+            try:
+                raw = kwargs.get("type", str)(raw)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if name in given and raw not in kwargs.get("choices", (raw,)):
+                return None
+        values[name.lstrip("-").replace("-", "_")] = raw
+    return argparse.Namespace(**values)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv read directly when well-formed, else by argparse, which alone
+    prints help and usage errors (and exits)."""
+    return _read_argv(argv) or _build_parser(argv).parse_args(argv)
 
 
 def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
@@ -653,10 +739,10 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     chosen, rest = _named(argv)
-    for name, (help_text, fill) in _COMMANDS.items():
-        sp = sub.add_parser(name, help=help_text, add_help=name == chosen)
+    for name, spec in _COMMANDS.items():
+        sp = sub.add_parser(name, help=spec.help, add_help=name == chosen)
         if name == chosen:
-            fill(sp, rest)
+            spec.fill(sp, rest)
     return parser
 
 
@@ -664,7 +750,7 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = _build_parser(argv).parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return exc.code
     directory = _cache_dir(args)

@@ -1,15 +1,19 @@
 """End-to-end checks of the command-line surface."""
 
 import argparse
+import contextlib
+import io
 import json
 import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heckealg.cache import CACHE_ENV, CACHE_FILENAME, CacheStore
-from heckealg.cli import main
+from heckealg.cli import _COMMANDS, _build_parser, _read_argv, main
 
 
 def run(capsys, *argv):
@@ -531,11 +535,39 @@ def test_help_and_usage_errors(capsys, monkeypatch, case):
     assert run(capsys, *case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
 
 
+# a well-formed argv of every command, table kind and verify suite
+_CANONICAL = [
+    *([command, "--p", "2", "--n", "2", *cell] for command, cell in _CELL_ARGV.items()),
+    *([command, kind, "--p", "2", "--n", "2", "--max-order-exp", "1"]
+      for command in ("table", "verify") for kind in _COMMANDS[command].kinds),
+    ["selftest"],
+]
+
+
+def test_canonical_argv_cover_every_command():
+    assert {argv[0] for argv in _CANONICAL} == set(_COMMANDS)
+
+
+@pytest.mark.parametrize("argv", _CANONICAL, ids=" ".join)
+def test_canonical_argv_build_no_parser(capsys, monkeypatch, argv):
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run(capsys, *argv)[0] == 0
+    assert built == []
+
+
+# spellings the direct reader leaves to argparse
 @pytest.mark.parametrize(
     "argv",
     [
-        ["mul", "--p", "2", "--n", "2", "1*[1]", "1*[1]"],
-        ["table", "omega", "--p", "2", "--n", "1", "--max-order-exp", "2"],
+        ["mul", "--p=2", "--n", "2", "1*[1]", "1*[1]"],
+        ["table", "omega", "--p", "2", "--n", "1", "--max-order-exp", "2", "--out", "text"],
     ],
 )
 def test_only_the_named_parser_gets_arguments(capsys, monkeypatch, argv):
@@ -547,8 +579,114 @@ def test_only_the_named_parser_gets_arguments(capsys, monkeypatch, argv):
         return real(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    assert _read_argv(argv) is None
     assert run(capsys, *argv)[0] == 0
-    assert len(calls) <= 20
+    assert 0 < len(calls) <= 20
+
+
+def _argparse_namespace(argv):
+    """What argparse makes of argv, or None where it exits (help or error)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return _build_parser(argv).parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def _read_as_argparse_does(argv):
+    read = _read_argv(argv)
+    parsed = _argparse_namespace(argv)
+    if parsed is None:
+        assert read is None
+    elif read is not None:
+        assert vars(read) == vars(parsed)
+    return read
+
+
+_ODD_TOKENS = [
+    "-h", "--help", "--", "--p=2", "--out", "--max", "--p", "--n", "--output",
+    "--budget", "--cache", "--split", "--trunc", "--max-order-exp", "--M", "--B",
+    "-1", "", "x", "yaml", "last", "json", "0", "2", "1*[1]", "[1]", "c", "all",
+]
+
+
+# options appended before the perturbation: taken or foreign, good or bad values
+_OPTIONAL = [
+    ("--output", "json"), ("--output", "csv"), ("--output", "yaml"),
+    ("--split", "last"), ("--split", "middle"), ("--trunc", "2"), ("--trunc", "x"),
+    ("--budget", "5"), ("--budget", "0"), ("--cache", "store"),
+    ("--max-order-exp", "2"), ("--max-order-exp", "-1"),
+]
+
+
+@st.composite
+def _perturbed_argv(draw):
+    """A canonical argv with up to two options appended, then up to two
+    perturbations: a token inserted, deleted or replaced, the value after
+    an option replaced, or two tokens repeated or moved elsewhere.  They
+    mostly fall after the command and kind (the surface golden file
+    covers odd names)."""
+    argv = list(draw(st.sampled_from(_CANONICAL)))
+    for pair in draw(st.lists(st.sampled_from(_OPTIONAL), max_size=2, unique=True)):
+        argv += pair
+    head = draw(st.sampled_from((0, 1, 2, 2, 2)))
+    for _ in range(draw(st.integers(0, 2))):
+        start = min(head, len(argv))
+        i, j = sorted(draw(st.lists(st.integers(start, len(argv)), min_size=2, max_size=2)))
+        how = draw(st.sampled_from(("insert", "delete", "replace", "value", "repeat", "move")))
+        odd = draw(st.sampled_from(_ODD_TOKENS))
+        flags = [k for k, token in enumerate(argv[:-1]) if token.startswith("--")]
+        if how == "insert":
+            argv.insert(i, odd)
+        elif how == "value" and flags:
+            argv[draw(st.sampled_from(flags)) + 1] = odd
+        elif how == "delete" and i < len(argv):
+            del argv[i]
+        elif how == "replace" and i < len(argv):
+            argv[i] = odd
+        elif how == "repeat":
+            argv[j:j] = argv[i : i + 2]
+        elif how == "move":
+            argv[j:j] = argv[i : i + 2]
+            del argv[i : i + 2]
+    return argv
+
+
+_MUL = ["mul", "--p", "2", "--n", "2", "1*[1]", "1*[1]"]
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(_perturbed_argv())
+@example(_MUL[:-1])  # a missing positional
+@example(_MUL[:-1] + ["--output", "json"])
+@example(["decompose", "--p", "2", "--n", "2"])
+@example(_MUL + ["1*[1]"])  # an extra one
+@example(_MUL + ["-h"])
+@example(["mul", "--"] + _MUL[1:])
+@example(["mul", "--p=2"] + _MUL[3:])
+@example(_MUL + ["--out", "json"])  # an abbreviation
+@example(_MUL + ["--p", "3"])  # a repeated option
+@example(["mul", "--p", "-1"] + _MUL[3:])  # a negative number
+@example(_MUL[:-1] + [""])  # an empty string
+@example(["mul", "--p", "x"] + _MUL[3:])  # a bad int
+@example(_MUL + ["--output", "yaml"])  # a bad choice
+@example(["ccoeff", "--p", "2", "--n", "2", *_CELL_ARGV["ccoeff"], "--cache", "-h"])
+def test_reader_agrees_with_argparse(argv):
+    _read_as_argparse_does(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *_CANONICAL,
+        *([*case["argv"], "--cache", "store"] if "cache" in case else case["argv"]
+          for case in GOLDEN),
+    ],
+    ids=" ".join,
+)
+def test_reader_reads_every_argv_argparse_accepts(argv):
+    if _argparse_namespace(argv) is not None:
+        assert _read_as_argparse_does(argv) is not None
 
 
 def test_main_reads_sys_argv(capsys, monkeypatch):
