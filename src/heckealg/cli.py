@@ -19,13 +19,14 @@ failed.
 
 For `omega`, `acoeff` and `table a` the class M lives in the rank-(n+1)
 algebra upstairs; --n names the target rank.  Commands that compute a
-transfer take --split (the transfer kernel) and --trunc, which only
-raises the truncation exponent; `table c` and `verify shimura` take
-neither.  The transfer's default route ("transversal" in `verify
-oracle`) is a closed form that neither changes; they steer its
-enumeration oracle.  Products, generator decompositions and the
-structure constants of `ccoeff` and `table c` take the elementary Pieri
-rule; the Hall table in the c-route of `verify oracle` is their oracle.
+transfer take --split, the kernel of its enumeration oracle; `table c`
+and `verify shimura` do not.  The transfer ("transversal" in `verify
+oracle`) is a closed form that --split does not change.  --trunc raises
+the exponent of the oracle's ambient, so of the transfer surfaces only
+`verify oracle|all` take it.  Products, generator decompositions and
+the structure constants of `ccoeff` and `table c` take the elementary
+Pieri rule; the Hall table in the c-route of `verify oracle` is their
+oracle.
 --budget bounds enumerations, so only `verify oracle|all`,
 `count-subgroups` and `selftest` take it.  `mul`, `decompose` and
 `verify shimura` read no cache either, so they take no --cache.  For
@@ -58,7 +59,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .cache import CACHE_ENV, CacheStore
@@ -76,6 +76,7 @@ from .hecke import (
 )
 from .omega import (
     OmegaContext,
+    a_by_enumeration,
     a_coeff,
     b_coeff,
     lift_section,
@@ -142,7 +143,9 @@ _OPTIONS = {
         default="first",
         help="which coordinate block forms the transfer kernel",
     ),
-    "trunc": dict(type=int, help="raise the truncation exponent (never lowers it)"),
+    "trunc": dict(
+        type=int, help="raise the enumeration oracle's truncation exponent (never lowers it)"
+    ),
     "max-order-exp": dict(
         type=_at_least(0),
         default=3,
@@ -150,13 +153,13 @@ _OPTIONS = {
     ),
 }
 
-# the options each command reads, by what it computes (--budget if it
-# enumerates, --cache if it memoises coefficients)
+# the options each command reads, by what it computes (--budget and
+# --trunc if it enumerates, --cache if it memoises coefficients)
 _ELEMENT_OPTIONS = "p n output"
 _COEFF_OPTIONS = "p n cache output"
-_TRANSFER_OPTIONS = _COEFF_OPTIONS + " split trunc"
+_TRANSFER_OPTIONS = _COEFF_OPTIONS + " split"
 _TRANSFER_SWEEP_OPTIONS = _TRANSFER_OPTIONS + " max-order-exp"
-_SWEEP_OPTIONS = _TRANSFER_SWEEP_OPTIONS + " budget"
+_SWEEP_OPTIONS = _TRANSFER_SWEEP_OPTIONS + " budget trunc"
 
 
 def _cache_dir(args: argparse.Namespace) -> str | None:
@@ -178,7 +181,7 @@ def _omega_ctx(args: argparse.Namespace, memo: dict[str, int]) -> OmegaContext:
         p=args.p,
         n=args.n,
         split=args.split,
-        trunc_override=args.trunc,
+        trunc_override=getattr(args, "trunc", None),
         budget=getattr(args, "budget", DEFAULT_BUDGET),
         memo=memo,
     )
@@ -187,7 +190,8 @@ def _omega_ctx(args: argparse.Namespace, memo: dict[str, int]) -> OmegaContext:
 # --- output -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+# the records of this module are plain classes: a dataclass costs about
+# 1 ms of import each, which every command-line call would pay
 class _Output:
     """What a command returns: its result in every output format.
 
@@ -195,11 +199,16 @@ class _Output:
     text form (None: the csv table), code the exit code.
     """
 
-    payload: dict
-    header: list[str]
-    rows: list[list[str]]
-    text: str | None = None
-    code: int = EXIT_OK
+    def __init__(
+        self,
+        payload: dict,
+        header: list[str],
+        rows: list[list[str]],
+        text: str | None = None,
+        code: int = EXIT_OK,
+    ):
+        self.payload, self.header, self.rows = payload, header, rows
+        self.text, self.code = text, code
 
 
 def _emit(args, out: _Output) -> None:
@@ -265,7 +274,6 @@ def _embedded_pairs(
                 yield big, small
 
 
-@dataclass(frozen=True)
 class _CoeffSpec:
     """One scalar coefficient: its argument names, context, table cells, value.
 
@@ -273,10 +281,10 @@ class _CoeffSpec:
     the JSON fields alike.
     """
 
-    columns: tuple[str, ...]
-    context: Callable
-    cells: Callable
-    value: Callable
+    def __init__(
+        self, columns: tuple[str, ...], context: Callable, cells: Callable, value: Callable
+    ):
+        self.columns, self.context, self.cells, self.value = columns, context, cells, value
 
     def tabulate(self, cells: list[tuple], values: list[int]) -> tuple:
         """The JSON fields of each cell, then the csv header and rows."""
@@ -466,7 +474,7 @@ def _suite_oracle(args, memo, checks) -> None:
     for m in partitions_up_to(maxoe, args.n + 1):
         for n_ in partitions_up_to(order_exponent(m), args.n):
             va = a_coeff(m, n_, octx)
-            vb = a_coeff(m, n_, octx, method="enumeration")
+            vb = a_by_enumeration(m, n_, octx)
             checks.append(
                 (
                     f"a-route M={format_partition(m)} N={format_partition(n_)}",
@@ -576,8 +584,6 @@ def _add_arguments(parser: argparse.ArgumentParser, arguments: dict[str, dict]) 
         parser.add_argument(flag, **kwargs)
 
 
-# _Command and _Kinds are plain classes: a dataclass costs about 1 ms of
-# import each, which every command-line call would pay
 class _Command:
     """A plain command: the shared options it reads, its own arguments
     and what it sets as defaults."""

@@ -65,6 +65,7 @@ from .subgroups import (
 __all__ = [
     "OmegaContext",
     "a_coeff",
+    "a_by_enumeration",
     "i_count",
     "b_coeff",
     "omega",
@@ -81,11 +82,11 @@ __all__ = [
 class OmegaContext:
     """State for the transfer from rank n+1 down to rank n.
 
-    split selects which coordinate the surjection projects onto
-    ("first" keeps the leading n coordinates as V, "last" the trailing
-    ones).  trunc_override raises the truncation exponent used for the
-    ambient; it never lowers it below the exponent of the class at hand.
-    Neither changes a value of the default route.
+    split and trunc_override set up the enumeration oracle (i_count,
+    a_by_enumeration) and change no value of the closed form: split picks
+    the oracle's kernel V ("first" keeps the leading n coordinates, "last"
+    the trailing ones), and trunc_override raises the exponent of its
+    ambient, never below the exponent of the class at hand.
     """
 
     p: int
@@ -143,41 +144,27 @@ def _transversal_bins(
     return bins
 
 
-def a_coeff(
-    m: Sequence[int],
-    n_: Sequence[int],
-    ctx: OmegaContext,
-    *,
-    method: str = "transversal",
-) -> int:
+def a_coeff(m: Sequence[int], n_: Sequence[int], ctx: OmegaContext) -> int:
     """Transfer coefficient a(M, N) of omega at (p, n).
 
     M lives in the rank-(n+1) algebra, N in the rank-n one.  Zero when
     the ranks do not fit, when N does not embed in M, or when the order
-    gap t = |M| - |N| exceeds the exponent of M.  For t > 0 the default
-    route is Riedtmann's formula: v -> p^t v maps the p^(tn) cosets that
-    count a(M, N) (see _transversal_bins) onto Ext(Z/p^t, N) with fibers
-    of p^(tn) / |N[p^t]|, so that
+    gap t = |M| - |N| exceeds the exponent of M.  For t > 0 the value is
+    Riedtmann's formula: v -> p^t v maps the p^(tn) cosets that count
+    a(M, N) (see _transversal_bins, here at r = M_1) onto Ext(Z/p^t, N)
+    with fibers of p^(tn) / |N[p^t]|, so that
 
         a(M, N) = p^(tn) G^M_{N,(t)}(p) |Aut Z/p^t| |Aut N| / |Aut M|,
 
     G the Hall polynomial of Macdonald III (3.2), (5.7') and |Aut| from
-    Macdonald II (1.6).  method="enumeration" recomputes the value by
-    the independent normalized count and must agree.
+    Macdonald II (1.6).  Neither ctx.split nor ctx.trunc_override is
+    read; a_by_enumeration is the independent oracle and must agree.
     """
     m = validate_partition(m)
     n_ = validate_partition(n_)
-    if p_rank(m) > ctx.n + 1 or p_rank(n_) > ctx.n:
+    if p_rank(m) > ctx.n + 1 or p_rank(n_) > ctx.n or not embeds(n_, m):
         return 0
     t = order_exponent(m) - order_exponent(n_)
-    if t < 0:
-        return 0
-    if method == "enumeration":
-        return _a_by_enumeration(m, n_, ctx)
-    if method != "transversal":
-        raise ValueError(f"unknown method {method!r}")
-    if not embeds(n_, m):
-        return 0
     if t == 0:
         # same order and contained, so equal
         return 1
@@ -187,7 +174,7 @@ def a_coeff(
     hit = ctx.memo.get(key)
     if hit is not None:
         return hit
-    value = _transversal_bins(ctx, n_, t, ctx._trunc(m)).get(m, 0)
+    value = _transversal_bins(ctx, n_, t, m[0]).get(m, 0)
     ctx.memo[key] = value
     return value
 
@@ -196,8 +183,9 @@ def i_count(m: Sequence[int], n_: Sequence[int], ctx: OmegaContext) -> int:
     """Unnormalized count behind a(M, N): subgroups of type M in the
     truncated ambient whose intersection with V has type N.
 
-    Direct sweep over all subgroups; deliberately independent of the
-    closed form used by the default a_coeff route.
+    Direct sweep over all subgroups of the ambient (Z/p^r)^(n+1), r the
+    larger of M_1 and ctx.trunc_override, with V the ctx.split kernel;
+    deliberately independent of the closed form of a_coeff.
     """
     m = validate_partition(m)
     n_ = validate_partition(n_)
@@ -214,7 +202,9 @@ def i_count(m: Sequence[int], n_: Sequence[int], ctx: OmegaContext) -> int:
     return count
 
 
-def _a_by_enumeration(m: Partition, n_: Partition, ctx: OmegaContext) -> int:
+def a_by_enumeration(m: Sequence[int], n_: Sequence[int], ctx: OmegaContext) -> int:
+    """The oracle for a_coeff: i_count divided by the number of copies
+    of N in V, checking exact divisibility."""
     raw = i_count(m, n_, ctx)
     if raw == 0:
         return 0

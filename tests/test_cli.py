@@ -241,6 +241,10 @@ _FOREIGN_OPTIONS = [
     ("acoeff", "--max-order-exp", "2"),
     ("bcoeff", "--max-order-exp", "2"),
     ("omega", "--max-order-exp", "2"),
+    # truncation depth only matters to the enumeration oracle
+    ("acoeff", "--trunc", "2"),
+    ("bcoeff", "--trunc", "2"),
+    ("omega", "--trunc", "2"),
     # the transfer has a closed form: nothing there for a budget to bound
     ("acoeff", "--budget", "5"),
     ("bcoeff", "--budget", "5"),
@@ -270,6 +274,12 @@ _KIND_FOREIGN_OPTIONS = [
     ("table c", "--trunc", "4"),
     ("verify shimura", "--split", "last"),
     ("verify shimura", "--trunc", "4"),
+    ("table a", "--trunc", "4"),
+    ("table b", "--trunc", "4"),
+    ("table omega", "--trunc", "4"),
+    ("verify hom", "--trunc", "4"),
+    ("verify tp", "--trunc", "4"),
+    ("verify inverse", "--trunc", "4"),
     ("table a", "--budget", "5"),
     ("table b", "--budget", "5"),
     ("table omega", "--budget", "5"),
@@ -453,7 +463,7 @@ def test_split_and_trunc_flags_change_nothing(capsys):
     alt = run(
         capsys,
         "acoeff", "--p", "2", "--n", "1", "--M", "[2]", "--N", "[]",
-        "--split", "last", "--trunc", "4",
+        "--split", "last",
     )
     assert base[0] == alt[0] == 0
     assert base[1] == alt[1]

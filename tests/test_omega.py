@@ -11,6 +11,7 @@ from heckealg.hecke import basis_element, multiply, t_aggregate
 from heckealg.modmat import _span_contains_rows
 from heckealg.omega import (
     OmegaContext,
+    a_by_enumeration,
     a_coeff,
     b_coeff,
     i_count,
@@ -164,7 +165,7 @@ def test_dual_routes_agree(ctx2):
     for m in partitions_up_to(3, 3):
         for n_ in partitions_up_to(order_exponent(m), 2):
             direct = a_coeff(m, n_, ctx2)
-            counted = a_coeff(m, n_, ctx2, method="enumeration")
+            counted = a_by_enumeration(m, n_, ctx2)
             assert direct == counted, (m, n_)
 
 
@@ -172,9 +173,9 @@ def test_dual_routes_agree_other_prime():
     ctx = OmegaContext(p=3, n=1)
     for m in partitions_up_to(3, 2):
         for n_ in partitions_up_to(order_exponent(m), 1):
-            assert a_coeff(m, n_, ctx) == a_coeff(m, n_, ctx, method="enumeration")
+            assert a_coeff(m, n_, ctx) == a_by_enumeration(m, n_, ctx)
     # G((3,1)/(2)) = p - 1: its two end columns share one division by p - 1
-    assert a_coeff((3, 1), (2,), ctx) == 2 == a_coeff((3, 1), (2,), ctx, method="enumeration")
+    assert a_coeff((3, 1), (2,), ctx) == 2 == a_by_enumeration((3, 1), (2,), ctx)
 
 
 def test_i_count_is_m_count_times_a(ctx1):
@@ -195,7 +196,7 @@ def test_split_choice_does_not_matter():
             for n_ in partitions_up_to(order_exponent(m), n):
                 value = a_coeff(m, n_, first)
                 assert value == a_coeff(m, n_, last)
-                assert value == a_coeff(m, n_, last, method="enumeration"), (m, n_)
+                assert value == a_by_enumeration(m, n_, last), (m, n_)
 
 
 def test_truncation_depth_does_not_matter():
@@ -205,7 +206,22 @@ def test_truncation_depth_does_not_matter():
         for n_ in partitions_up_to(order_exponent(m), 2):
             value = a_coeff(m, n_, base)
             assert value == a_coeff(m, n_, deeper)
-            assert value == a_coeff(m, n_, deeper, method="enumeration"), (m, n_)
+            assert value == a_by_enumeration(m, n_, deeper), (m, n_)
+
+
+def test_closed_form_ignores_truncation(monkeypatch):
+    # the bin is built at r = M_1 whatever the oracle's ambient depth
+    depths = []
+    real = omega_module._transversal_bins
+
+    def recording(ctx, n_, t, r):
+        depths.append(r)
+        return real(ctx, n_, t, r)
+
+    monkeypatch.setattr(omega_module, "_transversal_bins", recording)
+    m = (3, 1)
+    assert a_coeff(m, (2,), OmegaContext(p=3, n=1, trunc_override=m[0] + 2)) == 2
+    assert depths == [m[0]]
 
 
 def test_omega_images(ctx1):
