@@ -433,6 +433,7 @@ def _suite_shimura(args, memo, checks) -> None:
 def _suite_oracle(args, memo, checks) -> None:
     p = args.p
     budget = args.budget
+    octx = _omega_ctx(args, memo)  # rejects a bad --trunc before any enumeration
 
     def total(n: int, r: int) -> int:
         amb = Ambient(p, n, r)
@@ -470,7 +471,6 @@ def _suite_oracle(args, memo, checks) -> None:
                     f"search {found}, containment {predicted}",
                 )
             )
-    octx = _omega_ctx(args, memo)
     for m in partitions_up_to(maxoe, args.n + 1):
         for n_ in partitions_up_to(order_exponent(m), args.n):
             va = a_coeff(m, n_, octx)

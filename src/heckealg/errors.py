@@ -13,14 +13,16 @@ class BudgetExceededError(HeckeError):
     """An enumeration would exceed its candidate budget.
 
     Raised up front, before any partial work, so callers never see a
-    silently truncated count.
+    silently truncated count.  needed is a lower bound: counting stops
+    once it passes the budget.
     """
 
     def __init__(self, needed: int, budget: int):
         self.needed = needed
         self.budget = budget
         super().__init__(
-            f"enumeration of subgroup bases needs {needed} candidates, budget is {budget}"
+            f"enumeration of subgroup bases needs at least {needed} candidates, "
+            f"budget is {budget}"
         )
 
 

@@ -285,7 +285,7 @@ def _hall_table(
         floors = tuple(lam[0] - part for part in lam)
         # the column floors put every s inside copy: no containment check
         for s in enumerate_subgroups(amb, col_val_min=floors, budget=ctx.budget):
-            q = _quotient_type_rows(copy.basis.rows, s.basis.rows, amb.p, amb.r, amb.n)
+            q = _quotient_type_rows(copy.rows, s.rows, amb.p, amb.r, amb.n)
             key = (type_of(s), q)
             table[key] = table.get(key, 0) + 1
     ctx._hall[lam] = table

@@ -9,8 +9,9 @@ deduplicate pass ever happens, and each subgroup appears exactly once, in
 a deterministic order.
 
 Budgets are enforced up front: the number of candidate fillings is a pure
-function of the ambient and the filters, computed before any work starts,
-and a BudgetExceededError names the bound when it would be exceeded.
+function of the ambient and the filters.  It is summed while the pivot
+structures are listed, and a BudgetExceededError names the bound as soon
+as the running sum passes it, before any filling is tried.
 """
 
 from __future__ import annotations
@@ -21,13 +22,7 @@ from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 from .errors import BudgetExceededError
-from .modmat import (
-    ModMatrix,
-    _howell_rows,
-    _span_contains_rows,
-    _span_order_exp,
-    howell_form,
-)
+from .modmat import _howell_rows, _span_contains_rows, _span_order_exp
 from .partitions import (
     Partition,
     order_exponent,
@@ -90,36 +85,45 @@ class Ambient:
 
 @dataclass(frozen=True)
 class SubgroupRep:
-    """A subgroup of an ambient, held as its canonical Howell basis.
+    """A subgroup of an ambient, held as its canonical Howell rows.
 
-    Equal subgroups compare equal structurally because the basis is
-    canonical; never construct one from a non-canonical matrix directly,
-    use :func:`subgroup_from_rows`.
+    rows are tuples of length ambient.n with entries in [0, p^r), in the
+    Howell form of :mod:`heckealg.modmat`.  Equal subgroups compare equal
+    structurally because the rows are canonical; the constructor checks
+    nothing, so build one from arbitrary generators with
+    :func:`subgroup_from_rows`.
     """
 
     ambient: Ambient
-    basis: ModMatrix
+    rows: tuple[tuple[int, ...], ...]
 
     @property
     def order_exp(self) -> int:
         """d with |subgroup| = p^d."""
-        return _span_order_exp(self.basis.rows, self.ambient.p, self.ambient.r)
+        return _span_order_exp(self.rows, self.ambient.p, self.ambient.r)
 
     def contains(self, other: "SubgroupRep") -> bool:
         _require_same_ambient(self, other)
-        # the basis is already canonical, so membership needs no Howell pass
+        # the rows are already canonical, so membership needs no Howell pass
         p, r = self.ambient.p, self.ambient.r
-        return all(
-            _span_contains_rows(self.basis.rows, row, p, r) for row in other.basis.rows
-        )
+        return all(_span_contains_rows(self.rows, row, p, r) for row in other.rows)
 
 
 def subgroup_from_rows(
     ambient: Ambient, rows: Sequence[Sequence[int]]
 ) -> SubgroupRep:
-    """Subgroup spanned by arbitrary generating rows."""
-    mat = ModMatrix.from_rows(ambient.p, ambient.r, ambient.n, rows)
-    return SubgroupRep(ambient, howell_form(mat))
+    """Subgroup spanned by arbitrary generating rows of length ambient.n.
+
+    Entries may be any integers; they are reduced mod p^r.
+    """
+    p, r, n = ambient.p, ambient.r, ambient.n
+    pr = p**r
+    reduced = []
+    for row in rows:
+        if len(row) != n:
+            raise ValueError(f"row length {len(row)} does not match ambient rank {n}")
+        reduced.append(tuple(x % pr for x in row))
+    return SubgroupRep(ambient, _howell_rows(reduced, p, r, n))
 
 
 def _require_same_ambient(a: SubgroupRep, b: SubgroupRep) -> None:
@@ -199,12 +203,14 @@ def enumerate_subgroups(
         row_filter: membership predicate applied to every basis row; use
             only predicates of the form "row lies in a fixed subgroup",
             so that keeping a subgroup iff all rows pass is sound.
-        budget: candidate-filling cap (default DEFAULT_BUDGET).  The cost
-            is computed up front; exceeding it raises BudgetExceededError
-            before any subgroup is yielded.
+        budget: candidate-filling cap (default DEFAULT_BUDGET).  The
+            candidates of each pivot structure are counted as the
+            structures are listed, and BudgetExceededError is raised as
+            soon as the running total passes the cap, before any subgroup
+            is yielded.  Its ``needed`` is then a lower bound.
 
     Yields:
-        SubgroupRep values whose bases are already canonical.
+        SubgroupRep values whose rows are already canonical.
     """
     p, n, r = ambient.p, ambient.n, ambient.r
     pr = p**r
@@ -216,18 +222,19 @@ def enumerate_subgroups(
     if any(f < 0 or f > r for f in floors):
         raise ValueError(f"column valuation floors must lie in [0, {r}]")
 
-    structures = list(_pivot_structures(n, r, floors, order_exp))
-    needed = sum(
-        _structure_candidate_count(n, r, p, floors, cols, es)
-        for cols, es in structures
-    )
-    if needed > budget:
-        raise BudgetExceededError(needed, budget)
+    # each structure has at least one candidate, so the list stays within the budget
+    structures = []
+    needed = 0
+    for cols, es in _pivot_structures(n, r, floors, order_exp):
+        needed += _structure_candidate_count(n, r, p, floors, cols, es)
+        if needed > budget:
+            raise BudgetExceededError(needed, budget)
+        structures.append((cols, es))
 
     for cols, es in structures:
         k = len(cols)
         if k == 0:
-            yield SubgroupRep(ambient, ModMatrix(p, r, n, ()))
+            yield SubgroupRep(ambient, ())
             continue
         value_lists = [
             _row_value_lists(n, r, p, floors, cols, es, i) for i in range(k)
@@ -260,7 +267,7 @@ def enumerate_subgroups(
                     yield from fill(i - 1, stacked)
 
         for rows in fill(k - 1, ()):
-            yield SubgroupRep(ambient, ModMatrix(p, r, n, rows))
+            yield SubgroupRep(ambient, rows)
 
 
 # --- isomorphism types -----------------------------------------------------
@@ -301,7 +308,7 @@ def _type_of_rows(
 
 def type_of(s: SubgroupRep) -> Partition:
     """Isomorphism type of the subgroup, as a partition."""
-    return _type_of_rows(s.basis.rows, s.ambient.p, s.ambient.r, s.ambient.n)
+    return _type_of_rows(s.rows, s.ambient.p, s.ambient.r, s.ambient.n)
 
 
 def intersect(a: SubgroupRep, b: SubgroupRep) -> SubgroupRep:
@@ -315,10 +322,10 @@ def intersect(a: SubgroupRep, b: SubgroupRep) -> SubgroupRep:
     amb = a.ambient
     p, r, n = amb.p, amb.r, amb.n
     pr = p**r
-    arows = a.basis.rows
-    brows = b.basis.rows
+    arows = a.rows
+    brows = b.rows
     if not arows or not brows:
-        return SubgroupRep(amb, ModMatrix(p, r, n, ()))
+        return SubgroupRep(amb, ())
     na, nb = len(arows), len(brows)
     width = n + na + nb
     aug = []
@@ -343,7 +350,7 @@ def intersect(a: SubgroupRep, b: SubgroupRep) -> SubgroupRep:
                     w[j] = (w[j] + coef * arow[j]) % pr
         if any(w):
             gens.append(tuple(w))
-    return SubgroupRep(amb, ModMatrix(p, r, n, _howell_rows(gens, p, r, n)))
+    return SubgroupRep(amb, _howell_rows(gens, p, r, n))
 
 
 def quotient_type(l: SubgroupRep, m: SubgroupRep) -> Partition:
@@ -352,7 +359,7 @@ def quotient_type(l: SubgroupRep, m: SubgroupRep) -> Partition:
     if not l.contains(m):
         raise ValueError("quotient undefined: second argument is not a subgroup of the first")
     amb = l.ambient
-    return _quotient_type_rows(l.basis.rows, m.basis.rows, amb.p, amb.r, amb.n)
+    return _quotient_type_rows(l.rows, m.rows, amb.p, amb.r, amb.n)
 
 
 # --- counting --------------------------------------------------------------
@@ -419,4 +426,4 @@ def standard_split(ambient: Ambient, split: str = "first") -> SubgroupRep:
         row = [0] * ambient.n
         row[i] = 1
         rows.append(tuple(row))
-    return SubgroupRep(ambient, ModMatrix(ambient.p, ambient.r, ambient.n, tuple(rows)))
+    return SubgroupRep(ambient, tuple(rows))

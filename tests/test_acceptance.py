@@ -97,7 +97,7 @@ def test_criterion_03_fiber_counts():
             for r in range(0, 3):
                 amb = Ambient(2, n + 1, max(r, 1))
                 v = standard_split(amb, "first")
-                vrows = v.basis.rows
+                vrows = v.rows
 
                 def inside(row, vrows=vrows, rr=amb.r):
                     return _span_contains_rows(vrows, row, 2, rr)

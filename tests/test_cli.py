@@ -201,6 +201,29 @@ def test_budget_overrun_in_sweeps(capsys, argv):
     assert "budget" in err
 
 
+def test_budget_trips_before_the_pivot_structures_are_listed(capsys):
+    # (Z/2^10)^6 has 11^6 pivot structures; the budget stops the listing early
+    code, _, err = run(
+        capsys, "count-subgroups", "--p", "2", "--n", "6", "--trunc", "10",
+        "--budget", "10",
+    )
+    assert code == 3
+    assert "needs at least" in err and "budget is 10" in err
+
+
+def test_oracle_rejects_bad_trunc_before_enumerating(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated before --trunc was checked")
+
+    monkeypatch.setattr("heckealg.cli.enumerate_subgroups", refuse)
+    code, _, err = run(
+        capsys, "verify", "oracle", "--p", "2", "--n", "2", "--max-order-exp", "3",
+        "--trunc", "0",
+    )
+    assert code == 2
+    assert "truncation" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -388,7 +388,7 @@ def test_j_count_fibers():
         for r in range(0, 3):
             amb = Ambient(2, n + 1, max(r, 1))
             v = standard_split(amb, "first")
-            vrows = v.basis.rows
+            vrows = v.rows
             inside = lambda row: _span_contains_rows(vrows, row, 2, amb.r)
             for s in range(0, r + 1):
                 for nrep in enumerate_subgroups(amb, order_exp=s, row_filter=inside):

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from heckealg.errors import BudgetExceededError
-from heckealg.modmat import _span_contains_rows, howell_form
+from heckealg.modmat import _howell_rows, _span_contains_rows
 from heckealg.partitions import order_exponent, partitions_up_to
 from heckealg.subgroups import (
     Ambient,
@@ -23,14 +23,14 @@ from heckealg.subgroups import (
 
 
 def elements_of(rep):
-    """All points of the subgroup, by closing the basis rows."""
+    """All points of the subgroup, by closing its rows."""
     p, r, width = rep.ambient.p, rep.ambient.r, rep.ambient.n
     pr = p**r
     points = {(0,) * width}
     frontier = [(0,) * width]
     while frontier:
         base = frontier.pop()
-        for row in rep.basis.rows:
+        for row in rep.rows:
             nxt = tuple((a + b) % pr for a, b in zip(base, row))
             if nxt not in points:
                 points.add(nxt)
@@ -65,9 +65,10 @@ def test_z4_squared_census():
     reps = list(enumerate_subgroups(Ambient(2, 2, 2)))
     assert len(reps) == 15
     # canonical bases, no duplicates
-    assert len({rep.basis for rep in reps}) == 15
+    assert len({rep.rows for rep in reps}) == 15
     for rep in reps:
-        assert howell_form(rep.basis) == rep.basis
+        assert _howell_rows(rep.rows, 2, 2, 2) == rep.rows
+        assert all(len(row) == 2 and all(0 <= x < 4 for x in row) for row in rep.rows)
     histogram = {}
     for rep in reps:
         t = type_of(rep)
@@ -83,8 +84,8 @@ def test_z4_squared_census():
 
 
 def test_enumeration_is_deterministic():
-    first = [rep.basis.rows for rep in enumerate_subgroups(Ambient(2, 2, 2))]
-    second = [rep.basis.rows for rep in enumerate_subgroups(Ambient(2, 2, 2))]
+    first = [rep.rows for rep in enumerate_subgroups(Ambient(2, 2, 2))]
+    second = [rep.rows for rep in enumerate_subgroups(Ambient(2, 2, 2))]
     assert first == second
 
 
@@ -92,9 +93,9 @@ def test_order_filter_matches_full_sweep():
     amb = Ambient(3, 2, 2)
     by_order = {}
     for rep in enumerate_subgroups(amb):
-        by_order.setdefault(rep.order_exp, set()).add(rep.basis.rows)
+        by_order.setdefault(rep.order_exp, set()).add(rep.rows)
     for d, expected in by_order.items():
-        got = {rep.basis.rows for rep in enumerate_subgroups(amb, order_exp=d)}
+        got = {rep.rows for rep in enumerate_subgroups(amb, order_exp=d)}
         assert got == expected
 
 
@@ -148,6 +149,18 @@ def test_intersect_matches_element_sets():
     for a, b in itertools.product(reps, repeat=2):
         got = intersect(a, b)
         assert elements_of(got) == elements_of(a) & elements_of(b)
+
+
+def test_subgroup_from_rows_rejects_a_short_row():
+    with pytest.raises(ValueError):
+        subgroup_from_rows(Ambient(2, 3, 2), [(1, 0, 0), (0, 1)])
+
+
+def test_subgroup_from_rows_reduces_entries():
+    amb = Ambient(3, 2, 2)
+    residues = subgroup_from_rows(amb, [(1, 3), (0, 6)])
+    assert subgroup_from_rows(amb, [(10, -6), (-9, 15)]) == residues
+    assert subgroup_from_rows(amb, [(-8, 12), (9, -3)]) == residues
 
 
 def test_quotient_type_examples():
@@ -210,7 +223,7 @@ def test_quotient_exponent_is_additive():
 def test_row_filter_restricts_to_overgroup():
     amb = Ambient(2, 2, 2)
     host = subgroup_from_rows(amb, [(1, 0), (0, 2)])
-    rows = host.basis.rows
+    rows = host.rows
     inside = lambda row: _span_contains_rows(rows, row, 2, 2)
     got = list(enumerate_subgroups(amb, row_filter=inside))
     assert len(got) == sum(
@@ -227,8 +240,8 @@ def test_standard_split_shapes():
     last = standard_split(amb, "last")
     assert type_of(first) == (2, 2)
     assert type_of(last) == (2, 2)
-    assert first.basis.rows == ((1, 0, 0), (0, 1, 0))
-    assert last.basis.rows == ((0, 1, 0), (0, 0, 1))
+    assert first.rows == ((1, 0, 0), (0, 1, 0))
+    assert last.rows == ((0, 1, 0), (0, 0, 1))
     with pytest.raises(ValueError):
         standard_split(amb, "middle")
 
@@ -247,6 +260,18 @@ def test_budget_is_checked_before_allocating_value_lists():
     try:
         with pytest.raises(BudgetExceededError):
             list(enumerate_subgroups(Ambient(1009, 2, 2), budget=1000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_budget_is_checked_while_listing_pivot_structures():
+    # (Z/2^8)^5 has 9^5 pivot structures; none may be listed past the budget
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            list(enumerate_subgroups(Ambient(2, 5, 8), budget=10))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
