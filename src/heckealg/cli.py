@@ -66,6 +66,7 @@ from .errors import BudgetExceededError, VerificationError
 from .hecke import (
     HeckeContext,
     HeckeElement,
+    c_by_enumeration,
     c_coeff,
     decompose_in_generators,
     eval_generator_poly,
@@ -487,7 +488,7 @@ def _suite_oracle(args, memo, checks) -> None:
     # Pieri product, "normalized count" the Hall table
     for m, n_, l in _c_cells(args):
         vc = c_coeff(m, n_, l, hctx)
-        vv = c_coeff(m, n_, l, hctx, verify=True)
+        vv = c_by_enumeration(m, n_, l, hctx)
         checks.append(
             (
                 f"c-route M={format_partition(m)} "

@@ -23,8 +23,8 @@ c(M, N; L) is the coefficient of L in the product of M and N.
 
 The one oracle for products and structure constants is the Hall table
 of L, one sweep over the subgroups of a fixed group of type L that
-counts them by type and quotient type; c_coeff(..., verify=True) reads
-c off it.
+counts them by type and quotient type; c_by_enumeration reads c off
+it.
 
 >>> ctx = HeckeContext(p=2, n=2)
 >>> print(multiply(basis_element((1,), ctx), basis_element((1,), ctx), ctx))
@@ -71,6 +71,7 @@ __all__ = [
     "identity",
     "t_aggregate",
     "c_coeff",
+    "c_by_enumeration",
     "multiply",
     "decompose_in_generators",
     "eval_generator_poly",
@@ -292,34 +293,32 @@ def _hall_table(
     return table
 
 
+def _c_classes(
+    m: Sequence[int], n_: Sequence[int], l: Sequence[int], ctx: HeckeContext
+) -> tuple[Partition, Partition, Partition] | None:
+    """(M, N, L) validated; None when a p-rank exceeds ctx.n or orders do not add up."""
+    m, n_, l = validate_partition(m), validate_partition(n_), validate_partition(l)
+    if max(p_rank(m), p_rank(n_), p_rank(l)) > ctx.n:
+        return None
+    if order_exponent(m) + order_exponent(n_) != order_exponent(l):
+        return None
+    return m, n_, l
+
+
 def c_coeff(
-    m: Sequence[int],
-    n_: Sequence[int],
-    l: Sequence[int],
-    ctx: HeckeContext,
-    *,
-    verify: bool = False,
+    m: Sequence[int], n_: Sequence[int], l: Sequence[int], ctx: HeckeContext
 ) -> int:
     """Structure constant c(M, N; L) of the rank-ctx.n algebra.
 
     Zero unless all three classes have p-rank at most ctx.n and the order
     exponents add up.  Otherwise it is the coefficient of L in the
     product of M and N (see multiply), which enumerates nothing and is
-    computed once per context for every L.  With
-    verify=True it is read off the Hall table of L instead, the one
-    sweep over the subgroups of a fixed group of type L; that value is
-    not memoised.
+    computed once per context for every L.
     """
-    m = validate_partition(m)
-    n_ = validate_partition(n_)
-    l = validate_partition(l)
-    rank = ctx.n
-    if p_rank(m) > rank or p_rank(n_) > rank or p_rank(l) > rank:
+    classes = _c_classes(m, n_, l, ctx)
+    if classes is None:
         return 0
-    if order_exponent(m) + order_exponent(n_) != order_exponent(l):
-        return 0
-    if verify:
-        return _hall_table(l, ctx).get((m, n_), 0)
+    m, n_, l = classes
     key = coeff_key("c", ctx.p, ctx.n, M=m, N=n_, L=l)
     hit = ctx.memo.get(key)
     if hit is not None:
@@ -331,6 +330,17 @@ def c_coeff(
     value = product.terms.get(l, 0)
     ctx.memo[key] = value
     return value
+
+
+def c_by_enumeration(
+    m: Sequence[int], n_: Sequence[int], l: Sequence[int], ctx: HeckeContext
+) -> int:
+    """The oracle for c_coeff: c(M, N; L) read off the Hall table of L, not memoised.
+
+    The table is one sweep over the subgroups of a fixed group of type L.
+    """
+    classes = _c_classes(m, n_, l, ctx)
+    return 0 if classes is None else _hall_table(classes[2], ctx).get(classes[:2], 0)
 
 
 # --- products ---------------------------------------------------------------
@@ -405,8 +415,8 @@ def multiply(x: HeckeElement, y: HeckeElement, ctx: HeckeContext) -> HeckeElemen
 
     y is written in the generators (decompose_in_generators), and each of
     its T-monomials is applied to x by repeated elementary Pieri steps, so
-    no subgroup is enumerated.  The Hall tables, which c_coeff reads with
-    verify=True, are the independent oracle for the result.
+    no subgroup is enumerated.  The Hall tables, which c_by_enumeration
+    reads, are the independent oracle for the result.
     """
     x._check_compatible(y)
     if x.p != ctx.p or x.n != ctx.n:

@@ -1,15 +1,16 @@
 """Subgroup enumeration in truncated lattices (Z/p^r)^n.
 
 Each subgroup of (Z/p^r)^n has exactly one basis in Howell canonical
-form, so subgroups are enumerated by generating canonical bases directly:
-choose pivot columns and pivot valuations, fill the remaining entries in
-their reduced ranges, and keep a filling only when every row satisfies
-the Howell closure condition against the rows below it.  No generate-and-
-deduplicate pass ever happens, and each subgroup appears exactly once, in
-a deterministic order.
+form, so subgroups are enumerated by generating canonical bases directly.
+Only the pivot structures (pivot columns and valuations) of the requested
+order are generated.  Each row gets its whole-row choices: 0 left of the
+pivot, the pivot, the reduced ranges after it.  A filling is kept only
+when every row satisfies the Howell closure condition against the rows
+below it.  No generate-and-deduplicate pass ever happens, and each
+subgroup appears exactly once, in a deterministic order.
 
-Budgets are enforced up front: the number of candidate fillings is a pure
-function of the ambient and the filters.  It is summed while the pivot
+Budgets are enforced up front: the number of candidate fillings is the
+product of the lengths of the choices.  It is summed while the pivot
 structures are listed, and a BudgetExceededError names the bound as soon
 as the running sum passes it, before any filling is tried.
 """
@@ -17,9 +18,10 @@ as the running sum passes it, before any filling is tried.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError
 from .modmat import _howell_rows, _span_contains_rows, _span_order_exp
@@ -49,20 +51,25 @@ DEFAULT_BUDGET = 10**6
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# psi_12 (Sorenson and Webster, 2015): the least odd composite that passes
+# the strong-probable-prime test to every base in _SMALL_PRIMES
+_PSI_12 = 318665857834031151167461
+
 
 def is_prime(p: int) -> bool:
+    """Miller-Rabin to the bases _SMALL_PRIMES: exact below _PSI_12, else ValueError."""
     if p < 2:
         return False
-    for q in _SMALL_PRIMES:
-        if p == q:
-            return True
-        if p % q == 0:
+    if p >= _PSI_12:
+        raise ValueError(f"primality is decided only below {_PSI_12}, got {p}")
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    d = (p - 1) >> s
+    for a in _SMALL_PRIMES:
+        if p % a == 0:
+            return p == a
+        x = pow(a, d, p)
+        if x != 1 and all(pow(x, 2**j, p) != p - 1 for j in range(s)):
             return False
-    d = 41
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
     return True
 
 
@@ -134,54 +141,22 @@ def _require_same_ambient(a: SubgroupRep, b: SubgroupRep) -> None:
 # --- enumeration -----------------------------------------------------------
 
 
-def _pivot_structures(
-    n: int, r: int, floors: tuple[int, ...], order_exp: int | None
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All (pivot columns, pivot valuations) pairs, in a fixed order."""
-    for k in range(n + 1):
-        for cols in itertools.combinations(range(n), k):
-            ranges = [range(floors[j], r) for j in cols]
-            for es in itertools.product(*ranges):
-                if order_exp is not None and sum(r - e for e in es) != order_exp:
-                    continue
-                yield cols, es
+def _valuations(lows: tuple[int, ...], r: int, need: int | None) -> Iterator[tuple]:
+    """Valuations e_i in [lows[i], r), lexicographically, with sum(r - e_i) == need.
 
-
-def _row_value_lists(
-    n: int,
-    r: int,
-    p: int,
-    floors: tuple[int, ...],
-    cols: tuple[int, ...],
-    es: tuple[int, ...],
-    i: int,
-) -> list[tuple[int, range]]:
-    """(column, allowed values) pairs for the open entries of row i."""
-    lower_pivots = {cols[i2]: es[i2] for i2 in range(i + 1, len(cols))}
-    out = []
-    for j in range(cols[i] + 1, n):
-        step = p ** floors[j]
-        if j in lower_pivots:
-            top = p ** lower_pivots[j]  # entries above a pivot p^e reduced mod p^e
-        else:
-            top = p**r
-        out.append((j, range(0, top, step)))  # top >= 1, so never empty
-    return out
-
-
-def _structure_candidate_count(
-    n: int,
-    r: int,
-    p: int,
-    floors: tuple[int, ...],
-    cols: tuple[int, ...],
-    es: tuple[int, ...],
-) -> int:
-    total = 1
-    for i in range(len(cols)):
-        for _, values in _row_value_lists(n, r, p, floors, cols, es, i):
-            total *= len(values)
-    return total
+    need None yields them all.  A prefix is cut once the remaining columns,
+    each adding 1 to r - lows[i], cannot complete it.
+    """
+    if not lows:
+        if not need:
+            yield ()
+        return
+    rest = lows[1:]
+    room = sum(r - low for low in rest)
+    for e in range(lows[0], r):
+        left = None if need is None else need - (r - e)
+        if left is None or len(rest) <= left <= room:
+            yield from ((e,) + tail for tail in _valuations(rest, r, left))
 
 
 def enumerate_subgroups(
@@ -189,10 +164,13 @@ def enumerate_subgroups(
     *,
     order_exp: int | None = None,
     col_val_min: Sequence[int] | None = None,
-    row_filter: Callable[[tuple[int, ...]], bool] | None = None,
     budget: int | None = None,
 ) -> Iterator[SubgroupRep]:
     """Yield every subgroup of the ambient exactly once.
+
+    Only the pivot structures of order p^order_exp are generated.  The
+    whole-row choices of each are built once: they price it for the
+    budget, and their product fills it.
 
     Args:
         ambient: the lattice (Z/p^r)^n.
@@ -200,9 +178,6 @@ def enumerate_subgroups(
         col_val_min: per-column minimum p-valuations; restricts the sweep
             to subgroups of the diagonal subgroup with entries at column j
             divisible by p^col_val_min[j].
-        row_filter: membership predicate applied to every basis row; use
-            only predicates of the form "row lies in a fixed subgroup",
-            so that keeping a subgroup iff all rows pass is sound.
         budget: candidate-filling cap (default DEFAULT_BUDGET).  The
             candidates of each pivot structure are counted as the
             structures are listed, and BudgetExceededError is raised as
@@ -225,48 +200,39 @@ def enumerate_subgroups(
     # each structure has at least one candidate, so the list stays within the budget
     structures = []
     needed = 0
-    for cols, es in _pivot_structures(n, r, floors, order_exp):
-        needed += _structure_candidate_count(n, r, p, floors, cols, es)
-        if needed > budget:
-            raise BudgetExceededError(needed, budget)
-        structures.append((cols, es))
+    for k in range(n + 1):
+        for cols in itertools.combinations(range(n), k):
+            for es in _valuations(tuple(floors[j] for j in cols), r, order_exp):
+                top = dict(zip(cols, es))  # entries above a pivot p^e lie in [0, p^e)
+                choices = [
+                    ((0,),) * c
+                    + ((p**e,),)
+                    + tuple(
+                        range(0, p ** top.get(j, r), p ** floors[j])
+                        for j in range(c + 1, n)
+                    )
+                    for c, e in zip(cols, es)
+                ]
+                needed += math.prod(len(v) for row in choices for v in row)
+                if needed > budget:
+                    raise BudgetExceededError(needed, budget)
+                structures.append((es, choices))
 
-    for cols, es in structures:
-        k = len(cols)
-        if k == 0:
-            yield SubgroupRep(ambient, ())
-            continue
-        value_lists = [
-            _row_value_lists(n, r, p, floors, cols, es, i) for i in range(k)
-        ]
-
-        def fill(i: int, below: tuple[tuple[int, ...], ...]) -> Iterator[
-            tuple[tuple[int, ...], ...]
-        ]:
-            # rows are generated bottom-up so each closure check only
-            # needs the (already canonical) rows below
-            pe = p ** es[i]
-            base = [0] * n
-            base[cols[i]] = pe
-            open_cols = value_lists[i]
-            for combo in itertools.product(*(vals for _, vals in open_cols)):
-                row = list(base)
-                for (j, _), v in zip(open_cols, combo):
-                    row[j] = v
-                trow = tuple(row)
-                if row_filter is not None and not row_filter(trow):
+    def fill(es: tuple, choices: list, i: int, below: tuple) -> Iterator[tuple]:
+        # rows are generated bottom-up so each closure check only
+        # needs the (already canonical) rows below
+        if i < 0:
+            yield below
+            return
+        for row in itertools.product(*choices[i]):
+            if es[i]:
+                shadow = tuple(p ** (r - es[i]) * x % pr for x in row)
+                if any(shadow) and not _span_contains_rows(below, shadow, p, r):
                     continue
-                if es[i]:
-                    shadow = tuple(p ** (r - es[i]) * x % pr for x in trow)
-                    if any(shadow) and not _span_contains_rows(below, shadow, p, r):
-                        continue
-                stacked = (trow,) + below
-                if i == 0:
-                    yield stacked
-                else:
-                    yield from fill(i - 1, stacked)
+            yield from fill(es, choices, i - 1, (row,) + below)
 
-        for rows in fill(k - 1, ()):
+    for es, choices in structures:
+        for rows in fill(es, choices, len(choices) - 1, ()):
             yield SubgroupRep(ambient, rows)
 
 

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -177,6 +178,22 @@ def test_nonprime_exit_code(capsys):
     )
     assert code == 2
     assert "prime" in err
+
+
+def test_a_large_prime_is_decided_at_once(capsys):
+    # trial division up to sqrt(p) took about 30 s for this p
+    t0 = time.process_time()
+    code, out, _ = run(capsys, "mul", "--p", "1000000000000000003", "--n", "1", "1*[1]", "1*[1]")
+    assert (code, out) == (0, "1*[2]\n")
+    assert time.process_time() - t0 < 1
+
+
+def test_a_prime_past_the_primality_limit_is_a_usage_error(capsys):
+    code, out, err = run(
+        capsys, "mul", "--p", "318665857834031151167463", "--n", "1", "1*[1]", "1*[1]"
+    )
+    assert (code, out) == (2, "")
+    assert "318665857834031151167461" in err
 
 
 def test_budget_exit_code(capsys):

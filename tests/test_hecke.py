@@ -16,6 +16,7 @@ from heckealg.hecke import (
     _leading_monomial,
     _pieri_row,
     basis_element,
+    c_by_enumeration,
     c_coeff,
     decompose_in_generators,
     eval_generator_poly,
@@ -121,8 +122,8 @@ def test_product_is_associative(ctx22):
     "p,n,d", [(2, 2, 6), (3, 2, 6), (2, 3, 6), (3, 3, 5), (5, 2, 4), (2, 4, 5)]
 )
 def test_products_match_the_hall_table(p, n, d):
-    # multiply takes the Pieri rule; the Hall table, read by c_coeff with
-    # verify=True, is its oracle
+    # multiply takes the Pieri rule; the Hall table, read by
+    # c_by_enumeration, is its oracle
     ctx = HeckeContext(p=p, n=n)
     classes = list(partitions_up_to(d, n))
     for m, n_ in itertools.product(classes, repeat=2):
@@ -131,7 +132,7 @@ def test_products_match_the_hall_table(p, n, d):
             continue
         want = {}
         for l in partitions_of_exponent(e, n):
-            c = c_coeff(m, n_, l, ctx, verify=True)
+            c = c_by_enumeration(m, n_, l, ctx)
             if c:
                 want[l] = c
         got = multiply(basis_element(m, ctx), basis_element(n_, ctx), ctx)
@@ -172,11 +173,15 @@ def test_hall_doctests():
     assert doctest.testmod(hall).failed == 0
 
 
-def test_c_guards(ctx22):
-    assert c_coeff((1, 1, 1), (1,), (1, 1), ctx22) == 0  # rank too high
-    assert c_coeff((1,), (1,), (1, 1, 1), ctx22) == 0
-    assert c_coeff((1,), (1,), (3,), ctx22) == 0  # orders do not add up
-    assert c_coeff((), (), (), ctx22) == 1
+def test_c_guards():
+    # both routes share the guards, so the oracle answers them without a sweep
+    ctx = HeckeContext(p=2, n=2)
+    for route in (c_coeff, c_by_enumeration):
+        assert route((1, 1, 1), (1,), (1, 1), ctx) == 0  # rank too high
+        assert route((1,), (1,), (1, 1, 1), ctx) == 0
+        assert route((1,), (1,), (3,), ctx) == 0  # orders do not add up
+        assert route((), (), (), ctx) == 1
+    assert list(ctx._hall) == [()]  # the trivial class, which enumerates nothing
 
 
 def test_c_verification_mode_agrees(ctx22):
@@ -185,8 +190,8 @@ def test_c_verification_mode_agrees(ctx22):
         for dm in range(d + 1):
             for m in partitions_of_exponent(dm, 2):
                 for n_ in partitions_of_exponent(d - dm, 2):
-                    assert c_coeff(m, n_, l, ctx22) == c_coeff(
-                        m, n_, l, ctx22, verify=True
+                    assert c_coeff(m, n_, l, ctx22) == c_by_enumeration(
+                        m, n_, l, ctx22
                     )
 
 
@@ -197,7 +202,7 @@ def test_c_verification_mode_other_prime():
         for dm in range(d + 1):
             for m in partitions_of_exponent(dm, 2):
                 for n_ in partitions_of_exponent(d - dm, 2):
-                    assert c_coeff(m, n_, l, ctx) == c_coeff(m, n_, l, ctx, verify=True)
+                    assert c_coeff(m, n_, l, ctx) == c_by_enumeration(m, n_, l, ctx)
 
 
 def test_c_of_elementary_classes_counts_subspaces():

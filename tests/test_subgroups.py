@@ -2,20 +2,24 @@
 
 import itertools
 import math
+import time
 import tracemalloc
 
 import pytest
 
 from heckealg.errors import BudgetExceededError
-from heckealg.modmat import _howell_rows, _span_contains_rows
+from heckealg.modmat import _howell_rows
 from heckealg.partitions import order_exponent, partitions_up_to
 from heckealg.subgroups import (
+    _PSI_12,
     Ambient,
+    _valuations,
     count_of_type_in_group,
     enumerate_subgroups,
     intersect,
     m_count,
     quotient_type,
+    is_prime,
     standard_split,
     subgroup_from_rows,
     type_of,
@@ -220,18 +224,52 @@ def test_quotient_exponent_is_additive():
             assert order_exponent(q) == big.order_exp - small.order_exp
 
 
-def test_row_filter_restricts_to_overgroup():
-    amb = Ambient(2, 2, 2)
-    host = subgroup_from_rows(amb, [(1, 0), (0, 2)])
-    rows = host.rows
-    inside = lambda row: _span_contains_rows(rows, row, 2, 2)
-    got = list(enumerate_subgroups(amb, row_filter=inside))
-    assert len(got) == sum(
-        1 for rep in enumerate_subgroups(amb) if host.contains(rep)
+@pytest.mark.parametrize(
+    "p,n,r,floors,count",
+    [
+        (2, 2, 2, (0, 1), 8),
+        (2, 2, 2, (1, 1), 5),
+        (2, 2, 2, (2, 2), 1),
+        (3, 2, 2, (1, 0), None),
+        (2, 3, 2, (0, 1, 2), None),
+        (2, 2, 3, (2, 0), None),
+    ],
+)
+def test_col_val_min_sweeps_the_diagonal_subgroup(p, n, r, floors, count):
+    # col_val_min=f lists the subgroups of the diagonal subgroup with
+    # pivots p^f, in the order of the full sweep
+    amb = Ambient(p, n, r)
+    host = subgroup_from_rows(
+        amb, [tuple(p**f if j == i else 0 for j in range(n)) for i, f in enumerate(floors)]
     )
-    assert len(got) == 8
-    for rep in got:
-        assert host.contains(rep)
+    got = list(enumerate_subgroups(amb, col_val_min=floors))
+    assert got == [rep for rep in enumerate_subgroups(amb) if host.contains(rep)]
+    if count is not None:
+        assert len(got) == count
+
+
+def test_valuations_match_the_filtered_product():
+    for n in range(4):
+        for lows in itertools.product(range(4), repeat=n):
+            for r in range(1, 4):
+                product = list(itertools.product(*(range(low, r) for low in lows)))
+                for need in [None] + list(range(-1, n * r + 2)):
+                    want = [
+                        es for es in product
+                        if need is None or sum(r - e for e in es) == need
+                    ]
+                    assert list(_valuations(lows, r, need)) == want, (lows, r, need)
+
+
+def test_an_order_filter_lists_only_structures_of_that_order():
+    # the whole group is the one subgroup of order p^72 in (Z/2^12)^6; the
+    # 13^6 pivot valuations of the full product are never walked
+    t0 = time.process_time()
+    got = list(enumerate_subgroups(Ambient(2, 6, 12), order_exp=72, budget=1))
+    assert time.process_time() - t0 < 0.5
+    assert [rep.rows for rep in got] == [
+        tuple(tuple(int(i == j) for j in range(6)) for i in range(6))
+    ]
 
 
 def test_standard_split_shapes():
@@ -278,6 +316,23 @@ def test_budget_is_checked_while_listing_pivot_structures():
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize(
+    "amb,kwargs,budget,needed",
+    [
+        (Ambient(2, 3, 3), {}, 1, 65),
+        (Ambient(2, 3, 3), {}, 10, 65),
+        (Ambient(2, 5, 8), {}, 10, 4294967297),
+        (Ambient(3, 3, 3), {"order_exp": 4}, 10, 6561),
+        (Ambient(2, 4, 4), {"col_val_min": (0, 1, 2, 3)}, 10, 65),
+        (Ambient(2, 4, 4), {"col_val_min": (0, 1, 2, 3)}, 1000, 1182),
+    ],
+)
+def test_budget_reports_the_running_total_that_passed_it(amb, kwargs, budget, needed):
+    with pytest.raises(BudgetExceededError) as err:
+        list(enumerate_subgroups(amb, budget=budget, **kwargs))
+    assert (err.value.needed, err.value.budget) == (needed, budget)
+
+
 def test_budget_message_names_both_numbers():
     try:
         list(enumerate_subgroups(Ambient(2, 3, 3), budget=10))
@@ -285,3 +340,28 @@ def test_budget_message_names_both_numbers():
         assert "10" in str(err) and str(err.needed) in str(err)
     else:
         pytest.fail("expected the budget to trip")
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-3, 10**5) if is_prime(n)] == [
+        n for n in range(-3, 10**5) if _trial_division(n)
+    ]
+
+
+def test_is_prime_beyond_trial_division():
+    assert not is_prime(561)  # a Carmichael number
+    assert not is_prime(3215031751)  # strong pseudoprime to the bases 2, 3, 5, 7
+    assert is_prime(10**18 + 3)
+    assert is_prime(2**61 - 1)
+
+
+def test_is_prime_refuses_the_first_pseudoprime_to_all_twelve_bases():
+    # 318665857834031151167461 is composite and passes every base
+    with pytest.raises(ValueError, match=str(_PSI_12)):
+        is_prime(318665857834031151167461)
+    with pytest.raises(ValueError):
+        Ambient(_PSI_12 + 2, 1, 1)
