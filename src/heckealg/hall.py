@@ -37,10 +37,10 @@ def _hall_cyclic(lam: Partition, mu: Partition, p: int) -> int:
     parts of lam equal to i and I the columns i where theta' = lam' - mu' has
     theta'_i = 1 and theta'_(i+1) = 0.
     """
-    cols, inner = conjugate(lam) + (0,), conjugate(mu)
-    theta = [c - (inner[i] if i < len(inner) else 0) for i, c in enumerate(cols)]
-    ends = [lam.count(i + 1) for i in range(len(theta) - 1) if theta[i : i + 2] == [1, 0]]
-    exp = _n_weight(lam) - _n_weight(mu) + 1 - sum(ends)
+    rows = list(zip(lam, mu + (0,)))
+    theta = {i for a, b in rows for i in range(b + 1, a + 1)}  # the i with theta'_i = 1
+    ends = [lam.count(i) for i in theta if i + 1 not in theta]
+    exp = sum(i * (a - b) for i, (a, b) in enumerate(rows)) + 1 - sum(ends)
     num = prod(p**m - 1 for m in ends) * p ** max(exp, 0)
     return exact_quotient(num, (p - 1) * p ** max(-exp, 0), "a Hall polynomial")
 

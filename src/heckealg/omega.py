@@ -15,9 +15,14 @@ a surjective ring homomorphism down to the rank-n algebra.
 
 The default route takes a(M, N) from a closed form (see a_coeff) built
 on Macdonald's Hall polynomials and Riedtmann's formula; it enumerates
-nothing.  The enumeration route, the oracle, sweeps all subgroups of type
-M, keeps the ones whose intersection with V has type N, and divides by
-the number of copies of N inside V, checking exact divisibility.
+nothing.  a(M, N) is zero unless M/N is a horizontal strip, so omega(M)
+walks the strips below M (partitions.strips_below), and each bin behind
+a_coeff is generated from the strips above N (partitions.horizontal_strips)
+and built once per context; neither lists partitions to filter them.
+
+The enumeration route, the oracle, sweeps all subgroups of type M, keeps
+the ones whose intersection with V has type N, and divides by the number
+of copies of N inside V, checking exact divisibility.
 
 The transfer is unitriangular: a(M, M) = 1, and every other class in
 omega(M) lies inside M, so it is smaller in the tuple order.  So the
@@ -44,11 +49,10 @@ from .partitions import (
     Partition,
     embeds,
     format_partition,
-    is_horizontal_strip,
+    horizontal_strips,
     order_exponent,
     p_rank,
-    partitions_of_exponent,
-    partitions_up_to,
+    strips_below,
     validate_partition,
 )
 from .subgroups import (
@@ -99,6 +103,10 @@ class OmegaContext:
         default_factory=dict, repr=False
     )
     _lifts: dict[Partition, HeckeElement] = field(default_factory=dict, repr=False)
+    _bins: dict[tuple[Partition, int, int], dict[Partition, int]] = field(
+        default_factory=dict, repr=False
+    )
+    _auts: dict[Partition, int] = field(default_factory=dict, repr=False)
     source: HeckeContext = field(init=False, repr=False)
     target: HeckeContext = field(init=False, repr=False)
 
@@ -119,6 +127,12 @@ class OmegaContext:
             return max(base, self.trunc_override)
         return base
 
+    def _aut(self, lam: Partition) -> int:
+        hit = self._auts.get(lam)
+        if hit is None:
+            hit = self._auts[lam] = _aut_order(lam, self.p)
+        return hit
+
 
 def _transversal_bins(
     ctx: OmegaContext, n_: Partition, t: int, r: int
@@ -128,19 +142,25 @@ def _transversal_bins(
     a(M, n_) counts the cosets v + N' of a fixed copy N' of n_ in V[p^r]
     with p^t v in N' whose span <N', (v, p^(r-t))> has type M, so the
     values must add up to all p^(sum_i min(t, r - nu_i)) such cosets, nu
-    the parts of n_ padded to n.
+    the parts of n_ padded to n.  The bin is generated from the horizontal
+    t-strips over n_ (every other M gets 0) and memoised on ctx per
+    (n_, t, r); that sum is checked once per key, before any value of the
+    bin is read.
     """
+    bins = ctx._bins.get((n_, t, r))
+    if bins is not None:
+        return bins
     p, n = ctx.p, ctx.n
     what = f"a(M, {format_partition(n_)}) at gap {t}"
-    scale = p ** (t * n) * _aut_order((t,), p) * _aut_order(n_, p)
+    scale = p ** (t * n) * ctx._aut((t,)) * ctx._aut(n_)
     bins = {
-        m: exact_quotient(scale * _hall_cyclic(m, n_, p), _aut_order(m, p), what)
-        for m in partitions_of_exponent(order_exponent(n_) + t, n + 1)
-        if m[0] <= r and is_horizontal_strip(m, n_)
+        m: exact_quotient(scale * _hall_cyclic(m, n_, p), ctx._aut(m), what)
+        for m in horizontal_strips(n_, t, n + 1, r)
     }
     cosets = p ** sum(min(t, r - x) for x in n_ + (0,) * (n - len(n_)))
     if sum(bins.values()) != cosets:
         raise VerificationError(f"{what} add up to {sum(bins.values())}, not {cosets}")
+    ctx._bins[n_, t, r] = bins
     return bins
 
 
@@ -219,7 +239,7 @@ def a_by_enumeration(m: Sequence[int], n_: Sequence[int], ctx: OmegaContext) -> 
 def _omega_image(m: Partition, ctx: OmegaContext) -> dict[Partition, int]:
     image = ctx._images.get(m)
     if image is None:
-        below = (n_ for n_ in partitions_up_to(order_exponent(m), ctx.n) if embeds(n_, m))
+        below = strips_below(m, ctx.n)  # a(M, N) = 0 unless M/N is a horizontal strip
         image = ctx._images[m] = {n_: a for n_ in below if (a := a_coeff(m, n_, ctx))}
     return image
 

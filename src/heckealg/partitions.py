@@ -8,6 +8,7 @@ decreasing, all parts positive) at every public boundary.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterator, Sequence
 
 from .errors import ParseError
@@ -20,6 +21,8 @@ __all__ = [
     "conjugate",
     "embeds",
     "is_horizontal_strip",
+    "horizontal_strips",
+    "strips_below",
     "partitions_of_exponent",
     "partitions_up_to",
     "type_from_torsion_profile",
@@ -87,6 +90,45 @@ def is_horizontal_strip(lam: Partition, mu: Partition) -> bool:
     """
     pairs = zip(lam, mu + (0,) * len(lam), lam[1:] + (0,))
     return len(mu) <= len(lam) and all(a >= b >= c for a, b, c in pairs)
+
+
+def horizontal_strips(mu: Partition, t: int, max_parts: int, cap: int) -> Iterator[Partition]:
+    """Each lam with lam/mu a horizontal t-strip, lam_1 <= cap and at most
+    max_parts parts, lexicographically decreasing.
+
+    lam_i runs over [mu_i, mu_(i-1)] with mu_0 = cap, so every candidate is
+    a strip; those that place fewer than t boxes are dropped:
+
+    >>> list(horizontal_strips((2,), 2, 2, 3))
+    [(3, 1), (2, 2)]
+    """
+    rows = min(len(mu) + 1, max_parts)
+    if len(mu) > rows:
+        return
+    grown = [((), t)]  # (first rows of lam, boxes still to place)
+    for lo, hi in zip(mu + (0,) * (rows - len(mu)), (cap,) + mu):
+        grown = [
+            (lam + (part,), rest + lo - part)
+            for lam, rest in grown
+            for part in range(min(hi, lo + rest), lo - 1, -1)
+        ]
+    for lam, rest in grown:
+        if not rest:
+            yield lam[:-1] if lam and not lam[-1] else lam
+
+
+def strips_below(lam: Partition, max_parts: int) -> Iterator[Partition]:
+    """Each mu with lam/mu a horizontal strip and at most max_parts parts.
+
+    mu_i runs over [lam_(i+1), lam_i], so no candidate fails:
+
+    >>> list(strips_below((2, 1), 1))
+    [(1,), (2,)]
+    """
+    if len(lam) <= max_parts + 1:
+        bounds = zip(lam[1:] + (0,), lam[:max_parts])
+        for mu in product(*(range(lo, hi + 1) for lo, hi in bounds)):
+            yield tuple(part for part in mu if part)
 
 
 def partitions_of_exponent(d: int, max_parts: int) -> Iterator[Partition]:

@@ -1,10 +1,12 @@
 """The rank-lowering transfer, its inverse and its fiber counts."""
 
+import json
 import sys
 
 import pytest
 
 from heckealg import hecke, modmat, subgroups
+from heckealg.cache import CACHE_FILENAME
 from heckealg.cli import main
 from heckealg.errors import VerificationError
 from heckealg.hecke import basis_element, multiply, t_aggregate
@@ -20,7 +22,7 @@ from heckealg.omega import (
     verify_omega_hom,
     verify_tp_formula,
 )
-from heckealg.partitions import embeds, order_exponent, partitions_up_to
+from heckealg.partitions import embeds, order_exponent, parse_partition, partitions_up_to
 from heckealg.subgroups import (
     Ambient,
     _type_of_rows,
@@ -221,6 +223,71 @@ def test_closed_form_ignores_truncation(monkeypatch):
     m = (3, 1)
     assert a_coeff(m, (2,), OmegaContext(p=3, n=1, trunc_override=m[0] + 2)) == 2
     assert depths == [m[0]]
+
+
+@pytest.mark.parametrize(
+    "p,n,d", [(2, 1, 10), (2, 3, 8), (3, 2, 6), (1009, 4, 8), (1009, 6, 10)]
+)
+def test_omega_images_walk_the_strips(p, n, d):
+    # the filtered route tries every N up to |M| that embeds in M
+    ctx, filtered = OmegaContext(p=p, n=n), OmegaContext(p=p, n=n)
+    for m in partitions_up_to(d, n + 1):
+        want = {}
+        for n_ in partitions_up_to(order_exponent(m), n):
+            if embeds(n_, m) and (a := a_coeff(m, n_, filtered)):
+                want[n_] = a
+        assert omega_module._omega_image(m, ctx) == want, m
+
+
+def test_each_bin_is_built_once_per_context(monkeypatch):
+    built = []
+    real = omega_module.horizontal_strips
+
+    def recording(mu, t, max_parts, cap):
+        built.append((mu, t, cap))
+        return real(mu, t, max_parts, cap)
+
+    monkeypatch.setattr(omega_module, "horizontal_strips", recording)
+    classes = list(partitions_up_to(6, 3))
+    for _ in range(2):
+        ctx = OmegaContext(p=3, n=2)
+        for m in classes + classes:
+            omega(basis_element(m, ctx.source), ctx)
+            for n_ in partitions_up_to(order_exponent(m), 2):
+                a_coeff(m, n_, ctx)
+    keys = set(built)
+    assert keys and len(built) == 2 * len(keys)
+
+
+def test_memoised_bins_keep_their_check(monkeypatch):
+    # one Hall value off by one: the bin of (N, t, r) = ([2,1], 2, 3) no
+    # longer adds up to its coset count, and holds [3,2] and [3,1,1]
+    real = omega_module._hall_cyclic
+
+    def off_by_one(lam, mu, p):
+        return real(lam, mu, p) + (lam == (3, 2))
+
+    monkeypatch.setattr(omega_module, "_hall_cyclic", off_by_one)
+    ctx = OmegaContext(p=2, n=2)
+    for m in [(3, 1, 1), (3, 2), (3, 1, 1)]:
+        with pytest.raises(VerificationError, match="add up to"):
+            a_coeff(m, (2, 1), ctx)
+    assert main(["table", "omega", "--p", "2", "--n", "2", "--max-order-exp", "5"]) == 4
+
+
+def test_cached_a_values_are_the_closed_form(tmp_path, capsys):
+    argv = ["table", "omega", "--p", "3", "--n", "2", "--max-order-exp", "5"]
+    assert main(argv + ["--cache", str(tmp_path)]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / CACHE_FILENAME).read_text().splitlines()
+    cached = {rec["key"]: int(rec["value"]) for rec in map(json.loads, lines)}
+    fresh = OmegaContext(p=3, n=2)
+    a_keys = [key for key in cached if key.startswith("a:")]
+    assert a_keys
+    for key in a_keys:
+        # a:p=3:n=2:M=[..]:N=[..]; only strips are asked for, so none is 0
+        m, n_ = (parse_partition(part[2:]) for part in key.split(":")[3:])
+        assert cached[key] == a_coeff(m, n_, fresh) != 0, key
 
 
 def test_omega_images(ctx1):

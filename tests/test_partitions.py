@@ -9,12 +9,15 @@ from heckealg.partitions import (
     conjugate,
     embeds,
     format_partition,
+    horizontal_strips,
+    is_horizontal_strip,
     order_exponent,
     p_rank,
     parse_partition,
     partition_sort_key,
     partitions_of_exponent,
     partitions_up_to,
+    strips_below,
     torsion_type,
     type_from_torsion_profile,
     validate_partition,
@@ -96,6 +99,35 @@ def test_partitions_up_to_is_graded_and_complete():
     assert len(seen) == len(set(seen))
     for lam in seen:
         assert order_exponent(lam) <= 4 and p_rank(lam) <= 2
+
+
+def test_horizontal_strips_match_the_filter():
+    # the generator picks each lam_i between mu_i and mu_(i-1); the filter
+    # keeps the partitions of |mu| + t that are capped strips over mu
+    for n in range(1, 5):
+        for mu in partitions_up_to(7, 4):
+            for t in range(6):
+                for cap in range(8):
+                    want = [
+                        lam
+                        for lam in partitions_of_exponent(order_exponent(mu) + t, n)
+                        if (not lam or lam[0] <= cap) and is_horizontal_strip(lam, mu)
+                    ]
+                    assert list(horizontal_strips(mu, t, n, cap)) == want, (n, mu, t, cap)
+
+
+def test_strips_below_match_the_filter():
+    # the generator picks each mu_i between lam_(i+1) and lam_i; the filter
+    # keeps the partitions below lam that embed in it with lam/mu a strip
+    for n in range(1, 5):
+        for lam in partitions_up_to(8, n + 2):
+            want = {
+                mu
+                for mu in partitions_up_to(order_exponent(lam), n)
+                if embeds(mu, lam) and is_horizontal_strip(lam, mu)
+            }
+            got = list(strips_below(lam, n))
+            assert len(got) == len(want) and set(got) == want, (n, lam)
 
 
 def test_profile_round_trip():
