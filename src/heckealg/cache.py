@@ -83,14 +83,20 @@ class CacheStore:
         new = dict(islice(memo.items(), self.n_loaded, None))
         if not new:
             return 0
+        # each line is json.dumps({"version": ..., "key": key, "value": str(value)}),
+        # which escapes every non-ASCII character
+        data = "".join(
+            f'{{"version": "{SCHEMA_VERSION}", "key": {json.dumps(key)}, '
+            f'"value": "{new[key]}"}}\n'
+            for key in sorted(new)
+        ).encode("ascii")
         os.makedirs(self.directory, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            for key in sorted(new):
-                fh.write(
-                    json.dumps(
-                        {"version": SCHEMA_VERSION, "key": key, "value": str(new[key])}
-                    )
-                    + "\n"
-                )
+        # one unbuffered append: no text or buffer layer to set up per call
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         self.n_loaded = len(memo)
         return len(new)

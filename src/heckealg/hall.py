@@ -1,33 +1,33 @@
-"""Hall polynomials and automorphism counts: pure p-counts on partitions.
+"""Hall polynomials, automorphism counts and Gaussian binomials: pure p-counts.
 
 Closed forms of Macdonald, *Symmetric Functions and Hall Polynomials*
-(2nd ed.), evaluated at a prime p in integer arithmetic with every
-division checked exact.  Nothing here enumerates subgroups.
+(2nd ed.), evaluated at a prime p in integer arithmetic: every division
+is checked exact, and the Gaussian binomials need none.  Nothing here
+enumerates subgroups.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from itertools import groupby
 from math import prod
 
-from .errors import VerificationError, exact_quotient
-from .partitions import Partition, conjugate, format_partition
+from .errors import exact_quotient
+from .partitions import Partition
 
 
 def _aut_order(lam: Partition, p: int) -> int:
     """|Aut| of the group of type lam, m_j its parts equal to j (Macdonald II (1.6)):
-    p^(sum lam'_i^2 - sum_j m_j (m_j + 1) / 2) prod_j prod_(k <= m_j) (p^k - 1).
+    p^(sum lam'_i^2 - sum_j m_j (m_j + 1) / 2) prod_j prod_(k <= m_j) (p^k - 1),
+
+    with sum_i lam'_i^2 = sum_i (2i - 1) lam_i and the m_j the run lengths of lam.
     """
-    exp = sum(c * c for c in conjugate(lam))
+    exp = sum((2 * i + 1) * part for i, part in enumerate(lam))
     value = 1
-    for m in Counter(lam).values():
+    for _, run in groupby(lam):
+        m = len(tuple(run))
         exp -= m * (m + 1) // 2
         value *= prod(p**k - 1 for k in range(1, m + 1))
     return p**exp * value
-
-
-def _n_weight(lam: Partition) -> int:
-    return sum(i * part for i, part in enumerate(lam))  # n(lam) = sum (i - 1) lam_i
 
 
 def _hall_cyclic(lam: Partition, mu: Partition, p: int) -> int:
@@ -45,37 +45,15 @@ def _hall_cyclic(lam: Partition, mu: Partition, p: int) -> int:
     return exact_quotient(num, (p - 1) * p ** max(-exp, 0), "a Hall polynomial")
 
 
-def _gaussian_binomial(a: int, b: int, p: int) -> int:
-    """[a; b]_p = prod_(j < b) (p^(a - j) - 1) / (p^(j + 1) - 1)."""
-    num = prod(p ** (a - j) - 1 for j in range(b))
-    den = prod(p ** (j + 1) - 1 for j in range(b))
-    return exact_quotient(num, den, f"the Gaussian binomial [{a}; {b}]_{p}")
+def _gaussian_table(p: int, n: int) -> list[list[int]]:
+    """Rows a = 0..n of the Gaussian binomials [a; b]_p, 0 <= b <= a, by q-Pascal:
+    [a; b] = [a - 1; b - 1] + p^b [a - 1; b], sums of integers, so no division.
 
-
-def _hall_vertical(lam: Partition, mu: Partition, p: int) -> int:
-    """G^lam_{mu,(1^k)}(p), lam/mu a vertical k-strip (Macdonald II (4.6)).
-
-    With a_i = lam'_i - lam'_(i+1) and b_i = lam'_i - mu'_i, II (4.6) reads
-    p^(n(lam) - n(mu) - n(1^k)) prod_i [a_i; b_i]_(1/p); since
-    [a; b]_(1/p) = p^(-b(a - b)) [a; b]_p this is
-
-        p^(n(lam) - n(mu) - k(k - 1)/2 - sum_i b_i (a_i - b_i)) prod_i [a_i; b_i]_p.
-
-    >>> _hall_vertical((1, 1), (1,), 2), _hall_vertical((2, 2, 1), (2, 1), 3)
-    (3, 12)
+    >>> _gaussian_table(2, 3)
+    [[1], [1, 1], [1, 3, 1], [1, 7, 7, 1]]
     """
-    k = sum(lam) - sum(mu)
-    cols = conjugate(lam) + (0,)
-    inner = conjugate(mu) + (0,) * len(cols)
-    exp = _n_weight(lam) - _n_weight(mu) - k * (k - 1) // 2
-    value = 1
-    for i in range(len(cols) - 1):
-        a, b = cols[i] - cols[i + 1], cols[i] - inner[i]
-        exp -= b * (a - b)
-        value *= _gaussian_binomial(a, b, p)
-    if exp < 0:
-        raise VerificationError(
-            f"G^{format_partition(lam)}_({format_partition(mu)}, 1^{k}) "
-            f"has the negative p-exponent {exp}"
-        )
-    return p**exp * value
+    table = [[1]]
+    for a in range(1, n + 1):
+        up = table[-1]
+        table.append([1] + [up[b - 1] + p**b * up[b] for b in range(1, a)] + [1])
+    return table

@@ -13,7 +13,10 @@ that are isomorphic to M with quotient isomorphic to N.
 The algebra is a polynomial ring over Z on the classes T_k of elementary
 abelian groups (Z/p)^k for 1 <= k <= n, and multiplying by T_k is the
 elementary Pieri rule for Hall polynomials (Macdonald, Symmetric
-Functions and Hall Polynomials, II (4.6); see hall._hall_vertical).
+Functions and Hall Polynomials, II (4.6); see _pieri_row).  A Pieri row
+is built block by block: of each block of equal rows of mu it grows the
+top few, and reads the Gaussian binomials of II (4.6) from a table that
+q-Pascal fills once per context with no division (hall._gaussian_table).
 Products, generator decompositions and the structure constants take
 that route and enumerate no subgroups: a decomposition peels off
 leading terms (_peel, the one solver that also inverts the transfer in
@@ -35,12 +38,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Callable, Mapping, Sequence
+from itertools import groupby
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .cache import coeff_key
 from .errors import ParseError, VerificationError
-from .hall import _hall_vertical
+from .hall import _gaussian_table
 from .partitions import (
     Partition,
     conjugate,
@@ -100,6 +103,8 @@ class HeckeContext:
     _products: dict[tuple[Partition, Partition], "HeckeElement"] = field(
         default_factory=dict, repr=False
     )
+    # [a; b]_p for the Pieri rows, built on first use
+    _gauss: list[list[int]] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
         if not is_prime(self.p):
@@ -134,6 +139,18 @@ class HeckeElement:
             if coeff:
                 clean[lam] = coeff
         self.terms = clean
+
+    @classmethod
+    def _canonical(
+        cls, p: int, n: int, terms: Mapping[Partition, int]
+    ) -> "HeckeElement":
+        """Trusted constructor: terms are keyed by canonical partitions of
+        p-rank at most n, with integer values.  Zero terms are dropped;
+        nothing else is checked."""
+        self = cls.__new__(cls)
+        self.p, self.n = p, n
+        self.terms = {lam: c for lam, c in terms.items() if c}
+        return self
 
     def _check_compatible(self, other: "HeckeElement") -> None:
         if self.p != other.p or self.n != other.n:
@@ -346,25 +363,56 @@ def c_by_enumeration(
 # --- products ---------------------------------------------------------------
 
 
+def _splits(k: int, sizes: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Each (b_1, ..., b_r) with 0 <= b_v <= sizes[v] and sum k,
+    lexicographically decreasing."""
+    if len(sizes) == 1:
+        if k <= sizes[0]:
+            yield (k,)
+        return
+    room = sum(sizes[1:])
+    for b in range(min(k, sizes[0]), max(0, k - room) - 1, -1):
+        for rest in _splits(k - b, sizes[1:]):
+            yield (b, *rest)
+
+
 def _pieri_row(mu: Partition, k: int, ctx: HeckeContext) -> dict[Partition, int]:
     """u_mu T_k = sum of G^lam_{mu,(1^k)}(p) u_lam, lam/mu a vertical k-strip.
 
     Each strip adds one box to k distinct rows of mu padded to n rows, so
     the lam with more than n parts are dropped.  That is exact: those
     classes span an ideal, since c(M, N; L) != 0 needs M and N to embed
-    in L.
+    in L.  Of each block of s_v rows of mu equal to v the strip grows the
+    top b_v, so lam' - mu' is b_v in column v + 1 and lam has
+    a = b_v + s_(v+1) - b_(v+1) parts equal to v + 1.  II (4.6) then reads
+
+        p^(n(lam) - n(mu) - k(k - 1)/2 - sum_v b_v (a - b_v)) prod_v [a; b_v]_p.
     """
     row = ctx._pieri.get((mu, k))
     if row is None:
-        padded = mu + (0,) * (ctx.n - len(mu))
-        row = {}
-        for rows in combinations(range(ctx.n), k):
-            grown = list(padded)
-            for i in rows:
-                grown[i] += 1
-            if all(a >= b for a, b in zip(grown, grown[1:])):
-                lam = tuple(part for part in grown if part)
-                row[lam] = _hall_vertical(lam, mu, ctx.p)
+        if not ctx._gauss:
+            ctx._gauss = _gaussian_table(ctx.p, ctx.n)
+        row, blocks, start = {}, [], 0  # blocks: (v, first row, s_v), top block first
+        for v, run in groupby(mu + (0,) * (ctx.n - len(mu))):
+            size = len(tuple(run))
+            blocks.append((v, start, size))
+            start += size
+        for grow in _splits(k, [size for _, _, size in blocks]):
+            exp, value, parts = -k * (k - 1) // 2, 1, []
+            above, kept = None, 0  # value of the block above, and its rows that stay
+            for (v, first, size), b in zip(blocks, grow):
+                still = kept if above == v + 1 else 0  # a - b_v
+                exp += b * first + b * (b - 1) // 2 - b * still
+                value *= ctx._gauss[b + still][b]
+                parts += [v + 1] * b + [v] * (size - b)
+                above, kept = v, size - b
+            lam = tuple(part for part in parts if part)
+            if exp < 0:
+                raise VerificationError(
+                    f"G^{format_partition(lam)}_({format_partition(mu)}, 1^{k}) "
+                    f"has the negative p-exponent {exp}"
+                )
+            row[lam] = ctx.p**exp * value
         ctx._pieri[mu, k] = row
     return row
 
@@ -392,7 +440,7 @@ def _times_monomial(
         for mu, c in _times_monomial(x, prev, ctx, memo).terms.items():
             for lam, g in _pieri_row(mu, k + 1, ctx).items():
                 out[lam] = out.get(lam, 0) + c * g
-        value = HeckeElement(ctx.p, ctx.n, out)
+        value = HeckeElement._canonical(ctx.p, ctx.n, out)
     memo[exps] = value
     return value
 
@@ -407,7 +455,7 @@ def _times_poly(
     for exps, c in coeffs.items():
         for lam, v in _times_monomial(x, exps, ctx, memo).terms.items():
             out[lam] = out.get(lam, 0) + c * v
-    return HeckeElement(ctx.p, ctx.n, out)
+    return HeckeElement._canonical(ctx.p, ctx.n, out)
 
 
 def multiply(x: HeckeElement, y: HeckeElement, ctx: HeckeContext) -> HeckeElement:
@@ -435,16 +483,20 @@ class GeneratorPoly:
     """Integer polynomial in the generators T_1..T_n.
 
     coeffs maps exponent vectors (a_1, ..., a_n) to integers; the
-    monomial T_1^a_1 ... T_n^a_n has graded degree sum(k * a_k).
+    monomial T_1^a_1 ... T_n^a_n has graded degree sum(k * a_k).  Zero
+    coefficients are never stored.
     """
 
     n: int
     coeffs: dict[tuple[int, ...], int]
 
+    def __post_init__(self) -> None:
+        self.coeffs = {e: c for e, c in self.coeffs.items() if c}
+
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         # within a degree, heavier low-index generators print first
         return sorted(
-            ((e, c) for e, c in self.coeffs.items() if c),
+            self.coeffs.items(),
             key=lambda kv: (
                 sum(k * a for k, a in enumerate(kv[0], 1)),
                 tuple(-a for a in kv[0]),

@@ -151,15 +151,22 @@ def _transversal_bins(
     if bins is not None:
         return bins
     p, n = ctx.p, ctx.n
-    what = f"a(M, {format_partition(n_)}) at gap {t}"
     scale = p ** (t * n) * ctx._aut((t,)) * ctx._aut(n_)
-    bins = {
-        m: exact_quotient(scale * _hall_cyclic(m, n_, p), ctx._aut(m), what)
-        for m in horizontal_strips(n_, t, n + 1, r)
-    }
+    bins = {}
+    for m in horizontal_strips(n_, t, n + 1, r):
+        num, aut = scale * _hall_cyclic(m, n_, p), ctx._aut(m)
+        bins[m], rest = divmod(num, aut)
+        if rest:
+            raise VerificationError(
+                f"a({format_partition(m)}, {format_partition(n_)}) at gap {t}: "
+                f"{num} is not divisible by {aut}"
+            )
     cosets = p ** sum(min(t, r - x) for x in n_ + (0,) * (n - len(n_)))
     if sum(bins.values()) != cosets:
-        raise VerificationError(f"{what} add up to {sum(bins.values())}, not {cosets}")
+        raise VerificationError(
+            f"a(M, {format_partition(n_)}) at gap {t} add up to {sum(bins.values())}, "
+            f"not {cosets}"
+        )
     ctx._bins[n_, t, r] = bins
     return bins
 
@@ -184,7 +191,11 @@ def a_coeff(m: Sequence[int], n_: Sequence[int], ctx: OmegaContext) -> int:
     n_ = validate_partition(n_)
     if p_rank(m) > ctx.n + 1 or p_rank(n_) > ctx.n or not embeds(n_, m):
         return 0
-    t = order_exponent(m) - order_exponent(n_)
+    return _a_cell(m, n_, order_exponent(m) - order_exponent(n_), ctx)
+
+
+def _a_cell(m: Partition, n_: Partition, t: int, ctx: OmegaContext) -> int:
+    """a(M, N) for canonical classes whose ranks fit, N inside M, t = |M| - |N|."""
     if t == 0:
         # same order and contained, so equal
         return 1
@@ -239,8 +250,11 @@ def a_by_enumeration(m: Sequence[int], n_: Sequence[int], ctx: OmegaContext) -> 
 def _omega_image(m: Partition, ctx: OmegaContext) -> dict[Partition, int]:
     image = ctx._images.get(m)
     if image is None:
+        size = order_exponent(m)
         below = strips_below(m, ctx.n)  # a(M, N) = 0 unless M/N is a horizontal strip
-        image = ctx._images[m] = {n_: a for n_ in below if (a := a_coeff(m, n_, ctx))}
+        image = ctx._images[m] = {
+            n_: a for n_ in below if (a := _a_cell(m, n_, size - order_exponent(n_), ctx))
+        }
     return image
 
 
@@ -255,7 +269,7 @@ def omega(x: HeckeElement, ctx: OmegaContext) -> HeckeElement:
     for m, c in x.terms.items():
         for n_, a in _omega_image(m, ctx).items():
             out[n_] = out.get(n_, 0) + c * a
-    return HeckeElement(ctx.p, ctx.n, out)
+    return HeckeElement._canonical(ctx.p, ctx.n, out)
 
 
 def b_coeff(b: Sequence[int], a: Sequence[int], ctx: OmegaContext) -> int:
@@ -292,7 +306,7 @@ def lift_section(n_: Sequence[int], ctx: OmegaContext) -> HeckeElement:
     hit = ctx._lifts.get(n_)
     if hit is None:
         terms = _peel({n_: 1}, lambda c: _omega_image(c, ctx))
-        hit = ctx._lifts[n_] = HeckeElement(ctx.p, ctx.n + 1, terms)
+        hit = ctx._lifts[n_] = HeckeElement._canonical(ctx.p, ctx.n + 1, terms)
     return hit
 
 

@@ -412,6 +412,30 @@ def test_flush_appends_only_entries_added_after_load(tmp_path):
     assert len(cache_file.read_text().splitlines()) == 6
 
 
+def test_flush_lines_are_json_dumps(tmp_path):
+    # one write of all new lines, each byte-identical to json.dumps of its record
+    store = CacheStore(str(tmp_path))
+    memo = store.load()
+    memo.update({'quo"te': 7, "back\\slash": -12, "caf\u00e9:\u2211": 0, "tab\tnl\n": 10**30})
+    assert store.flush(memo) == 4
+    want = "".join(
+        json.dumps({"version": "1", "key": key, "value": str(memo[key])}) + "\n"
+        for key in sorted(memo)
+    )
+    assert (tmp_path / CACHE_FILENAME).read_text(encoding="utf-8") == want
+    assert CacheStore(str(tmp_path)).load() == memo
+
+
+def test_flush_makes_missing_parent_directories(tmp_path):
+    store = CacheStore(str(tmp_path / "a" / "b"))
+    memo = store.load()
+    memo["k"] = 1
+    assert store.flush(memo) == 1
+    memo["j"] = 2
+    assert store.flush(memo) == 1
+    assert CacheStore(str(tmp_path / "a" / "b")).load() == {"k": 1, "j": 2}
+
+
 def test_cache_env_variable(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(CACHE_ENV, str(tmp_path))
     code, out, _ = run(

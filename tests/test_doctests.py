@@ -3,6 +3,7 @@
 import doctest
 
 import heckealg.cache
+import heckealg.hall
 import heckealg.hecke
 import heckealg.modmat
 import heckealg.partitions
@@ -16,6 +17,7 @@ import pytest
         heckealg.partitions,
         heckealg.modmat,
         heckealg.subgroups,
+        heckealg.hall,
         heckealg.hecke,
         heckealg.cache,
     ],

@@ -2,12 +2,13 @@
 
 import doctest
 import itertools
+from math import prod
 
 import pytest
 
 from heckealg import hall, hecke
 from heckealg.cli import main
-from heckealg.errors import ParseError, VerificationError
+from heckealg.errors import ParseError, VerificationError, exact_quotient
 from heckealg.hecke import (
     GeneratorPoly,
     HeckeContext,
@@ -139,19 +140,81 @@ def test_products_match_the_hall_table(p, n, d):
         assert got.terms == want, (m, n_)
 
 
+# --- the reference Pieri coefficients, by division and from both conjugates ---
+
+
+def _gaussian_binomial(a, b, p):
+    """[a; b]_p = prod_(j < b) (p^(a - j) - 1) / (p^(j + 1) - 1)."""
+    num = prod(p ** (a - j) - 1 for j in range(b))
+    den = prod(p ** (j + 1) - 1 for j in range(b))
+    return exact_quotient(num, den, f"the Gaussian binomial [{a}; {b}]_{p}")
+
+
+def _hall_vertical(lam, mu, p):
+    """G^lam_{mu,(1^k)}(p), lam/mu a vertical k-strip (Macdonald II (4.6)).
+
+    With a_i = lam'_i - lam'_(i+1) and b_i = lam'_i - mu'_i, II (4.6) reads
+    p^(n(lam) - n(mu) - n(1^k)) prod_i [a_i; b_i]_(1/p); since
+    [a; b]_(1/p) = p^(-b(a - b)) [a; b]_p this is
+
+        p^(n(lam) - n(mu) - k(k - 1)/2 - sum_i b_i (a_i - b_i)) prod_i [a_i; b_i]_p.
+    """
+    k = sum(lam) - sum(mu)
+    cols = conjugate(lam) + (0,)
+    inner = conjugate(mu) + (0,) * len(cols)
+    exp = sum(i * part for i, part in enumerate(lam)) - sum(i * part for i, part in enumerate(mu))
+    exp -= k * (k - 1) // 2
+    value = 1
+    for i in range(len(cols) - 1):
+        a, b = cols[i] - cols[i + 1], cols[i] - inner[i]
+        exp -= b * (a - b)
+        value *= _gaussian_binomial(a, b, p)
+    assert exp >= 0, (lam, mu)
+    return p**exp * value
+
+
+def test_reference_pieri_values():
+    assert (_hall_vertical((1, 1), (1,), 2), _hall_vertical((2, 2, 1), (2, 1), 3)) == (3, 12)
+
+
+@pytest.mark.parametrize("p", [2, 3, 1009])
+def test_gaussian_table_is_the_division_formula(p):
+    table = hall._gaussian_table(p, 8)
+    assert [len(row) for row in table] == list(range(1, 10))
+    for a, row in enumerate(table):
+        assert row == [_gaussian_binomial(a, b, p) for b in range(a + 1)], a
+
+
 def test_pieri_rows_by_strip_match_the_filter():
-    # the row adds a box to k distinct rows of mu; the filter over all
-    # partitions of |mu| + k keeps those with lam/mu a vertical strip
-    for n in range(1, 6):
-        ctx = HeckeContext(p=2, n=n)
+    # the row grows the top rows of each block of mu and lists each lam
+    # once, lexicographically decreasing; the filter over all partitions
+    # of |mu| + k keeps those with lam/mu a vertical strip
+    for p, n in itertools.product([2, 3, 1009], range(1, 6)):
+        ctx = HeckeContext(p=p, n=n)
         for mu in partitions_up_to(6, n):
             for k in range(1, n + 1):
                 want = {
-                    lam: hall._hall_vertical(lam, mu, 2)
+                    lam: _hall_vertical(lam, mu, p)
                     for lam in partitions_of_exponent(order_exponent(mu) + k, n)
                     if is_horizontal_strip(conjugate(lam), conjugate(mu))
                 }
-                assert _pieri_row(mu, k, ctx) == want, (n, mu, k)
+                got = _pieri_row(mu, k, ctx)
+                assert got == want, (p, n, mu, k)
+                assert list(got) == sorted(want, reverse=True), (p, n, mu, k)
+
+
+def test_oracle_catches_a_wrong_gaussian_binomial(monkeypatch, capsys):
+    # [2; 1]_p = p + 1 enters u_(1) T_1 at [1,1]; verify shimura writes and
+    # evaluates through the same rows, the Hall-table oracle does not
+    real = hall._gaussian_table
+
+    def off_by_one(p, n):
+        table = real(p, n)
+        table[2][1] += 1
+        return table
+
+    monkeypatch.setattr(hecke, "_gaussian_table", off_by_one)
+    assert main(["verify", "oracle", "--p", "2", "--n", "2", "--max-order-exp", "3"]) == 4
 
 
 def test_table_c_computes_each_product_once(monkeypatch, capsys):
@@ -290,6 +353,13 @@ def test_decompose_mixed_element(ctx22):
     elem = HeckeElement(2, 2, {(2, 1): 2, (1,): -1, (): 7})
     poly = decompose_in_generators(elem, ctx22)
     assert eval_generator_poly(poly, ctx22) == elem
+
+
+def test_poly_drops_zero_coefficients():
+    poly = GeneratorPoly(2, {(1, 0): 3, (0, 1): 0})
+    assert poly == GeneratorPoly(2, {(1, 0): 3})
+    assert poly.coeffs == {(1, 0): 3}
+    assert GeneratorPoly(2, {(0, 0): 0}) == GeneratorPoly(2, {})
 
 
 def test_poly_rendering():

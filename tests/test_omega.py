@@ -2,10 +2,12 @@
 
 import json
 import sys
+from collections import Counter
+from math import prod
 
 import pytest
 
-from heckealg import hecke, modmat, subgroups
+from heckealg import hall, hecke, modmat, subgroups
 from heckealg.cache import CACHE_FILENAME
 from heckealg.cli import main
 from heckealg.errors import VerificationError
@@ -22,7 +24,9 @@ from heckealg.omega import (
     verify_omega_hom,
     verify_tp_formula,
 )
-from heckealg.partitions import embeds, order_exponent, parse_partition, partitions_up_to
+from heckealg.partitions import (
+    conjugate, embeds, order_exponent, parse_partition, partitions_up_to
+)
 from heckealg.subgroups import (
     Ambient,
     _type_of_rows,
@@ -259,7 +263,17 @@ def test_each_bin_is_built_once_per_context(monkeypatch):
     assert keys and len(built) == 2 * len(keys)
 
 
-def test_memoised_bins_keep_their_check(monkeypatch):
+@pytest.mark.parametrize("p", [2, 3, 1009])
+def test_aut_order_is_the_conjugate_formula(p):
+    # Macdonald II (1.6) read off the conjugate and a Counter of the parts
+    for lam in partitions_up_to(10, 10):
+        mult = Counter(lam).values()
+        exp = sum(c * c for c in conjugate(lam)) - sum(m * (m + 1) // 2 for m in mult)
+        want = p**exp * prod(p**k - 1 for m in mult for k in range(1, m + 1))
+        assert hall._aut_order(lam, p) == want, lam
+
+
+def test_memoised_bins_keep_their_check(monkeypatch, tmp_path):
     # one Hall value off by one: the bin of (N, t, r) = ([2,1], 2, 3) no
     # longer adds up to its coset count, and holds [3,2] and [3,1,1]
     real = omega_module._hall_cyclic
@@ -272,7 +286,26 @@ def test_memoised_bins_keep_their_check(monkeypatch):
     for m in [(3, 1, 1), (3, 2), (3, 1, 1)]:
         with pytest.raises(VerificationError, match="add up to"):
             a_coeff(m, (2, 1), ctx)
-    assert main(["table", "omega", "--p", "2", "--n", "2", "--max-order-exp", "5"]) == 4
+    argv = ["table", "omega", "--p", "2", "--n", "2", "--max-order-exp", "5"]
+    assert main(argv) == 4
+    # a run that fails its check writes nothing to the cache
+    assert main(argv + ["--cache", str(tmp_path)]) == 4
+    assert not (tmp_path / CACHE_FILENAME).exists()
+
+
+def test_bins_check_each_quotient(monkeypatch):
+    # one Hall value off by one at [1,1] over [1]: p^2 |Aut Z/p| |Aut N| G
+    # is no longer a multiple of |Aut M|, and no bin is stored
+    real = omega_module._hall_cyclic
+    monkeypatch.setattr(
+        omega_module, "_hall_cyclic", lambda lam, mu, p: real(lam, mu, p) + (lam == (1, 1))
+    )
+    ctx = OmegaContext(p=2, n=2)
+    label = r"a\(\[1,1\], \[1\]\) at gap 1: .* is not divisible"
+    for m in [(1, 1), (2,)]:
+        with pytest.raises(VerificationError, match=label):
+            a_coeff(m, (1,), ctx)
+    assert not ctx._bins
 
 
 def test_cached_a_values_are_the_closed_form(tmp_path, capsys):
