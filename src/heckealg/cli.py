@@ -97,10 +97,9 @@ from .partitions import (
 from .subgroups import (
     DEFAULT_BUDGET,
     Ambient,
+    _type_census,
     count_of_type_in_group,
-    enumerate_subgroups,
     m_count,
-    type_of,
 )
 
 EXIT_OK = 0
@@ -437,8 +436,7 @@ def _suite_oracle(args, memo, checks) -> None:
     octx = _omega_ctx(args, memo)  # rejects a bad --trunc before any enumeration
 
     def total(n: int, r: int) -> int:
-        amb = Ambient(p, n, r)
-        return sum(1 for _ in enumerate_subgroups(amb, budget=budget))
+        return sum(_type_census((r,) * n, None, p, budget).values())
 
     expected_totals = [
         ("count rank2 exponent1", 2, 1, p + 3),
@@ -532,11 +530,8 @@ def _cmd_verify(args, memo, label: str | None = None) -> _Output:
 
 
 def _cmd_count_subgroups(args, memo) -> _Output:
-    amb = Ambient(args.p, args.n, args.trunc)
-    by_type: dict = {}
-    for s in enumerate_subgroups(amb, budget=args.budget):
-        t = type_of(s)
-        by_type[t] = by_type.get(t, 0) + 1
+    amb = Ambient(args.p, args.n, args.trunc)  # refuses a bad p, n or r
+    by_type = _type_census((amb.r,) * amb.n, None, amb.p, args.budget)
     total = sum(by_type.values())
     ordered = sorted(by_type.items(), key=lambda kv: (order_exponent(kv[0]), kv[0]))
     payload = {

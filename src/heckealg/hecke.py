@@ -37,6 +37,7 @@ it.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Callable, Iterator, Mapping, Sequence
@@ -295,17 +296,17 @@ def _hall_table(
     cached = ctx._hall.get(lam)
     if cached is not None:
         return cached
-    table: dict[tuple[Partition, Partition], int] = {}
     if not lam:
-        table[(), ()] = 1
+        table = Counter({((), ()): 1})
     else:
         amb, copy = _standard_copy(lam, ctx.p)
         floors = tuple(lam[0] - part for part in lam)
         # the column floors put every s inside copy: no containment check
-        for s in enumerate_subgroups(amb, col_val_min=floors, budget=ctx.budget):
-            q = _quotient_type_rows(copy.rows, s.rows, amb.p, amb.r, amb.n)
-            key = (type_of(s), q)
-            table[key] = table.get(key, 0) + 1
+        subs = enumerate_subgroups(amb, col_val_min=floors, budget=ctx.budget)
+        table = Counter(
+            (type_of(s), _quotient_type_rows(copy.rows, s.rows, amb.p, amb.r, amb.n))
+            for s in subs
+        )
     ctx._hall[lam] = table
     return table
 

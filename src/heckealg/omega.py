@@ -20,9 +20,10 @@ walks the strips below M (partitions.strips_below), and each bin behind
 a_coeff is generated from the strips above N (partitions.horizontal_strips)
 and built once per context; neither lists partitions to filter them.
 
-The enumeration route, the oracle, sweeps all subgroups of type M, keeps
-the ones whose intersection with V has type N, and divides by the number
-of copies of N inside V, checking exact divisibility.
+The enumeration route, the oracle, sweeps the subgroups of order p^|M|
+once per context, counts them by their type and the type of their
+intersection with V, reads the count at (M, N), and divides it by the
+number of copies of N inside V, checking exact divisibility.
 
 The transfer is unitriangular: a(M, M) = 1, and every other class in
 omega(M) lies inside M, so it is smaller in the tuple order.  So the
@@ -33,6 +34,7 @@ b(B, A) of a is the coefficient of A in lift(B).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -107,6 +109,7 @@ class OmegaContext:
         default_factory=dict, repr=False
     )
     _auts: dict[Partition, int] = field(default_factory=dict, repr=False)
+    _meets: dict[tuple[int, int], Counter] = field(default_factory=dict, repr=False)
     source: HeckeContext = field(init=False, repr=False)
     target: HeckeContext = field(init=False, repr=False)
 
@@ -214,23 +217,24 @@ def i_count(m: Sequence[int], n_: Sequence[int], ctx: OmegaContext) -> int:
     """Unnormalized count behind a(M, N): subgroups of type M in the
     truncated ambient whose intersection with V has type N.
 
-    Direct sweep over all subgroups of the ambient (Z/p^r)^(n+1), r the
-    larger of M_1 and ctx.trunc_override, with V the ctx.split kernel;
-    deliberately independent of the closed form of a_coeff.
+    Read off a table memoised on ctx per (r, |M|), r the larger of M_1 and
+    ctx.trunc_override: one sweep over the order-p^|M| subgroups S of
+    (Z/p^r)^(n+1), counted by (type S, type S & V) with V the ctx.split
+    kernel; deliberately independent of the closed form of a_coeff.
     """
     m = validate_partition(m)
     n_ = validate_partition(n_)
     if p_rank(m) > ctx.n + 1 or p_rank(n_) > ctx.n:
         return 0
-    amb = Ambient(ctx.p, ctx.n + 1, ctx._trunc(m))
-    v = standard_split(amb, ctx.split)
-    count = 0
-    for s in enumerate_subgroups(amb, order_exp=order_exponent(m), budget=ctx.budget):
-        if type_of(s) != m:
-            continue
-        if type_of(intersect(s, v)) == n_:
-            count += 1
-    return count
+    r, size = ctx._trunc(m), order_exponent(m)
+    table = ctx._meets.get((r, size))
+    if table is None:
+        amb = Ambient(ctx.p, ctx.n + 1, r)
+        v = standard_split(amb, ctx.split)
+        subs = enumerate_subgroups(amb, order_exp=size, budget=ctx.budget)
+        pairs = ((type_of(s), type_of(intersect(s, v))) for s in subs)
+        table = ctx._meets[r, size] = Counter(pairs)
+    return table[m, n_]
 
 
 def a_by_enumeration(m: Sequence[int], n_: Sequence[int], ctx: OmegaContext) -> int:

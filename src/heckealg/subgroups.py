@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -331,33 +332,34 @@ def quotient_type(l: SubgroupRep, m: SubgroupRep) -> Partition:
 # --- counting --------------------------------------------------------------
 
 
+@lru_cache(maxsize=1 << 12)
+def _type_census(lam: Partition, order_exp: int | None, p: int, budget: int) -> Counter:
+    """Subgroups of order p^order_exp (None: every order) of a fixed group of
+    nonempty type lam, counted by type in one sweep; shared, so never changed."""
+    floors = tuple(lam[0] - part for part in lam)  # lam as the sum of p^floor_j Z/p^r
+    amb = Ambient(p, len(lam), lam[0])
+    subs = enumerate_subgroups(amb, order_exp=order_exp, col_val_min=floors, budget=budget)
+    return Counter(map(type_of, subs))
+
+
 def count_of_type_in_group(
     lam: Sequence[int], mu: Sequence[int], p: int, *, budget: int | None = None
 ) -> int:
     """Number of subgroups isomorphic to ``mu`` in a fixed group of type ``lam``.
 
     Pure brute force by design: this is the oracle other components are
-    validated against, so it must stay free of embedding shortcuts.
+    validated against, so it must stay free of embedding shortcuts.  It
+    reads the type census of the order-p^|mu| subgroups of lam, one sweep
+    shared by every mu of that order.
     """
     lam = validate_partition(lam)
     mu = validate_partition(mu)
-    if order_exponent(mu) > order_exponent(lam):
-        return 0
-    if not lam:
-        return 1 if not mu else 0
-    r = lam[0]
-    ambient = Ambient(p, len(lam), r)
-    floors = tuple(r - a for a in lam)
-    count = 0
-    for s in enumerate_subgroups(
-        ambient,
-        order_exp=order_exponent(mu),
-        col_val_min=floors,
-        budget=budget,
-    ):
-        if type_of(s) == mu:
-            count += 1
-    return count
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    if not lam or order_exponent(mu) > order_exponent(lam):
+        return 0 if mu else 1  # nothing but the trivial subgroup fits
+    budget = DEFAULT_BUDGET if budget is None else budget
+    return _type_census(lam, order_exponent(mu), p, budget)[mu]
 
 
 def m_count(m: Sequence[int], n: int, p: int, *, budget: int | None = None) -> int:
@@ -365,14 +367,11 @@ def m_count(m: Sequence[int], n: int, p: int, *, budget: int | None = None) -> i
 
     Every copy lies inside the p^(m_1)-torsion, so the count happens in
     the finite group of type (m_1, ..., m_1) with n parts.  Zero when the
-    p-rank exceeds n.
+    p-rank exceeds n: the count then happens in the trivial group.
     """
     m = validate_partition(m)
-    if not m:
-        return 1
-    if p_rank(m) > n:
-        return 0
-    return count_of_type_in_group((m[0],) * n, m, p, budget=budget)
+    lam = m[:1] * n if p_rank(m) <= n else ()
+    return count_of_type_in_group(lam, m, p, budget=budget)
 
 
 def standard_split(ambient: Ambient, split: str = "first") -> SubgroupRep:

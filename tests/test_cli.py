@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from heckealg.cache import CACHE_ENV, CACHE_FILENAME, CacheStore
 from heckealg.cli import _COMMANDS, _build_parser, _read_argv, main
+from heckealg.subgroups import _type_census
 
 
 def run(capsys, *argv):
@@ -228,11 +230,34 @@ def test_budget_trips_before_the_pivot_structures_are_listed(capsys):
     assert "needs at least" in err and "budget is 10" in err
 
 
+# four sweeping command lines at budgets from 1 to 10^5: exit code, stdout
+# digest and stderr, recorded while each oracle cell still swept on its
+# own.  A memoised sweep must not move the point where a budget trips.
+BUDGET_GRID = json.loads((Path(__file__).parent / "data" / "budget_grid.json").read_text())
+
+
+@pytest.mark.parametrize("case", BUDGET_GRID, ids=lambda c: " ".join(c["argv"]))
+def test_budget_grid_keeps_its_recorded_outputs(capsys, case):
+    _type_census.cache_clear()  # as in a fresh process
+    code, out, err = run(capsys, *case["argv"])
+    assert (code, err) == (case["exit"], case["stderr"])
+    assert hashlib.sha256(out.encode()).hexdigest() == case["stdout_sha256"]
+
+
+def test_a_census_at_the_default_budget_does_not_serve_a_smaller_one(capsys):
+    argv = ["count-subgroups", "--p", "2", "--n", "2", "--trunc", "2"]
+    assert run(capsys, *argv)[:2] == (0, "15\n")
+    code, out, err = run(capsys, *argv, "--budget", "1")
+    assert (code, out) == (3, "") and "budget is 1" in err
+
+
 def test_oracle_rejects_bad_trunc_before_enumerating(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("enumerated before --trunc was checked")
 
-    monkeypatch.setattr("heckealg.cli.enumerate_subgroups", refuse)
+    _type_census.cache_clear()  # a remembered sweep would hide one made too early
+    for module in ("heckealg.subgroups", "heckealg.omega", "heckealg.hecke"):
+        monkeypatch.setattr(sys.modules[module], "enumerate_subgroups", refuse)
     code, _, err = run(
         capsys, "verify", "oracle", "--p", "2", "--n", "2", "--max-order-exp", "3",
         "--trunc", "0",

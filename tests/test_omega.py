@@ -4,6 +4,7 @@ import json
 import sys
 from collections import Counter
 from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +29,7 @@ from heckealg.partitions import (
     conjugate, embeds, order_exponent, parse_partition, partitions_up_to
 )
 from heckealg.subgroups import (
+    DEFAULT_BUDGET,
     Ambient,
     _type_of_rows,
     enumerate_subgroups,
@@ -191,6 +193,40 @@ def test_i_count_is_m_count_times_a(ctx1):
             assert i_count(m, n_, ctx1) == a_coeff(m, n_, ctx1) * m_count(
                 n_, 1, 2
             )
+
+
+def test_i_count_sweeps_once_per_truncation_and_order(sweeps):
+    ctx = OmegaContext(p=2, n=1)
+    cells = [(m, n_) for m in partitions_up_to(3, 2) for n_ in partitions_up_to(3, 1)]
+    counts = [i_count(m, n_, ctx) for m, n_ in cells]
+    # one table per (r, |M|), r = M_1 (1 for M = ())
+    tables = [(1, 0), (1, 1), (1, 2), (2, 2), (2, 3), (3, 3)]
+    assert sorted(args[2:4] for _, args in sweeps) == tables
+    assert {module for module, _ in sweeps} == {"heckealg.omega"}
+    assert [i_count(m, n_, ctx) for m, n_ in cells] == counts and len(sweeps) == len(tables)
+
+
+# the distinct sweeps that the oracle suite made while each oracle cell
+# still swept on its own (432 sweeps in all), as (p, n, r, order_exp,
+# col_val_min, budget)
+ORACLE_SWEEPS = {
+    (p, n, r, oe, tuple(floors), budget)
+    for p, n, r, oe, floors, budget in json.loads(
+        (Path(__file__).parent / "data" / "oracle_sweeps.json").read_text()
+    )
+}
+
+
+def test_oracle_suite_makes_each_sweep_once_per_table(sweeps, capsys):
+    assert main(["verify", "oracle", "--p", "2", "--n", "2", "--max-order-exp", "5"]) == 0
+    capsys.readouterr()
+    for module in {module for module, _ in sweeps}:
+        made = [args for m, args in sweeps if m == module]
+        assert len(made) == len(set(made)), module
+    assert {args for _, args in sweeps} == ORACLE_SWEEPS
+    # the type census, the i_count table and the Hall table sweep 10 of
+    # those groups twice between them, never twice within one table
+    assert len(sweeps) == 125
 
 
 def test_split_choice_does_not_matter():

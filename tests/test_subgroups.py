@@ -9,9 +9,10 @@ import pytest
 
 from heckealg.errors import BudgetExceededError
 from heckealg.modmat import _howell_rows
-from heckealg.partitions import order_exponent, partitions_up_to
+from heckealg.partitions import order_exponent, partitions_of_exponent, partitions_up_to
 from heckealg.subgroups import (
     _PSI_12,
+    DEFAULT_BUDGET,
     Ambient,
     _valuations,
     count_of_type_in_group,
@@ -136,6 +137,39 @@ def test_m_count_values(m, n, p, expected):
 )
 def test_count_of_type_in_group(lam, mu, p, expected):
     assert count_of_type_in_group(lam, mu, p) == expected
+
+
+@pytest.mark.parametrize(
+    "count,args",
+    [
+        (count_of_type_in_group, ((), (), 4)),
+        (count_of_type_in_group, ((1,), (), 4)),
+        (count_of_type_in_group, ((1,), (2,), 4)),
+        (m_count, ((), 2, 4)),
+        (m_count, ((1, 1, 1), 2, 4)),
+    ],
+)
+def test_counts_refuse_a_composite_p_before_any_shortcut(count, args):
+    with pytest.raises(ValueError, match="p must be prime, got 4"):
+        count(*args)
+
+
+def test_one_sweep_counts_every_type_of_one_order(sweeps):
+    lam = (3, 2, 1)
+    counts = {mu: count_of_type_in_group(lam, mu, 2) for mu in partitions_of_exponent(3, 3)}
+    assert sweeps == [("heckealg.subgroups", (2, 3, 3, 3, (0, 1, 2), DEFAULT_BUDGET))]
+    assert counts[(1, 1, 1)] == 1  # the socle
+    assert sum(counts.values()) == sum(
+        1 for _ in enumerate_subgroups(Ambient(2, 3, 3), order_exp=3, col_val_min=(0, 1, 2))
+    )
+
+
+def test_a_census_is_not_reused_at_a_smaller_budget(sweeps):
+    assert count_of_type_in_group((2, 2), (1,), 2) == 3
+    with pytest.raises(BudgetExceededError):
+        count_of_type_in_group((2, 2), (1,), 2, budget=1)
+    assert count_of_type_in_group((2, 2), (1,), 2, budget=DEFAULT_BUDGET) == 3
+    assert len(sweeps) == 2  # the refused one; None and DEFAULT_BUDGET share a census
 
 
 @pytest.mark.parametrize("p,n,r", [(2, 1, 2), (2, 2, 1), (2, 2, 2), (3, 2, 1)])
