@@ -27,7 +27,8 @@ c(M, N; L) is the coefficient of L in the product of M and N.
 The one oracle for products and structure constants is the Hall table
 of L, one sweep over the subgroups of a fixed group of type L that
 counts them by type and quotient type; c_by_enumeration reads c off
-it.
+it.  The table lives in subgroups, next to every other sweep, and is
+shared by all contexts with the same p and budget.
 
 >>> ctx = HeckeContext(p=2, n=2)
 >>> print(multiply(basis_element((1,), ctx), basis_element((1,), ctx), ctx))
@@ -37,7 +38,6 @@ it.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Callable, Iterator, Mapping, Sequence
@@ -56,16 +56,7 @@ from .partitions import (
     partitions_of_exponent,
     validate_partition,
 )
-from .subgroups import (
-    DEFAULT_BUDGET,
-    Ambient,
-    SubgroupRep,
-    _quotient_type_rows,
-    enumerate_subgroups,
-    is_prime,
-    subgroup_from_rows,
-    type_of,
-)
+from .subgroups import DEFAULT_BUDGET, _hall_census, is_prime
 
 __all__ = [
     "HeckeContext",
@@ -91,9 +82,6 @@ class HeckeContext:
     n: int
     budget: int = DEFAULT_BUDGET
     memo: dict[str, int] = field(default_factory=dict, repr=False)
-    _hall: dict[Partition, dict[tuple[Partition, Partition], int]] = field(
-        default_factory=dict, repr=False
-    )
     _pieri: dict[tuple[Partition, int], dict[Partition, int]] = field(
         default_factory=dict, repr=False
     )
@@ -272,43 +260,16 @@ def parse_element(text: str, p: int, n: int) -> HeckeElement:
 # --- structure constants ----------------------------------------------------
 
 
-def _standard_copy(lam: Partition, p: int) -> tuple[Ambient, SubgroupRep]:
-    """A fixed subgroup of type lam: diagonal rows p^(r - lam_j) e_j."""
-    r = lam[0]
-    amb = Ambient(p, len(lam), r)
-    rows = []
-    for j, part in enumerate(lam):
-        row = [0] * len(lam)
-        row[j] = p ** (r - part)
-        rows.append(row)
-    return amb, subgroup_from_rows(amb, rows)
-
-
 def _hall_table(
     lam: Partition, ctx: HeckeContext
-) -> dict[tuple[Partition, Partition], int]:
+) -> Mapping[tuple[Partition, Partition], int]:
     """All structure constants with target class lam, in one sweep.
 
-    The oracle for c_coeff and multiply: it counts the subgroups of a
-    fixed group of type lam by type and quotient type, and shares no code
-    with the Pieri rule.
+    The oracle for c_coeff and multiply: subgroups._hall_census, which
+    counts the subgroups of a fixed group of type lam by type and
+    quotient type and shares no code with the Pieri rule.
     """
-    cached = ctx._hall.get(lam)
-    if cached is not None:
-        return cached
-    if not lam:
-        table = Counter({((), ()): 1})
-    else:
-        amb, copy = _standard_copy(lam, ctx.p)
-        floors = tuple(lam[0] - part for part in lam)
-        # the column floors put every s inside copy: no containment check
-        subs = enumerate_subgroups(amb, col_val_min=floors, budget=ctx.budget)
-        table = Counter(
-            (type_of(s), _quotient_type_rows(copy.rows, s.rows, amb.p, amb.r, amb.n))
-            for s in subs
-        )
-    ctx._hall[lam] = table
-    return table
+    return _hall_census(lam, ctx.p, ctx.budget) if lam else {((), ()): 1}
 
 
 def _c_classes(

@@ -20,10 +20,12 @@ walks the strips below M (partitions.strips_below), and each bin behind
 a_coeff is generated from the strips above N (partitions.horizontal_strips)
 and built once per context; neither lists partitions to filter them.
 
-The enumeration route, the oracle, sweeps the subgroups of order p^|M|
-once per context, counts them by their type and the type of their
-intersection with V, reads the count at (M, N), and divides it by the
-number of copies of N inside V, checking exact divisibility.
+The enumeration route, the oracle, reads the count at (M, N) off one
+sweep of the subgroups of order p^|M|, counted by their type and the
+type of their intersection with V, and divides it by the number of
+copies of N inside V, checking exact divisibility.  That table lives in
+subgroups, next to every other sweep, and is shared by all contexts
+with the same key.
 
 The transfer is unitriangular: a(M, M) = 1, and every other class in
 omega(M) lies inside M, so it is smaller in the tuple order.  So the
@@ -34,7 +36,6 @@ b(B, A) of a is the coefficient of A in lift(B).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -61,11 +62,11 @@ from .subgroups import (
     DEFAULT_BUDGET,
     Ambient,
     SubgroupRep,
-    enumerate_subgroups,
+    _meet_census,
+    _sweep,
     intersect,
     m_count,
     standard_split,
-    type_of,
 )
 
 __all__ = [
@@ -109,7 +110,6 @@ class OmegaContext:
         default_factory=dict, repr=False
     )
     _auts: dict[Partition, int] = field(default_factory=dict, repr=False)
-    _meets: dict[tuple[int, int], Counter] = field(default_factory=dict, repr=False)
     source: HeckeContext = field(init=False, repr=False)
     target: HeckeContext = field(init=False, repr=False)
 
@@ -217,24 +217,18 @@ def i_count(m: Sequence[int], n_: Sequence[int], ctx: OmegaContext) -> int:
     """Unnormalized count behind a(M, N): subgroups of type M in the
     truncated ambient whose intersection with V has type N.
 
-    Read off a table memoised on ctx per (r, |M|), r the larger of M_1 and
-    ctx.trunc_override: one sweep over the order-p^|M| subgroups S of
-    (Z/p^r)^(n+1), counted by (type S, type S & V) with V the ctx.split
-    kernel; deliberately independent of the closed form of a_coeff.
+    Read off subgroups._meet_census, shared per (r, |M|, split, budget)
+    with r the larger of M_1 and ctx.trunc_override: one sweep over the
+    order-p^|M| subgroups S of (Z/p^r)^(n+1), counted by (type S,
+    type S & V) with V the ctx.split kernel; deliberately independent of
+    the closed form of a_coeff.
     """
     m = validate_partition(m)
     n_ = validate_partition(n_)
     if p_rank(m) > ctx.n + 1 or p_rank(n_) > ctx.n:
         return 0
     r, size = ctx._trunc(m), order_exponent(m)
-    table = ctx._meets.get((r, size))
-    if table is None:
-        amb = Ambient(ctx.p, ctx.n + 1, r)
-        v = standard_split(amb, ctx.split)
-        subs = enumerate_subgroups(amb, order_exp=size, budget=ctx.budget)
-        pairs = ((type_of(s), type_of(intersect(s, v))) for s in subs)
-        table = ctx._meets[r, size] = Counter(pairs)
-    return table[m, n_]
+    return _meet_census(r, ctx.n + 1, size, ctx.p, ctx.split, ctx.budget)[m, n_]
 
 
 def a_by_enumeration(m: Sequence[int], n_: Sequence[int], ctx: OmegaContext) -> int:
@@ -337,10 +331,8 @@ def j_count(r: int, nrep: SubgroupRep, ctx: OmegaContext) -> int:
     s = nrep.order_exp
     if s > r:
         raise ValueError(f"subgroup order exponent {s} exceeds r = {r}")
-    count = 0
-    for sub in enumerate_subgroups(amb, order_exp=r, budget=ctx.budget):
-        if intersect(sub, v) == nrep:
-            count += 1
+    fiber = _sweep((amb.r,) * amb.n, r, ctx.p, ctx.budget)
+    count = sum(intersect(sub, v) == nrep for sub in fiber)
     expected = ctx.p ** ((r - s) * ctx.n)
     if count != expected:
         raise VerificationError(

@@ -332,14 +332,59 @@ def quotient_type(l: SubgroupRep, m: SubgroupRep) -> Partition:
 # --- counting --------------------------------------------------------------
 
 
+def _diagonal_rows(lam: Partition, p: int) -> tuple[tuple[int, ...], ...]:
+    """Rows p^(r - lam_j) e_j of a fixed group of nonempty type lam, r = lam_1;
+    already in Howell form."""
+    return tuple(
+        tuple(p ** (lam[0] - part) if i == j else 0 for i in range(len(lam)))
+        for j, part in enumerate(lam)
+    )
+
+
+def _sweep(
+    lam: Partition, order_exp: int | None, p: int, budget: int
+) -> Iterator[SubgroupRep]:
+    """Subgroups of order p^order_exp (None: every order) of the group that
+    _diagonal_rows(lam, p) spans, the one caller of enumerate_subgroups.
+
+    The column floors r - lam_j keep every subgroup inside that group.
+    """
+    floors = tuple(lam[0] - part for part in lam)
+    amb = Ambient(p, len(lam), lam[0])
+    return enumerate_subgroups(amb, order_exp=order_exp, col_val_min=floors, budget=budget)
+
+
+# each table below is one _sweep, memoised and shared by every caller with
+# its key, so a table is never changed
+
+
 @lru_cache(maxsize=1 << 12)
 def _type_census(lam: Partition, order_exp: int | None, p: int, budget: int) -> Counter:
     """Subgroups of order p^order_exp (None: every order) of a fixed group of
-    nonempty type lam, counted by type in one sweep; shared, so never changed."""
-    floors = tuple(lam[0] - part for part in lam)  # lam as the sum of p^floor_j Z/p^r
-    amb = Ambient(p, len(lam), lam[0])
-    subs = enumerate_subgroups(amb, order_exp=order_exp, col_val_min=floors, budget=budget)
-    return Counter(map(type_of, subs))
+    nonempty type lam, counted by type."""
+    return Counter(map(type_of, _sweep(lam, order_exp, p, budget)))
+
+
+@lru_cache(maxsize=1 << 12)
+def _hall_census(lam: Partition, p: int, budget: int) -> Counter:
+    """Every subgroup S of a fixed group of nonempty type lam, counted by
+    (type S, type lam/S): the Hall table of the c oracle."""
+    rows = _diagonal_rows(lam, p)
+    return Counter(
+        (type_of(s), _quotient_type_rows(rows, s.rows, p, lam[0], len(lam)))
+        for s in _sweep(lam, None, p, budget)
+    )
+
+
+@lru_cache(maxsize=1 << 12)
+def _meet_census(
+    r: int, rank: int, order_exp: int, p: int, split: str, budget: int
+) -> Counter:
+    """Subgroups S of order p^order_exp of (Z/p^r)^rank, counted by
+    (type S, type S & V), V the standard_split kernel: the i_count table."""
+    v = standard_split(Ambient(p, rank, r), split)
+    subs = _sweep((r,) * rank, order_exp, p, budget)
+    return Counter((type_of(s), type_of(intersect(s, v))) for s in subs)
 
 
 def count_of_type_in_group(

@@ -5,6 +5,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -14,9 +16,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import heckealg
 from heckealg.cache import CACHE_ENV, CACHE_FILENAME, CacheStore
 from heckealg.cli import _COMMANDS, _build_parser, _read_argv, main
-from heckealg.subgroups import _type_census
 
 
 def run(capsys, *argv):
@@ -237,8 +239,7 @@ BUDGET_GRID = json.loads((Path(__file__).parent / "data" / "budget_grid.json").r
 
 
 @pytest.mark.parametrize("case", BUDGET_GRID, ids=lambda c: " ".join(c["argv"]))
-def test_budget_grid_keeps_its_recorded_outputs(capsys, case):
-    _type_census.cache_clear()  # as in a fresh process
+def test_budget_grid_keeps_its_recorded_outputs(capsys, cold_tables, case):
     code, out, err = run(capsys, *case["argv"])
     assert (code, err) == (case["exit"], case["stderr"])
     assert hashlib.sha256(out.encode()).hexdigest() == case["stdout_sha256"]
@@ -251,13 +252,12 @@ def test_a_census_at_the_default_budget_does_not_serve_a_smaller_one(capsys):
     assert (code, out) == (3, "") and "budget is 1" in err
 
 
-def test_oracle_rejects_bad_trunc_before_enumerating(capsys, monkeypatch):
+def test_oracle_rejects_bad_trunc_before_enumerating(capsys, monkeypatch, cold_tables):
     def refuse(*args, **kwargs):
         raise AssertionError("enumerated before --trunc was checked")
 
-    _type_census.cache_clear()  # a remembered sweep would hide one made too early
-    for module in ("heckealg.subgroups", "heckealg.omega", "heckealg.hecke"):
-        monkeypatch.setattr(sys.modules[module], "enumerate_subgroups", refuse)
+    # cold tables: a remembered sweep would hide one made too early
+    monkeypatch.setattr(sys.modules["heckealg.subgroups"], "enumerate_subgroups", refuse)
     code, _, err = run(
         capsys, "verify", "oracle", "--p", "2", "--n", "2", "--max-order-exp", "3",
         "--trunc", "0",
@@ -792,3 +792,28 @@ def test_main_reads_sys_argv(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["heckealg", "mul", "--p", "2", "--n", "2", "1*[1]", "1*[1]"])
     assert main() == 0
     assert capsys.readouterr().out == "1*[2] + 3*[1,1]\n"
+
+
+# every functools cache bound in a loaded heckealg module, by name, with its size
+_CACHE_SIZES = """
+import json, sys
+import heckealg.cli
+sizes = {}
+for name, mod in list(sys.modules.items()):
+    if name == "heckealg" or name.startswith("heckealg."):
+        for value in vars(mod).values():
+            if callable(getattr(value, "cache_info", None)):
+                sizes[value.__module__ + "." + value.__qualname__] = value.cache_info().currsize
+print(json.dumps(sizes))
+"""
+
+
+def test_importing_the_cli_computes_nothing():
+    src = str(Path(heckealg.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    out = subprocess.run(
+        [sys.executable, "-c", _CACHE_SIZES], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    sizes = json.loads(out)
+    assert sizes and all(size == 0 for size in sizes.values()), sizes

@@ -12,7 +12,9 @@ from heckealg import hall, hecke, modmat, subgroups
 from heckealg.cache import CACHE_FILENAME
 from heckealg.cli import main
 from heckealg.errors import VerificationError
-from heckealg.hecke import basis_element, multiply, t_aggregate
+from heckealg.hecke import (
+    HeckeContext, basis_element, c_by_enumeration, multiply, t_aggregate
+)
 from heckealg.omega import (
     OmegaContext,
     a_by_enumeration,
@@ -202,8 +204,21 @@ def test_i_count_sweeps_once_per_truncation_and_order(sweeps):
     # one table per (r, |M|), r = M_1 (1 for M = ())
     tables = [(1, 0), (1, 1), (1, 2), (2, 2), (2, 3), (3, 3)]
     assert sorted(args[2:4] for _, args in sweeps) == tables
-    assert {module for module, _ in sweeps} == {"heckealg.omega"}
+    assert {table for table, _ in sweeps} == {"_meet_census"}
     assert [i_count(m, n_, ctx) for m, n_ in cells] == counts and len(sweeps) == len(tables)
+
+
+def test_sweep_tables_are_shared_and_keyed_by_what_changes_them(sweeps):
+    for ctx in (HeckeContext(2, 2), HeckeContext(2, 2)):
+        assert c_by_enumeration((1,), (1, 1), (2, 1), ctx) == 1
+    assert sweeps == [("_hall_census", (2, 2, 2, None, (0, 1), DEFAULT_BUDGET))]
+    assert c_by_enumeration((1,), (1, 1), (2, 1), HeckeContext(2, 2, budget=10**5)) == 1
+    assert sweeps[1:] == [("_hall_census", (2, 2, 2, None, (0, 1), 10**5))]
+    sweeps.clear()
+    for ctx in (OmegaContext(2, 1), OmegaContext(2, 1), OmegaContext(2, 1, split="last")):
+        assert i_count((1, 1), (1,), ctx) == 1
+    # the split changes no sweep, only what each subgroup is met with
+    assert sweeps == [("_meet_census", (2, 2, 1, 2, (0, 0), DEFAULT_BUDGET))] * 2
 
 
 # the distinct sweeps that the oracle suite made while each oracle cell
@@ -220,10 +235,11 @@ ORACLE_SWEEPS = {
 def test_oracle_suite_makes_each_sweep_once_per_table(sweeps, capsys):
     assert main(["verify", "oracle", "--p", "2", "--n", "2", "--max-order-exp", "5"]) == 0
     capsys.readouterr()
-    for module in {module for module, _ in sweeps}:
-        made = [args for m, args in sweeps if m == module]
-        assert len(made) == len(set(made)), module
+    for table in {table for table, _ in sweeps}:
+        made = [args for t, args in sweeps if t == table]
+        assert len(made) == len(set(made)), table
     assert {args for _, args in sweeps} == ORACLE_SWEEPS
+    assert {table for table, _ in sweeps} == {"_type_census", "_meet_census", "_hall_census"}
     # the type census, the i_count table and the Hall table sweep 10 of
     # those groups twice between them, never twice within one table
     assert len(sweeps) == 125

@@ -14,6 +14,7 @@ from heckealg.subgroups import (
     _PSI_12,
     DEFAULT_BUDGET,
     Ambient,
+    _diagonal_rows,
     _valuations,
     count_of_type_in_group,
     enumerate_subgroups,
@@ -157,11 +158,20 @@ def test_counts_refuse_a_composite_p_before_any_shortcut(count, args):
 def test_one_sweep_counts_every_type_of_one_order(sweeps):
     lam = (3, 2, 1)
     counts = {mu: count_of_type_in_group(lam, mu, 2) for mu in partitions_of_exponent(3, 3)}
-    assert sweeps == [("heckealg.subgroups", (2, 3, 3, 3, (0, 1, 2), DEFAULT_BUDGET))]
+    assert sweeps == [("_type_census", (2, 3, 3, 3, (0, 1, 2), DEFAULT_BUDGET))]
     assert counts[(1, 1, 1)] == 1  # the socle
     assert sum(counts.values()) == sum(
         1 for _ in enumerate_subgroups(Ambient(2, 3, 3), order_exp=3, col_val_min=(0, 1, 2))
     )
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_diagonal_rows_are_canonical(p):
+    # the Hall table spans its fixed group by these rows with no Howell pass
+    for lam in partitions_up_to(6, 6):
+        if lam:
+            rows = _diagonal_rows(lam, p)
+            assert rows == subgroup_from_rows(Ambient(p, len(lam), lam[0]), rows).rows
 
 
 def test_a_census_is_not_reused_at_a_smaller_budget(sweeps):
