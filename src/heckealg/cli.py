@@ -59,7 +59,7 @@ import csv
 import json
 import os
 import sys
-from typing import Callable, Iterator
+from collections.abc import Callable, Iterator
 
 from .cache import CACHE_ENV, CacheStore
 from .errors import BudgetExceededError, VerificationError
@@ -91,6 +91,7 @@ from .partitions import (
     format_partition,
     order_exponent,
     parse_partition,
+    partitions_between,
     partitions_of_exponent,
     partitions_up_to,
 )
@@ -190,8 +191,9 @@ def _omega_ctx(args: argparse.Namespace, memo: dict[str, int]) -> OmegaContext:
 # --- output -----------------------------------------------------------------
 
 
-# the records of this module are plain classes: a dataclass costs about
-# 1 ms of import each, which every command-line call would pay
+# the records of the package are plain classes or named tuples, and its
+# annotation names come from collections.abc: importing dataclasses (and
+# inspect with it) or typing would cost every command-line call several ms
 class _Output:
     """What a command returns: its result in every output format.
 
@@ -269,9 +271,8 @@ def _embedded_pairs(
     max_order_exp: int, outer_rank: int, inner_rank: int
 ) -> Iterator[tuple[Partition, Partition]]:
     for big in partitions_up_to(max_order_exp, outer_rank):
-        for small in partitions_up_to(order_exponent(big), inner_rank):
-            if embeds(small, big):
-                yield big, small
+        for small in partitions_between((), big[:inner_rank]):
+            yield big, small
 
 
 class _CoeffSpec:
@@ -381,11 +382,8 @@ def _suite_inverse(args, memo, checks) -> None:
     ctx = _omega_ctx(args, memo)
     parts = list(partitions_up_to(args.max_order_exp, args.n))
     for b in parts:
-        for a in parts:
-            if order_exponent(a) > order_exponent(b) or not embeds(a, b):
-                continue
-            # parts is graded by size, so this keeps its order
-            mids = [c for c in parts if embeds(a, c) and embeds(c, b)]
+        for a in partitions_between((), b):
+            mids = list(partitions_between(a, b))
             lhs = sum(a_coeff(b, c, ctx) * b_coeff(c, a, ctx) for c in mids)
             rhs = sum(b_coeff(b, c, ctx) * a_coeff(c, a, ctx) for c in mids)
             want = 1 if a == b else 0

@@ -38,9 +38,8 @@ shared by all contexts with the same p and budget.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from itertools import groupby
-from typing import Callable, Iterator, Mapping, Sequence
 
 from .cache import coeff_key
 from .errors import ParseError, VerificationError
@@ -74,34 +73,26 @@ __all__ = [
 ]
 
 
-@dataclass
 class HeckeContext:
     """Shared state for one (p, n): memos, and the budget of the oracles."""
 
-    p: int
-    n: int
-    budget: int = DEFAULT_BUDGET
-    memo: dict[str, int] = field(default_factory=dict, repr=False)
-    _pieri: dict[tuple[Partition, int], dict[Partition, int]] = field(
-        default_factory=dict, repr=False
-    )
-    _monos: dict[tuple[int, ...], "HeckeElement"] = field(
-        default_factory=dict, repr=False
-    )
-    # products of basis classes for c_coeff, never written to a cache
-    _products: dict[tuple[Partition, Partition], "HeckeElement"] = field(
-        default_factory=dict, repr=False
-    )
-    # [a; b]_p for the Pieri rows, built on first use
-    _gauss: list[list[int]] = field(default_factory=list, repr=False)
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        if self.n < 1:
-            raise ValueError(f"rank must be at least 1, got {self.n}")
-        if self.budget < 1:
+    def __init__(
+        self, p: int, n: int, budget: int = DEFAULT_BUDGET, memo: dict[str, int] | None = None
+    ):
+        if not is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
+        if n < 1:
+            raise ValueError(f"rank must be at least 1, got {n}")
+        if budget < 1:
             raise ValueError("budget must be positive")
+        self.p, self.n, self.budget = p, n, budget
+        self.memo = {} if memo is None else memo
+        self._pieri: dict[tuple[Partition, int], dict[Partition, int]] = {}
+        self._monos: dict[tuple[int, ...], HeckeElement] = {}
+        # products of basis classes for c_coeff, never written to a cache
+        self._products: dict[tuple[Partition, Partition], HeckeElement] = {}
+        # [a; b]_p for the Pieri rows, built on first use
+        self._gauss: list[list[int]] = []
 
 
 class HeckeElement:
@@ -440,7 +431,6 @@ def multiply(x: HeckeElement, y: HeckeElement, ctx: HeckeContext) -> HeckeElemen
 # --- generator decomposition -------------------------------------------------
 
 
-@dataclass
 class GeneratorPoly:
     """Integer polynomial in the generators T_1..T_n.
 
@@ -449,11 +439,17 @@ class GeneratorPoly:
     coefficients are never stored.
     """
 
-    n: int
-    coeffs: dict[tuple[int, ...], int]
+    def __init__(self, n: int, coeffs: dict[tuple[int, ...], int]):
+        self.n = n
+        self.coeffs = {e: c for e, c in coeffs.items() if c}
 
-    def __post_init__(self) -> None:
-        self.coeffs = {e: c for e, c in self.coeffs.items() if c}
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GeneratorPoly):
+            return NotImplemented
+        return (self.n, self.coeffs) == (other.n, other.coeffs)
+
+    def __repr__(self) -> str:
+        return f"GeneratorPoly(n={self.n!r}, coeffs={self.coeffs!r})"
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         # within a degree, heavier low-index generators print first

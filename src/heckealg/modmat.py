@@ -22,8 +22,8 @@ single reduction pass.  All arithmetic is exact on Python ints.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from math import gcd
-from typing import Iterable, Sequence
 
 
 def _howell_rows(

@@ -36,8 +36,8 @@ b(B, A) of a is the coefficient of A in lift(B).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .cache import coeff_key
 from .errors import VerificationError, exact_quotient
@@ -85,7 +85,6 @@ __all__ = [
 ]
 
 
-@dataclass
 class OmegaContext:
     """State for the transfer from rank n+1 down to rank n.
 
@@ -96,33 +95,26 @@ class OmegaContext:
     ambient, never below the exponent of the class at hand.
     """
 
-    p: int
-    n: int
-    split: str = "first"
-    trunc_override: int | None = None
-    budget: int = DEFAULT_BUDGET
-    memo: dict[str, int] = field(default_factory=dict, repr=False)
-    _images: dict[Partition, dict[Partition, int]] = field(
-        default_factory=dict, repr=False
-    )
-    _lifts: dict[Partition, HeckeElement] = field(default_factory=dict, repr=False)
-    _bins: dict[tuple[Partition, int, int], dict[Partition, int]] = field(
-        default_factory=dict, repr=False
-    )
-    _auts: dict[Partition, int] = field(default_factory=dict, repr=False)
-    source: HeckeContext = field(init=False, repr=False)
-    target: HeckeContext = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.split not in ("first", "last"):
-            raise ValueError(f"split must be 'first' or 'last', got {self.split!r}")
-        if self.trunc_override is not None and self.trunc_override < 1:
+    def __init__(
+        self, p: int, n: int, split: str = "first", trunc_override: int | None = None,
+        budget: int = DEFAULT_BUDGET, memo: dict[str, int] | None = None,
+    ):
+        if split not in ("first", "last"):
+            raise ValueError(f"split must be 'first' or 'last', got {split!r}")
+        if trunc_override is not None and trunc_override < 1:
             raise ValueError("truncation override must be at least 1")
-        if self.n < 1:
-            raise ValueError(f"target rank must be at least 1, got {self.n}")
+        if n < 1:
+            raise ValueError(f"target rank must be at least 1, got {n}")
+        self.p, self.n, self.split = p, n, split
+        self.trunc_override, self.budget = trunc_override, budget
+        self.memo = {} if memo is None else memo
         # shares the scalar memo so cached values flow to both ranks
-        self.source = HeckeContext(self.p, self.n + 1, self.budget, self.memo)
-        self.target = HeckeContext(self.p, self.n, self.budget, self.memo)
+        self.source = HeckeContext(p, n + 1, budget, self.memo)
+        self.target = HeckeContext(p, n, budget, self.memo)
+        self._images: dict[Partition, dict[Partition, int]] = {}
+        self._lifts: dict[Partition, HeckeElement] = {}
+        self._bins: dict[tuple[Partition, int, int], dict[Partition, int]] = {}
+        self._auts: dict[Partition, int] = {}
 
     def _trunc(self, lam: Partition) -> int:
         base = lam[0] if lam else 1
@@ -345,14 +337,10 @@ def j_count(r: int, nrep: SubgroupRep, ctx: OmegaContext) -> int:
 # --- verification reports -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HomReport:
+class HomReport(namedtuple("HomReport", "m1 m2 lhs rhs")):
     """Outcome of one multiplicativity check of omega."""
 
-    m1: Partition
-    m2: Partition
-    lhs: HeckeElement
-    rhs: HeckeElement
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -367,20 +355,16 @@ class HomReport:
         )
 
 
-@dataclass(frozen=True)
-class TpReport:
+class TpReport(namedtuple("TpReport", "r lhs rhs recursion_lhs recursion_rhs")):
     """Outcome of one aggregate-pushforward check.
 
     lhs is omega applied to the order-p^r aggregate of the source
     algebra, rhs the predicted weighted sum of lower aggregates; for
-    r > 0 the recursion form is checked as well.
+    r > 0 the recursion form (recursion_lhs, recursion_rhs; both None
+    at r = 0) is checked as well.
     """
 
-    r: int
-    lhs: HeckeElement
-    rhs: HeckeElement
-    recursion_lhs: HeckeElement | None
-    recursion_rhs: HeckeElement | None
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -8,8 +8,8 @@ decreasing, all parts positive) at every public boundary.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from itertools import product
-from typing import Iterator, Sequence
 
 from .errors import ParseError
 
@@ -23,6 +23,7 @@ __all__ = [
     "is_horizontal_strip",
     "horizontal_strips",
     "strips_below",
+    "partitions_between",
     "partitions_of_exponent",
     "partitions_up_to",
     "type_from_torsion_profile",
@@ -129,6 +130,24 @@ def strips_below(lam: Partition, max_parts: int) -> Iterator[Partition]:
         bounds = zip(lam[1:] + (0,), lam[:max_parts])
         for mu in product(*(range(lo, hi + 1) for lo, hi in bounds)):
             yield tuple(part for part in mu if part)
+
+
+def partitions_between(low: Partition, high: Partition) -> Iterator[Partition]:
+    """Each c with embeds(low, c) and embeds(c, high), in the order of
+    partitions_up_to.  c_i runs over [low_i, min(high_i, c_(i-1))], so no
+    candidate fails:
+
+    >>> list(partitions_between((1,), (2, 1)))
+    [(1,), (2,), (1, 1), (2, 1)]
+    """
+    grown = [()] if len(low) <= len(high) else []
+    for lo, hi in zip(low + (0,) * (len(high) - len(low)), high):
+        grown = [
+            c + (x,) for c in grown for x in range(min(hi, c[-1] if c else hi), lo - 1, -1)
+        ]
+    # lexicographically decreasing so far: a stable sort by size grades it
+    for c in sorted(grown, key=sum):
+        yield tuple(part for part in c if part)
 
 
 def partitions_of_exponent(d: int, max_parts: int) -> Iterator[Partition]:

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
-from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError
 from .modmat import _howell_rows, _span_contains_rows, _span_order_exp
@@ -74,25 +73,22 @@ def is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Ambient:
+class Ambient(namedtuple("Ambient", "p n r")):
     """The truncated lattice (Z/p^r)^n."""
 
-    p: int
-    n: int
-    r: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        if self.n < 1:
-            raise ValueError(f"ambient rank must be at least 1, got {self.n}")
-        if self.r < 1:
-            raise ValueError(f"truncation exponent must be at least 1, got {self.r}")
+    def __new__(cls, p: int, n: int, r: int):
+        if not is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
+        if n < 1:
+            raise ValueError(f"ambient rank must be at least 1, got {n}")
+        if r < 1:
+            raise ValueError(f"truncation exponent must be at least 1, got {r}")
+        return super().__new__(cls, p, n, r)
 
 
-@dataclass(frozen=True)
-class SubgroupRep:
+class SubgroupRep(namedtuple("SubgroupRep", "ambient rows")):
     """A subgroup of an ambient, held as its canonical Howell rows.
 
     rows are tuples of length ambient.n with entries in [0, p^r), in the
@@ -102,8 +98,7 @@ class SubgroupRep:
     :func:`subgroup_from_rows`.
     """
 
-    ambient: Ambient
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def order_exp(self) -> int:

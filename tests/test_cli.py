@@ -817,3 +817,27 @@ def test_importing_the_cli_computes_nothing():
     ).stdout
     sizes = json.loads(out)
     assert sizes and all(size == 0 for size in sizes.values()), sizes
+
+
+# the modules a fresh interpreter adds by importing one module, as a sorted list
+_ADDED_BY_IMPORT = """
+import importlib, json, sys
+before = set(sys.modules)
+importlib.import_module(sys.argv[1])
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+@pytest.mark.parametrize("module", ["heckealg.cli", "heckealg"])
+def test_start_up_loads_no_dataclasses_inspect_or_typing(module):
+    # -S: a site hook (a .pth file) may import typing before the package does
+    src = str(Path(heckealg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    added = json.loads(
+        subprocess.run(
+            [sys.executable, "-S", "-c", _ADDED_BY_IMPORT, module],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+    )
+    assert module in added
+    assert not {"dataclasses", "inspect", "typing"} & set(added), added

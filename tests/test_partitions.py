@@ -15,6 +15,7 @@ from heckealg.partitions import (
     p_rank,
     parse_partition,
     partition_sort_key,
+    partitions_between,
     partitions_of_exponent,
     partitions_up_to,
     strips_below,
@@ -128,6 +129,16 @@ def test_strips_below_match_the_filter():
             }
             got = list(strips_below(lam, n))
             assert len(got) == len(want) and set(got) == want, (n, lam)
+
+
+def test_partitions_between_match_the_filter():
+    # the filter keeps the classes between low and high in the order of
+    # partitions_up_to; the generator builds them row by row instead
+    parts = list(partitions_up_to(8, 3))
+    for low in parts:
+        for high in parts:
+            want = [c for c in parts if embeds(low, c) and embeds(c, high)]
+            assert list(partitions_between(low, high)) == want, (low, high)
 
 
 def test_profile_round_trip():

@@ -409,3 +409,22 @@ def test_is_prime_refuses_the_first_pseudoprime_to_all_twelve_bases():
         is_prime(318665857834031151167461)
     with pytest.raises(ValueError):
         Ambient(_PSI_12 + 2, 1, 1)
+
+
+def test_subgroups_of_two_ambients_do_not_meet():
+    small, big = Ambient(2, 2, 1), Ambient(2, 2, 2)
+    a = subgroup_from_rows(small, [(1, 0)])
+    b = subgroup_from_rows(big, [(1, 0)])
+    with pytest.raises(ValueError) as err:
+        intersect(a, b)
+    want = "ambient mismatch: Ambient(p=2, n=2, r=1) vs Ambient(p=2, n=2, r=2)"
+    assert str(err.value) == want
+
+
+def test_subgroups_hash_as_the_tuple_of_their_fields():
+    reps = list(enumerate_subgroups(Ambient(2, 2, 2)))
+    again = set(enumerate_subgroups(Ambient(2, 2, 2)))
+    assert len(set(reps)) == len(reps) == 15 and again == set(reps)
+    for rep in reps:
+        assert rep == (rep.ambient, rep.rows) and hash(rep) == hash((rep.ambient, rep.rows))
+        assert hash(rep.ambient) == hash((2, 2, 2))
