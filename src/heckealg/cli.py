@@ -38,10 +38,8 @@ Each command, table kind and suite accepts only the options it reads;
 `table --help` and `verify --help` list them.  A well-formed command
 line (the command, then the kind or suite, then positionals and exact
 `--name value` pairs, each option at most once, no value with a leading
-dash) is read straight from the option tables.  argparse parses every
-other spelling and alone prints help and usage errors; it builds only
-the parser the command line names, the other commands, kinds and suites
-being names alone.
+dash) is read straight from the option tables.  argparse, built whole,
+takes help, usage errors and every other spelling.
 A negative --max-order-exp or a --budget below 1 is a usage error.
 
 Commands return their output in every format and print nothing; `main`
@@ -276,16 +274,21 @@ def _embedded_pairs(
 
 
 class _CoeffSpec:
-    """One scalar coefficient: its argument names, context, table cells, value.
+    """One scalar coefficient: its argument names, context, table cells and
+    the name of its value function.
 
     The argument names are the `*coeff` options, the table columns and
-    the JSON fields alike.
+    the JSON fields alike.  The value function is looked up in this
+    module at each call, so a wrapper bound over its name sees the call.
     """
 
     def __init__(
-        self, columns: tuple[str, ...], context: Callable, cells: Callable, value: Callable
+        self, columns: tuple[str, ...], context: Callable, cells: Callable, function: str
     ):
-        self.columns, self.context, self.cells, self.value = columns, context, cells, value
+        self.columns, self.context, self.cells, self.function = columns, context, cells, function
+
+    def value(self, *args) -> int:
+        return globals()[self.function](*args)
 
     def tabulate(self, cells: list[tuple], values: list[int]) -> tuple:
         """The JSON fields of each cell, then the csv header and rows."""
@@ -298,18 +301,18 @@ class _CoeffSpec:
 
 
 _COEFFS = {
-    "c": _CoeffSpec(("M", "N", "L"), _hecke_ctx, _c_cells, c_coeff),
+    "c": _CoeffSpec(("M", "N", "L"), _hecke_ctx, _c_cells, "c_coeff"),
     "a": _CoeffSpec(
         ("M", "N"),
         _omega_ctx,
         lambda args: _embedded_pairs(args.max_order_exp, args.n + 1, args.n),
-        a_coeff,
+        "a_coeff",
     ),
     "b": _CoeffSpec(
         ("B", "A"),
         _omega_ctx,
         lambda args: _embedded_pairs(args.max_order_exp, args.n, args.n),
-        b_coeff,
+        "b_coeff",
     ),
 }
 
@@ -554,19 +557,6 @@ def _cmd_selftest(args, memo) -> _Output:
 # --- entry point -----------------------------------------------------------------
 
 
-def _named(argv: list[str]) -> tuple[str | None, list[str]]:
-    """The name argparse dispatches on, and the tokens after it.
-
-    The root, `table` and `verify` take no option with a value, so that is
-    the first token without a leading dash.  A dash token read as a
-    positional (say -1) names nothing, and argparse rejects it anyway.
-    """
-    for i, token in enumerate(argv):
-        if not token.startswith("-"):
-            return token, argv[i + 1 :]
-    return None, []
-
-
 def _arguments(options: str, own: dict[str, dict] | None = None) -> dict[str, dict]:
     """flag or positional name -> add_argument keywords: the shared options
     named in options, then own."""
@@ -585,7 +575,7 @@ class _Command:
     def __init__(self, help: str, options: str, arguments: dict[str, dict], defaults: dict):
         self.help, self.options, self.arguments, self.defaults = help, options, arguments, defaults
 
-    def fill(self, parser: argparse.ArgumentParser, rest: list[str]) -> None:
+    def fill(self, parser: argparse.ArgumentParser) -> None:
         _add_arguments(parser, _arguments(self.options, self.arguments))
         parser.set_defaults(**self.defaults)
 
@@ -601,14 +591,10 @@ class _Kinds:
     def __init__(self, help: str, dest: str, kinds: dict[str, str], func: Callable):
         self.help, self.dest, self.kinds, self.func = help, dest, kinds, func
 
-    def fill(self, parser: argparse.ArgumentParser, rest: list[str]) -> None:
-        """Only the kind or suite that rest names gets its options."""
+    def fill(self, parser: argparse.ArgumentParser) -> None:
         sub = parser.add_subparsers(dest=self.dest, required=True)
-        chosen = _named(rest)[0]
         for name, names in self.kinds.items():
-            sp = sub.add_parser(name, add_help=name == chosen)
-            if name == chosen:
-                _add_arguments(sp, _arguments(names))
+            _add_arguments(sub.add_parser(name), _arguments(names))
         parser.set_defaults(func=self.func)
         parser.formatter_class = argparse.RawDescriptionHelpFormatter
         parser.epilog = f"options by {self.dest}:\n" + "\n".join(
@@ -626,8 +612,9 @@ class _Kinds:
 
 _REQUIRED = dict(required=True)
 
-# the grammar: _build_parser fills a parser only for the command argv
-# names, and _read_argv reads a well-formed argv straight off it
+# the grammar: _read_argv reads a well-formed argv straight off it, and
+# _build_parser builds the whole argparse tree from it for help, usage
+# errors and every other spelling
 _COMMANDS = {
     "ccoeff": _Command(
         "structure constant c(M, N; L)",
@@ -725,24 +712,20 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
 def _parse(argv: list[str]) -> argparse.Namespace:
     """argv read directly when well-formed, else by argparse, which alone
     prints help and usage errors (and exits)."""
-    return _read_argv(argv) or _build_parser(argv).parse_args(argv)
+    return _read_argv(argv) or _build_parser().parse_args(argv)
 
 
-def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser for argv: every command keeps its name and help, but only
-    the one argv names gets its arguments and -h, since each add_argument
-    costs a help formatter and a terminal-size query."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The whole argparse tree: every command, table kind and verify suite
+    with its arguments and -h."""
     parser = argparse.ArgumentParser(
         prog="heckealg",
         description="Exact structure constants, transfers and checks "
         "for algebras of finite abelian p-groups of bounded rank.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    chosen, rest = _named(argv)
     for name, spec in _COMMANDS.items():
-        sp = sub.add_parser(name, help=spec.help, add_help=name == chosen)
-        if name == chosen:
-            spec.fill(sp, rest)
+        spec.fill(sub.add_parser(name, help=spec.help))
     return parser
 
 

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import heckealg
 from heckealg.cache import CACHE_ENV, CACHE_FILENAME, CacheStore
-from heckealg.cli import _COMMANDS, _build_parser, _read_argv, main
+from heckealg.cli import _COMMANDS, _build_parser, _parse, _read_argv, main
 
 
 def run(capsys, *argv):
@@ -54,6 +55,29 @@ def test_acoeff_and_bcoeff(capsys):
     assert code == 0 and out.strip() == "2"
     code, out, _ = run(capsys, "bcoeff", "--p", "2", "--n", "1", "--B", "[2]", "--A", "[]")
     assert code == 0 and out.strip() == "-2"
+
+
+def test_coefficient_commands_call_the_module_bindings(capsys, monkeypatch):
+    # a wrapper bound over the module attribute (as a trace installs one)
+    # sees every call of the *coeff commands and of their tables
+    cli = sys.modules["heckealg.cli"]
+    calls = []
+    for name in ("a_coeff", "b_coeff", "c_coeff"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(
+            cli, name, lambda *a, _name=name, _real=real: calls.append(_name) or _real(*a)
+        )
+    assert run(capsys, "acoeff", "--p", "2", "--n", "1", "--M", "[2,1]", "--N", "[1]")[:2] == (
+        0, "2\n")
+    assert calls == ["a_coeff"]
+    code, out, _ = run(capsys, "table", "b", "--p", "2", "--n", "1", "--max-order-exp", "2")
+    assert code == 0
+    assert calls[1:] == ["b_coeff"] * (len(out.splitlines()) - 1)
+    assert len(calls) > 2
+    del calls[:]
+    assert run(capsys, "ccoeff", "--p", "2", "--n", "2", "--M", "[1]", "--N", "[1]",
+               "--L", "[1,1]")[:2] == (0, "3\n")
+    assert calls == ["c_coeff"]
 
 
 def test_mul_text_and_json(capsys):
@@ -669,25 +693,51 @@ def test_canonical_argv_build_no_parser(capsys, monkeypatch, argv):
         ["table", "omega", "--p", "2", "--n", "1", "--max-order-exp", "2", "--out", "text"],
     ],
 )
-def test_only_the_named_parser_gets_arguments(capsys, monkeypatch, argv):
-    calls = []
-    real = argparse.ArgumentParser.add_argument
+def test_other_spellings_reach_argparse(capsys, monkeypatch, argv):
+    built = []
+    real = argparse.ArgumentParser.__init__
 
     def counting(self, *args, **kwargs):
-        calls.append(args)
-        return real(self, *args, **kwargs)
+        built.append(args)
+        real(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     assert _read_argv(argv) is None
     assert run(capsys, *argv)[0] == 0
-    assert 0 < len(calls) <= 20
+    assert built
+
+
+# the op lines of the recorded benchmark traffic, read only
+_TRAFFIC = json.loads(
+    (Path(__file__).parents[1] / "perfbench" / "expected.json").read_text()
+)["ops"]
+
+
+def test_recorded_traffic_never_reaches_argparse(monkeypatch):
+    built = []
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda *a, **k: built.append(a))
+    assert _TRAFFIC
+    for line in _TRAFFIC:
+        argv = shlex.split(line)
+        ns = _read_argv(argv)
+        assert ns is not None, line
+        if "cache" in ns:
+            argv += ["--cache", "store"]
+            assert _read_argv(argv) is not None, line
+        assert _parse(argv) is not None
+    assert built == []
+
+
+# one parser for every argv: building the whole tree per hypothesis
+# example would double the time of test_reader_agrees_with_argparse
+_PARSER = _build_parser()
 
 
 def _argparse_namespace(argv):
     """What argparse makes of argv, or None where it exits (help or error)."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return _build_parser(argv).parse_args(argv)
+            return _PARSER.parse_args(argv)
         except SystemExit:
             return None
 

@@ -30,9 +30,11 @@ from heckealg.partitions import (
     conjugate,
     is_horizontal_strip,
     order_exponent,
+    partitions_between,
     partitions_of_exponent,
     partitions_up_to,
 )
+from heckealg.subgroups import count_of_type_in_group
 
 
 @pytest.fixture(scope="module")
@@ -395,3 +397,51 @@ def test_parse_element_rejects(text):
 def test_parse_element_respects_rank():
     with pytest.raises(ParseError):
         parse_element("1*[1,1]", 2, 1)
+
+
+# --- subgroup counts at every prime ------------------------------------------
+
+
+def _gaussian(a: int, b: int, p: int) -> int:
+    """[a; b]_p by the product formula, 0 outside 0 <= b <= a."""
+    if not 0 <= b <= a:
+        return 0
+    return exact_quotient(
+        prod(p ** (a - j) - 1 for j in range(b)),
+        prod(p ** (j + 1) - 1 for j in range(b)),
+        "Gaussian binomial",
+    )
+
+
+def _delsarte(lam, mu, p: int) -> int:
+    """alpha_lam(mu; p), the number of subgroups of type mu in a group of
+    type lam (Delsarte 1948; Butler 1994, 1.4):
+    prod_i p^(mu'_(i+1) (lam'_i - mu'_i)) [lam'_i - mu'_(i+1); mu'_i - mu'_(i+1)]_p."""
+    lc, mc = conjugate(lam), conjugate(mu)
+    k = max(len(lc), len(mc))
+    lc, mc = lc + (0,) * (k - len(lc)), mc + (0,) * (k + 1 - len(mc))
+    return prod(
+        p ** (mc[i + 1] * (lc[i] - mc[i])) * _gaussian(lc[i] - mc[i + 1], mc[i] - mc[i + 1], p)
+        for i in range(k)
+    )
+
+
+@pytest.mark.parametrize(("p", "n", "max_order_exp"), [(1009, 4, 8), (2, 3, 6), (3, 2, 6)])
+def test_structure_constants_sum_to_subgroup_counts(p, n, max_order_exp):
+    # sum_N c(M, N; L) counts the subgroups of cotype M in a group of type
+    # L, and sum_N c(N, M; L) those of type M: both are alpha_L(M; p)
+    ctx = HeckeContext(p=p, n=n)
+    checked = 0
+    for lam in partitions_up_to(max_order_exp, n):
+        d = order_exponent(lam)
+        for mu in partitions_up_to(d, n):
+            rest = list(partitions_of_exponent(d - order_exponent(mu), n))
+            want = _delsarte(lam, mu, p)
+            assert sum(c_coeff(mu, nu, lam, ctx) for nu in rest) == want, (lam, mu)
+            assert sum(c_coeff(nu, mu, lam, ctx) for nu in rest) == want, (lam, mu)
+            if d <= 4 and p <= 3:
+                assert count_of_type_in_group(lam, mu, p) == want, (lam, mu)
+            checked += want > 0
+    assert checked == sum(
+        len(list(partitions_between((), lam))) for lam in partitions_up_to(max_order_exp, n)
+    )
