@@ -5,6 +5,12 @@ Keys name the coefficient and its full argument tuple (see coeff_key).
 Values are decimal strings.  The file is only ever appended to, so
 concurrent readers see a prefix; unreadable lines are skipped with a
 warning rather than aborting the run.
+
+A missing cache file is an empty cache, and the first flush creates the
+directory and any missing parents.  Existence is asked with os.access,
+never with a stat or mkdir that fails: CPython turns a failed call's
+errno into an OSError through libc's strerror, which pages about
+0.45 MB of libc into a run that otherwise never touches it.
 """
 
 from __future__ import annotations
@@ -35,6 +41,29 @@ def coeff_key(kind: str, p: int, n: int, **classes: Partition) -> str:
     return ":".join([kind, f"p={p}", f"n={n}", *named])
 
 
+def _make_directories(directory: str) -> None:
+    """Create directory and its missing parents, as os.makedirs(exist_ok=True)
+    does, but make only the mkdir calls that succeed on the normal path.
+
+    A FileExistsError from a concurrent creator is tolerated if the path is
+    then a directory.  A non-directory in the way still raises: here if it
+    is an ancestor, in the caller's os.open if it is directory itself.
+    """
+    missing = []
+    head = directory
+    while head and not os.access(head, os.F_OK):
+        missing.append(head)
+        head, tail = os.path.split(head)
+        if not tail:  # a trailing separator: step past it as os.makedirs does
+            head = os.path.split(head)[0]
+    for path in reversed(missing):
+        try:
+            os.mkdir(path)
+        except FileExistsError:
+            if not os.path.isdir(path):
+                raise
+
+
 class CacheStore:
     """Reads and appends the coefficient cache under one directory."""
 
@@ -51,7 +80,7 @@ class CacheStore:
         so the new entries are exactly those past the first n_loaded.
         """
         out: dict[str, int] = {}
-        if os.path.exists(self.path):
+        if os.access(self.path, os.F_OK):
             with open(self.path, encoding="utf-8") as fh:
                 for lineno, line in enumerate(fh, 1):
                     line = line.strip()
@@ -90,7 +119,7 @@ class CacheStore:
             f'"value": "{new[key]}"}}\n'
             for key in sorted(new)
         ).encode("ascii")
-        os.makedirs(self.directory, exist_ok=True)
+        _make_directories(self.directory)
         # one unbuffered append: no text or buffer layer to set up per call
         fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
         try:

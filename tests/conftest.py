@@ -1,9 +1,12 @@
 """Fixtures shared by the test modules."""
 
 import sys
+from math import prod
 
 import pytest
 
+from heckealg.errors import exact_quotient
+from heckealg.partitions import conjugate
 from heckealg.subgroups import DEFAULT_BUDGET, _hall_census, _meet_census, _type_census
 
 # every sweep goes through subgroups._sweep into one of these memoised
@@ -45,3 +48,34 @@ def sweeps(monkeypatch, cold_tables):
 
     monkeypatch.setattr(subgroups, "enumerate_subgroups", sweep)
     yield made
+
+
+# --- closed forms that the tests check the library against ------------------
+
+
+def gaussian_binomial(a: int, b: int, p: int) -> int:
+    """[a; b]_p = prod_(j < b) (p^(a - j) - 1) / (p^(j + 1) - 1), 0 outside 0 <= b <= a."""
+    if not 0 <= b <= a:
+        return 0
+    return exact_quotient(
+        prod(p ** (a - j) - 1 for j in range(b)),
+        prod(p ** (j + 1) - 1 for j in range(b)),
+        f"the Gaussian binomial [{a}; {b}]_{p}",
+    )
+
+
+def delsarte(lam, mu, p: int) -> int:
+    """alpha_lam(mu; p), the number of subgroups of type mu in a group of
+    type lam (Delsarte 1948; Butler 1994, 1.4):
+    prod_i p^(mu'_(i+1) (lam'_i - mu'_i)) [lam'_i - mu'_(i+1); mu'_i - mu'_(i+1)]_p,
+    and 0 unless mu fits inside lam."""
+    lc, mc = conjugate(lam), conjugate(mu)
+    k = max(len(lc), len(mc))
+    lc, mc = lc + (0,) * (k - len(lc)), mc + (0,) * (k + 1 - len(mc))
+    if any(m > l for m, l in zip(mc, lc)):
+        return 0
+    return prod(
+        p ** (mc[i + 1] * (lc[i] - mc[i]))
+        * gaussian_binomial(lc[i] - mc[i + 1], mc[i] - mc[i + 1], p)
+        for i in range(k)
+    )

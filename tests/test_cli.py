@@ -1,7 +1,9 @@
 """End-to-end checks of the command-line surface."""
 
 import argparse
+import builtins
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -421,8 +423,21 @@ def test_mismatched_rank_element_is_usage_error(capsys):
     assert code == 2
 
 
-def test_cache_round_trip(tmp_path, capsys):
-    cache_dir = str(tmp_path / "store")
+@pytest.mark.parametrize("spelling", ["absolute", "trailing slash", "relative", "raced"])
+def test_cache_round_trip(tmp_path, capsys, monkeypatch, spelling):
+    monkeypatch.chdir(tmp_path)
+    cache_dir = {"trailing slash": "store/", "relative": "store"}.get(
+        spelling, str(tmp_path / "store")
+    )
+    if spelling == "raced":
+        # another process makes the directory between the check and mkdir
+        real_mkdir = os.mkdir
+
+        def raced_mkdir(path, *args, **kwargs):
+            real_mkdir(path, *args, **kwargs)
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), path)
+
+        monkeypatch.setattr(os, "mkdir", raced_mkdir)
     args = [
         "ccoeff", "--p", "2", "--n", "2", "--M", "[1]", "--N", "[1]", "--L", "[1,1]",
         "--cache", cache_dir,
@@ -485,6 +500,51 @@ def test_flush_makes_missing_parent_directories(tmp_path):
     assert CacheStore(str(tmp_path / "a" / "b")).load() == {"k": 1, "j": 2}
 
 
+@pytest.mark.parametrize(
+    "layout", ["parent missing", "directory missing", "no cache file", "file to append to"]
+)
+def test_cached_command_makes_no_failing_file_system_call(tmp_path, capsys, monkeypatch, layout):
+    # CPython builds the OSError of a failed call with libc's strerror, which
+    # pages about 0.45 MB of libc into a run that otherwise never touches it
+    cache = tmp_path / "parent" / "store"
+    before = '{"version": "1", "key": "a:p=2:n=1:M=[2,1]:N=[1]", "value": "2"}\n'
+    if layout != "parent missing":
+        cache.parent.mkdir()
+    if layout in ("no cache file", "file to append to"):
+        cache.mkdir()
+    if layout == "file to append to":
+        (cache / CACHE_FILENAME).write_text(before)
+    raised = []
+
+    def recording(module, name):
+        call = getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            try:
+                return call(*args, **kwargs)
+            except OSError as exc:
+                raised.append((name, args[:1], exc))
+                raise
+
+        monkeypatch.setattr(module, name, recorded)
+
+    for module, name in [
+        (os, "stat"), (os, "lstat"), (os, "mkdir"), (os, "open"), (io, "open"), (builtins, "open")
+    ]:
+        recording(module, name)
+    code, out, _ = run(
+        capsys, "acoeff", "--p", "3", "--n", "2", "--M", "[2,1]", "--N", "[1]",
+        "--cache", str(cache),
+    )
+    monkeypatch.undo()
+    assert raised == []
+    assert (code, out) == (0, "27\n")
+    new = '{"version": "1", "key": "a:p=3:n=2:M=[2,1]:N=[1]", "value": "27"}\n'
+    assert (cache / CACHE_FILENAME).read_text() == (
+        before + new if layout == "file to append to" else new
+    )
+
+
 def test_cache_env_variable(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(CACHE_ENV, str(tmp_path))
     code, out, _ = run(
@@ -534,16 +594,17 @@ def _tree(root):
     )
 
 
-@pytest.mark.parametrize("layout", ["file", "cache file is a directory"])
+@pytest.mark.parametrize("layout", ["file", "file as an ancestor", "cache file is a directory"])
 def test_unusable_cache_is_a_usage_error(tmp_path, capsys, layout):
-    # a regular file fails in flush (FileExistsError), a directory in place
-    # of the cache file in load (IsADirectoryError)
-    if layout == "file":
-        cache = tmp_path / "F"
-        cache.write_text("not a directory\n")
-    else:
+    # a regular file fails in flush: as the directory when it opens
+    # F/hecke-cache.jsonl, as an ancestor in mkdir (both NotADirectoryError);
+    # a directory in place of the cache file fails in load (IsADirectoryError)
+    if layout == "cache file is a directory":
         cache = tmp_path / "store"
         (cache / CACHE_FILENAME).mkdir(parents=True)
+    else:
+        (tmp_path / "F").write_text("not a directory\n")
+        cache = tmp_path / "F" if layout == "file" else tmp_path / "F" / "sub"
     before = _tree(tmp_path)
     code, out, err = run(
         capsys,

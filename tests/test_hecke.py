@@ -2,13 +2,13 @@
 
 import doctest
 import itertools
-from math import prod
 
 import pytest
+from conftest import delsarte, gaussian_binomial
 
 from heckealg import hall, hecke
 from heckealg.cli import main
-from heckealg.errors import ParseError, VerificationError, exact_quotient
+from heckealg.errors import ParseError, VerificationError
 from heckealg.hecke import (
     GeneratorPoly,
     HeckeContext,
@@ -145,13 +145,6 @@ def test_products_match_the_hall_table(p, n, d):
 # --- the reference Pieri coefficients, by division and from both conjugates ---
 
 
-def _gaussian_binomial(a, b, p):
-    """[a; b]_p = prod_(j < b) (p^(a - j) - 1) / (p^(j + 1) - 1)."""
-    num = prod(p ** (a - j) - 1 for j in range(b))
-    den = prod(p ** (j + 1) - 1 for j in range(b))
-    return exact_quotient(num, den, f"the Gaussian binomial [{a}; {b}]_{p}")
-
-
 def _hall_vertical(lam, mu, p):
     """G^lam_{mu,(1^k)}(p), lam/mu a vertical k-strip (Macdonald II (4.6)).
 
@@ -170,7 +163,7 @@ def _hall_vertical(lam, mu, p):
     for i in range(len(cols) - 1):
         a, b = cols[i] - cols[i + 1], cols[i] - inner[i]
         exp -= b * (a - b)
-        value *= _gaussian_binomial(a, b, p)
+        value *= gaussian_binomial(a, b, p)
     assert exp >= 0, (lam, mu)
     return p**exp * value
 
@@ -184,7 +177,7 @@ def test_gaussian_table_is_the_division_formula(p):
     table = hall._gaussian_table(p, 8)
     assert [len(row) for row in table] == list(range(1, 10))
     for a, row in enumerate(table):
-        assert row == [_gaussian_binomial(a, b, p) for b in range(a + 1)], a
+        assert row == [gaussian_binomial(a, b, p) for b in range(a + 1)], a
 
 
 def test_pieri_rows_by_strip_match_the_filter():
@@ -402,30 +395,6 @@ def test_parse_element_respects_rank():
 # --- subgroup counts at every prime ------------------------------------------
 
 
-def _gaussian(a: int, b: int, p: int) -> int:
-    """[a; b]_p by the product formula, 0 outside 0 <= b <= a."""
-    if not 0 <= b <= a:
-        return 0
-    return exact_quotient(
-        prod(p ** (a - j) - 1 for j in range(b)),
-        prod(p ** (j + 1) - 1 for j in range(b)),
-        "Gaussian binomial",
-    )
-
-
-def _delsarte(lam, mu, p: int) -> int:
-    """alpha_lam(mu; p), the number of subgroups of type mu in a group of
-    type lam (Delsarte 1948; Butler 1994, 1.4):
-    prod_i p^(mu'_(i+1) (lam'_i - mu'_i)) [lam'_i - mu'_(i+1); mu'_i - mu'_(i+1)]_p."""
-    lc, mc = conjugate(lam), conjugate(mu)
-    k = max(len(lc), len(mc))
-    lc, mc = lc + (0,) * (k - len(lc)), mc + (0,) * (k + 1 - len(mc))
-    return prod(
-        p ** (mc[i + 1] * (lc[i] - mc[i])) * _gaussian(lc[i] - mc[i + 1], mc[i] - mc[i + 1], p)
-        for i in range(k)
-    )
-
-
 @pytest.mark.parametrize(("p", "n", "max_order_exp"), [(1009, 4, 8), (2, 3, 6), (3, 2, 6)])
 def test_structure_constants_sum_to_subgroup_counts(p, n, max_order_exp):
     # sum_N c(M, N; L) counts the subgroups of cotype M in a group of type
@@ -436,7 +405,7 @@ def test_structure_constants_sum_to_subgroup_counts(p, n, max_order_exp):
         d = order_exponent(lam)
         for mu in partitions_up_to(d, n):
             rest = list(partitions_of_exponent(d - order_exponent(mu), n))
-            want = _delsarte(lam, mu, p)
+            want = delsarte(lam, mu, p)
             assert sum(c_coeff(mu, nu, lam, ctx) for nu in rest) == want, (lam, mu)
             assert sum(c_coeff(nu, mu, lam, ctx) for nu in rest) == want, (lam, mu)
             if d <= 4 and p <= 3:

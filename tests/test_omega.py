@@ -7,6 +7,7 @@ from math import prod
 from pathlib import Path
 
 import pytest
+from conftest import delsarte
 
 from heckealg import hall, hecke, modmat, subgroups
 from heckealg.cache import CACHE_FILENAME
@@ -28,7 +29,7 @@ from heckealg.omega import (
     verify_tp_formula,
 )
 from heckealg.partitions import (
-    conjugate, embeds, order_exponent, parse_partition, partitions_up_to
+    conjugate, embeds, order_exponent, parse_partition, partitions_between, partitions_up_to
 )
 from heckealg.subgroups import (
     DEFAULT_BUDGET,
@@ -168,6 +169,24 @@ def test_cyclic_closed_form(p, n):
             n_ = (r - s,) if r - s else ()
             want = p ** (r * n) if s == r else p ** (s * n - 1) * (p - 1)
             assert a_coeff((r,), n_, ctx) == want
+
+
+@pytest.mark.parametrize(
+    ("p", "n", "max_order_exp"), [(1009, 6, 9), (1009, 4, 8), (2, 3, 6), (3, 2, 6)]
+)
+def test_transfer_preserves_subgroup_counts(p, n, max_order_exp):
+    # every subgroup of type M in (Z/p^r)^(n+1), r = M_1, meets V[p^r] =
+    # (Z/p^r)^n in some copy of an N, and a(M, N) counts those meeting a
+    # fixed copy, so sum_N a(M, N) alpha_(r^n)(N; p) = alpha_(r^(n+1))(M; p)
+    ctx = OmegaContext(p=p, n=n)
+    for m in partitions_up_to(max_order_exp, n + 1):
+        if m:
+            r = m[0]
+            got = sum(
+                a_coeff(m, n_, ctx) * delsarte((r,) * n, n_, p)
+                for n_ in partitions_between((), m)
+            )
+            assert got == delsarte((r,) * (n + 1), m, p), m
 
 
 def test_dual_routes_agree(ctx2):
