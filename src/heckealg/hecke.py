@@ -16,7 +16,8 @@ elementary Pieri rule for Hall polynomials (Macdonald, Symmetric
 Functions and Hall Polynomials, II (4.6); see _pieri_row).  A Pieri row
 is built block by block: of each block of equal rows of mu it grows the
 top few, and reads the Gaussian binomials of II (4.6) from a table that
-q-Pascal fills once per context with no division (hall._gaussian_table).
+q-Pascal fills with no division (hall._gaussian_table), grown per context
+to the rows the Pieri rule reads.
 Products, generator decompositions and the structure constants take
 that route and enumerate no subgroups: a decomposition peels off
 leading terms (_peel, the one solver that also inverts the transfer in
@@ -38,7 +39,7 @@ shared by all contexts with the same p and budget.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from itertools import groupby
 
 from .cache import coeff_key
@@ -91,7 +92,7 @@ class HeckeContext:
         self._monos: dict[tuple[int, ...], HeckeElement] = {}
         # products of basis classes for c_coeff, never written to a cache
         self._products: dict[tuple[Partition, Partition], HeckeElement] = {}
-        # [a; b]_p for the Pieri rows, built on first use
+        # [a; b]_p for the Pieri rows, grown to the rows they read
         self._gauss: list[list[int]] = []
 
 
@@ -114,7 +115,7 @@ class HeckeElement:
                 raise ValueError(
                     f"class {format_partition(lam)} has p-rank over the algebra rank {n}"
                 )
-            if not isinstance(coeff, int):
+            if not isinstance(coeff, int) or isinstance(coeff, bool):
                 raise ValueError(f"coefficients must be integers, got {coeff!r}")
             if coeff:
                 clean[lam] = coeff
@@ -144,14 +145,10 @@ class HeckeElement:
         out = dict(self.terms)
         for lam, c in other.terms.items():
             out[lam] = out.get(lam, 0) + c
-        return HeckeElement(self.p, self.n, out)
+        return HeckeElement._canonical(self.p, self.n, out)
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for lam, c in other.terms.items():
-            out[lam] = out.get(lam, 0) - c
-        return HeckeElement(self.p, self.n, out)
+        return self + other.scaled(-1)
 
     def scaled(self, c: int) -> "HeckeElement":
         return HeckeElement(self.p, self.n, {lam: c * v for lam, v in self.terms.items()})
@@ -171,16 +168,7 @@ class HeckeElement:
         return sorted(self.terms.items(), key=lambda kv: partition_sort_key(kv[0]))
 
     def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for i, (lam, c) in enumerate(self.sorted_terms()):
-            if i == 0:
-                pieces.append(f"{c}*{format_partition(lam)}")
-            else:
-                sign = " + " if c >= 0 else " - "
-                pieces.append(f"{sign}{abs(c)}*{format_partition(lam)}")
-        return "".join(pieces)
+        return _signed_sum((c, "*" + format_partition(lam)) for lam, c in self.sorted_terms())
 
     def to_json_dict(self) -> dict:
         return {
@@ -197,6 +185,15 @@ class HeckeElement:
 
     def __repr__(self) -> str:
         return f"HeckeElement(p={self.p}, n={self.n}, {self.to_text()})"
+
+
+def _signed_sum(terms: Iterable[tuple[int, str]]) -> str:
+    """The pairs (c, "*x") as c_1*x_1 + c_2*x_2 - ..., "" standing for x = 1,
+    or "0" if there are none; the first sign is written only if it is "-"."""
+    text = "".join(f" {'-' if c < 0 else '+'} {abs(c)}{x}" for c, x in terms)
+    if not text:
+        return "0"
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def basis_element(lam: Sequence[int], ctx: HeckeContext) -> HeckeElement:
@@ -343,8 +340,9 @@ def _pieri_row(mu: Partition, k: int, ctx: HeckeContext) -> dict[Partition, int]
     """
     row = ctx._pieri.get((mu, k))
     if row is None:
-        if not ctx._gauss:
-            ctx._gauss = _gaussian_table(ctx.p, ctx.n)
+        top = min(ctx.n, len(mu) + k)  # a counts parts of lam, which has at most len(mu) + k
+        if len(ctx._gauss) <= top:
+            ctx._gauss = _gaussian_table(ctx.p, min(ctx.n, 2 * top))
         row, blocks, start = {}, [], 0  # blocks: (v, first row, s_v), top block first
         for v, run in groupby(mu + (0,) * (ctx.n - len(mu))):
             size = len(tuple(run))
@@ -388,12 +386,9 @@ def _times_monomial(
         value = x
     else:
         k = max(i for i, a in enumerate(exps) if a)
-        prev = exps[:k] + (exps[k] - 1,) + exps[k + 1 :]
-        out: dict[Partition, int] = {}
-        for mu, c in _times_monomial(x, prev, ctx, memo).terms.items():
-            for lam, g in _pieri_row(mu, k + 1, ctx).items():
-                out[lam] = out.get(lam, 0) + c * g
-        value = HeckeElement._canonical(ctx.p, ctx.n, out)
+        prev = _times_monomial(x, exps[:k] + (exps[k] - 1,) + exps[k + 1 :], ctx, memo)
+        terms = _apply(prev.terms, lambda mu: _pieri_row(mu, k + 1, ctx))
+        value = HeckeElement._canonical(ctx.p, ctx.n, terms)
     memo[exps] = value
     return value
 
@@ -404,11 +399,8 @@ def _times_poly(
     ctx: HeckeContext,
     memo: dict[tuple[int, ...], HeckeElement],
 ) -> HeckeElement:
-    out: dict[Partition, int] = {}
-    for exps, c in coeffs.items():
-        for lam, v in _times_monomial(x, exps, ctx, memo).terms.items():
-            out[lam] = out.get(lam, 0) + c * v
-    return HeckeElement._canonical(ctx.p, ctx.n, out)
+    terms = _apply(coeffs, lambda exps: _times_monomial(x, exps, ctx, memo).terms)
+    return HeckeElement._canonical(ctx.p, ctx.n, terms)
 
 
 def multiply(x: HeckeElement, y: HeckeElement, ctx: HeckeContext) -> HeckeElement:
@@ -462,22 +454,10 @@ class GeneratorPoly:
         )
 
     def to_text(self) -> str:
-        terms = self.sorted_terms()
-        if not terms:
-            return "0"
-        pieces = []
-        for i, (exps, c) in enumerate(terms):
-            mono = "*".join(
-                f"T{k}" if a == 1 else f"T{k}^{a}"
-                for k, a in enumerate(exps, 1)
-                if a
-            )
-            body = f"{abs(c)}*{mono}" if mono else f"{abs(c)}"
-            if i == 0:
-                pieces.append(("-" if c < 0 else "") + body)
-            else:
-                pieces.append((" - " if c < 0 else " + ") + body)
-        return "".join(pieces)
+        return _signed_sum(
+            (c, "".join(f"*T{k}" if a == 1 else f"*T{k}^{a}" for k, a in enumerate(exps, 1) if a))
+            for exps, c in self.sorted_terms()
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -499,6 +479,18 @@ def _leading_monomial(lam: Partition, n: int) -> tuple[int, ...]:
     """Exponents of T_1..T_n in prod_i T_(lam'_i), lam' the conjugate of lam."""
     cols = conjugate(lam)
     return tuple(cols.count(k) for k in range(1, n + 1))
+
+
+def _apply(
+    x: Mapping[Partition, int], image: Callable[[Partition], Mapping[Partition, int]]
+) -> dict[Partition, int]:
+    """The sum of c image(key) over the terms c key of x: image extended linearly
+    (omega, a Pieri step, a generator polynomial keyed by exponent vectors)."""
+    out: dict[Partition, int] = {}
+    for key, c in x.items():
+        for lam, v in image(key).items():
+            out[lam] = out.get(lam, 0) + c * v
+    return out
 
 
 def _peel(

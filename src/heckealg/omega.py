@@ -43,7 +43,7 @@ from .cache import coeff_key
 from .errors import VerificationError, exact_quotient
 from .hall import _aut_order, _hall_cyclic
 from .hecke import (
-    HeckeContext, HeckeElement, _peel, basis_element, multiply, t_aggregate
+    HeckeContext, HeckeElement, _apply, _peel, basis_element, multiply, t_aggregate
 )
 
 # unused here, but perfbench's span self-check looks this binding up
@@ -255,11 +255,7 @@ def omega(x: HeckeElement, ctx: OmegaContext) -> HeckeElement:
             f"omega at (p={ctx.p}, n={ctx.n}) expects elements of the rank-"
             f"{ctx.n + 1} algebra, got (p={x.p}, n={x.n})"
         )
-    out: dict[Partition, int] = {}
-    for m, c in x.terms.items():
-        for n_, a in _omega_image(m, ctx).items():
-            out[n_] = out.get(n_, 0) + c * a
-    return HeckeElement._canonical(ctx.p, ctx.n, out)
+    return HeckeElement._canonical(ctx.p, ctx.n, _apply(x.terms, lambda m: _omega_image(m, ctx)))
 
 
 def b_coeff(b: Sequence[int], a: Sequence[int], ctx: OmegaContext) -> int:

@@ -39,7 +39,7 @@ def validate_partition(lam: Sequence[int]) -> Partition:
     """Return ``lam`` as a canonical tuple, or raise ValueError."""
     t = tuple(lam)
     for i, part in enumerate(t):
-        if not isinstance(part, int) or part <= 0:
+        if not isinstance(part, int) or part <= 0 or part is True:  # False fails part <= 0
             raise ValueError(f"partition parts must be positive integers, got {t}")
         if i and t[i - 1] < part:
             raise ValueError(f"partition parts must be weakly decreasing, got {t}")

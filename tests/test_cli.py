@@ -545,13 +545,62 @@ def test_cached_command_makes_no_failing_file_system_call(tmp_path, capsys, monk
     )
 
 
+_POISONED = (
+    'garbage\n'
+    '{"version": "1", "key": "c:p=2:n=2:M=[1]:N=[1]:L=[1,1]", "value": "77"}\n'
+)
+_CCOEFF = ("ccoeff", "--p", "2", "--n", "2", "--M", "[1]", "--N", "[1]", "--L", "[1,1]")
+
+
 def test_cache_env_variable(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    # the default cache of a command that takes --cache: written, read, overridden
+    env_file = tmp_path / "env" / CACHE_FILENAME
+    monkeypatch.setenv(CACHE_ENV, str(env_file.parent))
     code, out, _ = run(
         capsys, "ccoeff", "--p", "2", "--n", "2", "--M", "[1]", "--N", "[1]", "--L", "[2]"
     )
     assert code == 0
-    assert (tmp_path / CACHE_FILENAME).exists()
+    assert env_file.exists()
+    env_file.write_text(_POISONED)
+    code, out, err = run(capsys, *_CCOEFF)
+    assert (code, out) == (0, "77\n")
+    assert err.count("skipping bad cache line") == 1
+    code, out, err = run(capsys, *_CCOEFF, "--cache", str(tmp_path / "flag"))
+    assert (code, out, err) == (0, "3\n", "")
+    assert env_file.read_text() == _POISONED
+    assert (tmp_path / "flag" / CACHE_FILENAME).read_text() == (
+        '{"version": "1", "key": "c:p=2:n=2:M=[1]:N=[1]:L=[1,1]", "value": "3"}\n'
+    )
+
+
+def test_empty_cache_env_means_no_cache(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(CACHE_ENV, "")
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *_CCOEFF) == (0, "3\n", "")
+    assert run(capsys, "table", "a", "--p", "2", "--n", "1", "--max-order-exp", "2")[0] == 0
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    ("argv", "want"),
+    [
+        (("mul", "--p", "2", "--n", "2", "1*[1]", "1*[1]"), "1*[2] + 3*[1,1]\n"),
+        (("decompose", "--p", "2", "--n", "2", "1*[2]"), "1*T1^2 - 3*T2\n"),
+        (("verify", "shimura", "--p", "2", "--n", "2", "--max-order-exp", "2"), None),
+    ],
+    ids=["mul", "decompose", "verify shimura"],
+)
+def test_element_commands_neither_read_nor_write_the_cache_env(
+    tmp_path, capsys, monkeypatch, argv, want
+):
+    # loading the poisoned file would warn about its garbage line
+    (tmp_path / CACHE_FILENAME).write_text(_POISONED)
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert want is None or out == want
+    assert [path.name for path in tmp_path.iterdir()] == [CACHE_FILENAME]
+    assert (tmp_path / CACHE_FILENAME).read_text() == _POISONED
 
 
 def test_corrupt_cache_lines_warn_and_continue(tmp_path, capsys):

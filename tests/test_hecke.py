@@ -61,6 +61,11 @@ def test_element_normalization():
         HeckeElement(2, 1, {(1, 1): 1})  # rank too high
     with pytest.raises(ValueError):
         HeckeElement(2, 2, {(1, 2): 1})  # not a partition
+    with pytest.raises(ValueError, match="positive integers"):
+        HeckeElement(2, 2, {(2, True): 1})
+    for coeff in [True, False, 1.0]:
+        with pytest.raises(ValueError, match="coefficients must be integers"):
+            HeckeElement(2, 1, {(1,): coeff})
 
 
 def test_element_arithmetic():
@@ -68,9 +73,14 @@ def test_element_arithmetic():
     b = HeckeElement(2, 2, {(1,): -1, (1, 1): 5})
     assert (a + b).terms == {(2,): 2, (1, 1): 5}
     assert (a - a).is_zero()
+    assert (a - b).terms == {(1,): 2, (2,): 2, (1, 1): -5}
     assert a.scaled(3).terms == {(1,): 3, (2,): 6}
     with pytest.raises(ValueError):
         a + HeckeElement(3, 2, {})
+    with pytest.raises(ValueError, match="context mismatch"):
+        a - HeckeElement(2, 1, {})
+    with pytest.raises(ValueError, match="coefficients must be integers"):
+        a.scaled(0.5)
 
 
 def test_text_rendering():
@@ -196,6 +206,15 @@ def test_pieri_rows_by_strip_match_the_filter():
                 got = _pieri_row(mu, k, ctx)
                 assert got == want, (p, n, mu, k)
                 assert list(got) == sorted(want, reverse=True), (p, n, mu, k)
+
+
+def test_a_product_at_large_rank_grows_only_the_gaussian_rows_it_reads():
+    # u_(1) T_1 reads [a; b]_p only for a <= 2, whatever the rank
+    ctx = HeckeContext(p=2, n=300)
+    x = basis_element((1,), ctx)
+    assert multiply(x, x, ctx) == HeckeElement(2, 300, {(2,): 1, (1, 1): 3})
+    assert len(ctx._gauss) <= 5
+    assert ctx._gauss == hall._gaussian_table(2, len(ctx._gauss) - 1)
 
 
 def test_oracle_catches_a_wrong_gaussian_binomial(monkeypatch, capsys):
@@ -357,12 +376,22 @@ def test_poly_drops_zero_coefficients():
     assert GeneratorPoly(2, {(0, 0): 0}) == GeneratorPoly(2, {})
 
 
-def test_poly_rendering():
-    poly = GeneratorPoly(2, {(2, 0): 1, (0, 1): -3, (0, 0): 5})
-    assert poly.to_text() == "5 + 1*T1^2 - 3*T2"
+@pytest.mark.parametrize(
+    ("coeffs", "text"),
+    [
+        ({(2, 0): 1, (0, 1): -3, (0, 0): 5}, "5 + 1*T1^2 - 3*T2"),
+        ({(1, 0): -1}, "-1*T1"),
+        ({(0, 0): -5, (1, 0): 2}, "-5 + 2*T1"),
+        ({(1, 1): 4}, "4*T1*T2"),
+        ({}, "0"),
+    ],
+)
+def test_poly_rendering(coeffs, text):
+    poly = GeneratorPoly(2, coeffs)
+    assert poly.to_text() == str(poly) == text
     payload = poly.to_json_dict()
     assert payload["n"] == 2
-    assert {"exponents": [0, 1], "coeff": "-3"} in payload["terms"]
+    assert {tuple(t["exponents"]): int(t["coeff"]) for t in payload["terms"]} == coeffs
 
 
 def test_eval_rejects_misfit_poly(ctx21):

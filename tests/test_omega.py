@@ -77,6 +77,16 @@ def test_a_guards(ctx1):
     assert a_coeff((2, 2), (1,), ctx1) == 0  # does not embed
 
 
+def test_a_rejects_bool_parts():
+    # True == 1, but it would store a second cache key for a([2,1], [1])
+    ctx = OmegaContext(p=2, n=1)
+    with pytest.raises(ValueError, match="positive integers"):
+        a_coeff((2, True), (1,), ctx)
+    with pytest.raises(ValueError, match="positive integers"):
+        a_coeff((2, 1), (True,), ctx)
+    assert ctx.memo == {}
+
+
 @pytest.fixture
 def no_enumeration(monkeypatch):
     """Make every subgroup enumeration, Howell form and quotient type raise."""

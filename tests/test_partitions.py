@@ -36,6 +36,10 @@ def test_validate_rejects_bad_shapes():
         validate_partition((2, 0))
     with pytest.raises(ValueError):
         validate_partition((-1,))
+    # bool is an int subclass, but no part of a partition
+    for lam in [(2, True), (True,), (False,)]:
+        with pytest.raises(ValueError, match="positive integers"):
+            validate_partition(lam)
     assert validate_partition([3, 1, 1]) == (3, 1, 1)
 
 
