@@ -42,6 +42,12 @@ dash) is read straight from the option tables.  argparse, built whole,
 takes help, usage errors and every other spelling.
 A negative --max-order-exp or a --budget below 1 is a usage error.
 
+The verification suites live in heckealg.verify, which only `verify`
+and `selftest` import: without bytecode every imported module is
+compiled, and the suites were the largest part of this module's compile.
+This module keeps their names and options, in the order `verify all`
+runs them, and writes their checks in each output format.
+
 Commands return their output in every format and print nothing; `main`
 prints the one --output names (the text form of a table is its csv).
 `main` also loads the cache before the command runs and flushes it only
@@ -64,28 +70,15 @@ from .errors import BudgetExceededError, VerificationError
 from .hecke import (
     HeckeContext,
     HeckeElement,
-    c_by_enumeration,
     c_coeff,
     decompose_in_generators,
-    eval_generator_poly,
     multiply,
     basis_element,
     parse_element,
-    t_aggregate,
 )
-from .omega import (
-    OmegaContext,
-    a_by_enumeration,
-    a_coeff,
-    b_coeff,
-    lift_section,
-    omega,
-    verify_omega_hom,
-    verify_tp_formula,
-)
+from .omega import OmegaContext, a_coeff, b_coeff, omega
 from .partitions import (
     Partition,
-    embeds,
     format_partition,
     order_exponent,
     parse_partition,
@@ -93,13 +86,7 @@ from .partitions import (
     partitions_of_exponent,
     partitions_up_to,
 )
-from .subgroups import (
-    DEFAULT_BUDGET,
-    Ambient,
-    _type_census,
-    count_of_type_in_group,
-    m_count,
-)
+from .subgroups import DEFAULT_BUDGET, Ambient, _type_census
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -359,159 +346,23 @@ def _table_omega(args, memo) -> _Output:
 # --- verification suites --------------------------------------------------------
 
 
-def _suite_hom(args, memo, checks) -> None:
-    ctx = _omega_ctx(args, memo)
-    parts = list(partitions_up_to(args.max_order_exp, args.n + 1))
-    for m1 in parts:
-        for m2 in parts:
-            rep = verify_omega_hom(m1, m2, ctx)
-            checks.append(
-                (
-                    f"hom M1={format_partition(m1)} M2={format_partition(m2)}",
-                    rep.passed,
-                    rep.describe(),
-                )
-            )
-
-
-def _suite_tp(args, memo, checks) -> None:
-    ctx = _omega_ctx(args, memo)
-    for r in range(args.max_order_exp + 1):
-        rep = verify_tp_formula(r, ctx)
-        checks.append((f"aggregate r={r}", rep.passed, rep.describe()))
-
-
-def _suite_inverse(args, memo, checks) -> None:
-    ctx = _omega_ctx(args, memo)
-    parts = list(partitions_up_to(args.max_order_exp, args.n))
-    for b in parts:
-        for a in partitions_between((), b):
-            mids = list(partitions_between(a, b))
-            lhs = sum(a_coeff(b, c, ctx) * b_coeff(c, a, ctx) for c in mids)
-            rhs = sum(b_coeff(b, c, ctx) * a_coeff(c, a, ctx) for c in mids)
-            want = 1 if a == b else 0
-            ok = lhs == want and rhs == want
-            checks.append(
-                (
-                    f"inverse B={format_partition(b)} A={format_partition(a)}",
-                    ok,
-                    f"a.b = {lhs}, b.a = {rhs}, expected {want}",
-                )
-            )
-    for n_ in parts:
-        lifted = lift_section(n_, ctx)
-        back = omega(lifted, ctx)
-        want_elem = basis_element(n_, ctx.target)
-        checks.append(
-            (
-                f"section N={format_partition(n_)}",
-                back == want_elem,
-                f"omega(lift) = {back.to_text()}",
-            )
-        )
-
-
-def _suite_shimura(args, memo, checks) -> None:
-    ctx = _hecke_ctx(args, memo)
-    targets = [
-        (f"L={format_partition(lam)}", f"{format_partition(lam)} =", basis_element, lam)
-        for lam in partitions_up_to(args.max_order_exp, args.n)
-    ] + [
-        (f"aggregate r={r}", f"aggregate r={r}:", t_aggregate, r)
-        for r in range(args.max_order_exp + 1)
-    ]
-    for name, label, make, arg in targets:
-        try:
-            elem = make(arg, ctx)
-            poly = decompose_in_generators(elem, ctx)
-            ok = eval_generator_poly(poly, ctx) == elem
-            detail = f"{label} {poly.to_text()}"
-        except VerificationError as exc:
-            ok, detail = False, str(exc)
-        checks.append((f"generators {name}", ok, detail))
-
-
-def _suite_oracle(args, memo, checks) -> None:
-    p = args.p
-    budget = args.budget
-    octx = _omega_ctx(args, memo)  # rejects a bad --trunc before any enumeration
-
-    def total(n: int, r: int) -> int:
-        return sum(_type_census((r,) * n, None, p, budget).values())
-
-    expected_totals = [
-        ("count rank2 exponent1", 2, 1, p + 3),
-        ("count rank3 exponent1", 3, 1, 2 * p * p + 2 * p + 4),
-    ] + [(f"count chain r={r}", 1, r, r + 1) for r in range(1, 5)]
-    for name, nn, rr, want in expected_totals:
-        got = total(nn, rr)
-        checks.append((name, got == want, f"got {got}"))
-    for nn, rr in ((1, 1), (1, 2), (2, 1), (2, 2)):
-        all_types = [
-            m
-            for m in partitions_up_to(nn * rr, nn)
-            if not m or m[0] <= rr
-        ]
-        sum_m = sum(m_count(m, nn, p, budget=budget) for m in all_types)
-        got = total(nn, rr)
-        detail = f"sum {sum_m} vs total {got}"
-        checks.append((f"m-sum n={nn} r={rr}", sum_m == got, detail))
-    maxoe = args.max_order_exp
-    shapes = [lam for d in range(maxoe + 1) for lam in partitions_of_exponent(d, d or 1)]
-    for lam in shapes:
-        for mu in shapes:
-            if order_exponent(mu) > order_exponent(lam):
-                continue
-            found = count_of_type_in_group(lam, mu, p, budget=budget) > 0
-            predicted = embeds(mu, lam)
-            checks.append(
-                (
-                    f"embedding L={format_partition(lam)} M={format_partition(mu)}",
-                    found == predicted,
-                    f"search {found}, containment {predicted}",
-                )
-            )
-    for m in partitions_up_to(maxoe, args.n + 1):
-        for n_ in partitions_up_to(order_exponent(m), args.n):
-            va = a_coeff(m, n_, octx)
-            vb = a_by_enumeration(m, n_, octx)
-            checks.append(
-                (
-                    f"a-route M={format_partition(m)} N={format_partition(n_)}",
-                    va == vb,
-                    f"transversal {va}, enumeration {vb}",
-                )
-            )
-    hctx = _hecke_ctx(args, memo)
-    # labels kept so that stdout stays byte-identical: "table" is the
-    # Pieri product, "normalized count" the Hall table
-    for m, n_, l in _c_cells(args):
-        vc = c_coeff(m, n_, l, hctx)
-        vv = c_by_enumeration(m, n_, l, hctx)
-        checks.append(
-            (
-                f"c-route M={format_partition(m)} "
-                f"N={format_partition(n_)} L={format_partition(l)}",
-                vc == vv,
-                f"table {vc}, normalized count {vv}",
-            )
-        )
-
-
+# suite -> the options it reads, in the order `verify all` runs them (the
+# suites are heckealg.verify.SUITES)
 _SUITES = {
-    "hom": (_suite_hom, _TRANSFER_SWEEP_OPTIONS),
-    "tp": (_suite_tp, _TRANSFER_SWEEP_OPTIONS),
-    "inverse": (_suite_inverse, _TRANSFER_SWEEP_OPTIONS),
-    "shimura": (_suite_shimura, _ELEMENT_OPTIONS + " max-order-exp"),
-    "oracle": (_suite_oracle, _SWEEP_OPTIONS),
+    "hom": _TRANSFER_SWEEP_OPTIONS,
+    "tp": _TRANSFER_SWEEP_OPTIONS,
+    "inverse": _TRANSFER_SWEEP_OPTIONS,
+    "shimura": _ELEMENT_OPTIONS + " max-order-exp",
+    "oracle": _SWEEP_OPTIONS,
 }
 
 
 def _cmd_verify(args, memo, label: str | None = None) -> _Output:
     """Run args.suite (every suite for "all"); label names it in the JSON."""
-    checks: list = []
-    for name in list(_SUITES) if args.suite == "all" else [args.suite]:
-        _SUITES[name][0](args, memo, checks)
+    from .verify import run_suites  # only verify and selftest compile the suites
+
+    names = list(_SUITES) if args.suite == "all" else [args.suite]
+    checks = run_suites(names, args, memo, _omega_ctx, _hecke_ctx, _c_cells)
     failures = sum(not ok for _, ok, _ in checks)
     lines = [f"ok   {c}" if ok else f"FAIL {c}: {why}" for c, ok, why in checks]
     payload = {
@@ -649,7 +500,7 @@ _COMMANDS = {
         **dict.fromkeys(("a", "b", "omega"), _TRANSFER_SWEEP_OPTIONS),
     }, _cmd_table),
     "verify": _Kinds("run a verification suite", "suite", {
-        **{name: names for name, (_, names) in _SUITES.items()},
+        **_SUITES,
         "all": _SWEEP_OPTIONS,
     }, _cmd_verify),
     "count-subgroups": _Command(

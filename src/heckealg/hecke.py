@@ -168,7 +168,7 @@ class HeckeElement:
         return sorted(self.terms.items(), key=lambda kv: partition_sort_key(kv[0]))
 
     def to_text(self) -> str:
-        return _signed_sum((c, "*" + format_partition(lam)) for lam, c in self.sorted_terms())
+        return _class_sum(self.terms)
 
     def to_json_dict(self) -> dict:
         return {
@@ -194,6 +194,12 @@ def _signed_sum(terms: Iterable[tuple[int, str]]) -> str:
     if not text:
         return "0"
     return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+def _class_sum(terms: Mapping[Partition, int]) -> str:
+    """terms as c_1*[lam_1] + c_2*[lam_2] - ..., in partition_sort_key order."""
+    ordered = sorted(terms.items(), key=lambda kv: partition_sort_key(kv[0]))
+    return _signed_sum((c, "*" + format_partition(lam)) for lam, c in ordered)
 
 
 def basis_element(lam: Sequence[int], ctx: HeckeContext) -> HeckeElement:
@@ -509,9 +515,10 @@ def _peel(
         lam = max(rest)
         img = image(lam)
         if img.get(lam) != 1 or max(img) != lam:
-            shown = " + ".join(f"{v}*{format_partition(mu)}" for mu, v in img.items())
             name = format_partition(lam)
-            raise VerificationError(f"image of {name} does not lead with 1*{name}: {shown}")
+            raise VerificationError(
+                f"image of {name} does not lead with 1*{name}: {_class_sum(img)}"
+            )
         c = out[lam] = rest[lam]
         for mu, v in img.items():
             rest[mu] = rest.get(mu, 0) - c * v

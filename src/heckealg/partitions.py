@@ -225,7 +225,7 @@ def parse_partition(text: str) -> Partition:
     parts = []
     for tok in inner.split(","):
         tok = tok.strip()
-        if not tok.isdigit():
+        if not tok.isdecimal():  # isdigit also admits "²", which int rejects
             raise ParseError(f"bad partition part {tok!r} in {text!r}")
         parts.append(int(tok))
     try:

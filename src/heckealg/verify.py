@@ -1,0 +1,213 @@
+"""The verification suites of `heckealg verify` and `heckealg selftest`.
+
+Each suite checks what the other commands compute against an independent
+route, and yields (name, passed, detail) per check.  Only the `verify`
+and `selftest` commands import this module, inside the command: a run
+without bytecode compiles every module it imports, and the suites would
+be the largest part of the command line's compile.
+
+This module never imports heckealg.cli: under `python -m heckealg.cli`
+that module is __main__, and importing it would compile it a second
+time.  The command line hands `run_suites` its parsed options, its memo
+and the builders of the contexts and of the cells of `table c` instead.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Callable, Iterable, Iterator
+
+from .errors import VerificationError
+from .hecke import (
+    HeckeContext,
+    basis_element,
+    c_by_enumeration,
+    c_coeff,
+    decompose_in_generators,
+    eval_generator_poly,
+    t_aggregate,
+)
+from .omega import (
+    OmegaContext,
+    a_by_enumeration,
+    a_coeff,
+    b_coeff,
+    lift_section,
+    omega,
+    verify_omega_hom,
+    verify_tp_formula,
+)
+from .partitions import (
+    Partition,
+    embeds,
+    format_partition,
+    order_exponent,
+    partitions_between,
+    partitions_of_exponent,
+    partitions_up_to,
+)
+from .subgroups import _type_census, count_of_type_in_group, m_count
+
+Check = tuple[str, bool, str]
+
+
+class _Setup:
+    """One verify run: args, the parsed options; omega() and hecke(), a new
+    context over the run's memo; c_cells(), the (M, N, L) cells of `table c`."""
+
+    def __init__(self, args, memo, omega_ctx, hecke_ctx, c_cells):
+        self.args = args
+        self.omega = lambda: omega_ctx(args, memo)
+        self.hecke = lambda: hecke_ctx(args, memo)
+        self.c_cells = lambda: c_cells(args)
+
+
+def _hom(run: _Setup) -> Iterator[Check]:
+    ctx = run.omega()
+    parts = list(partitions_up_to(run.args.max_order_exp, run.args.n + 1))
+    for m1 in parts:
+        for m2 in parts:
+            rep = verify_omega_hom(m1, m2, ctx)
+            yield (
+                f"hom M1={format_partition(m1)} M2={format_partition(m2)}",
+                rep.passed,
+                rep.describe(),
+            )
+
+
+def _tp(run: _Setup) -> Iterator[Check]:
+    ctx = run.omega()
+    for r in range(run.args.max_order_exp + 1):
+        rep = verify_tp_formula(r, ctx)
+        yield (f"aggregate r={r}", rep.passed, rep.describe())
+
+
+def _inverse(run: _Setup) -> Iterator[Check]:
+    ctx = run.omega()
+    parts = list(partitions_up_to(run.args.max_order_exp, run.args.n))
+    for b in parts:
+        for a in partitions_between((), b):
+            mids = list(partitions_between(a, b))
+            lhs = sum(a_coeff(b, c, ctx) * b_coeff(c, a, ctx) for c in mids)
+            rhs = sum(b_coeff(b, c, ctx) * a_coeff(c, a, ctx) for c in mids)
+            want = 1 if a == b else 0
+            yield (
+                f"inverse B={format_partition(b)} A={format_partition(a)}",
+                lhs == want and rhs == want,
+                f"a.b = {lhs}, b.a = {rhs}, expected {want}",
+            )
+    for n_ in parts:
+        back = omega(lift_section(n_, ctx), ctx)
+        yield (
+            f"section N={format_partition(n_)}",
+            back == basis_element(n_, ctx.target),
+            f"omega(lift) = {back.to_text()}",
+        )
+
+
+def _shimura(run: _Setup) -> Iterator[Check]:
+    ctx = run.hecke()
+    maxoe = run.args.max_order_exp
+    targets = [
+        (f"L={format_partition(lam)}", f"{format_partition(lam)} =", basis_element, lam)
+        for lam in partitions_up_to(maxoe, run.args.n)
+    ] + [
+        (f"aggregate r={r}", f"aggregate r={r}:", t_aggregate, r)
+        for r in range(maxoe + 1)
+    ]
+    for name, label, make, arg in targets:
+        try:
+            elem = make(arg, ctx)
+            poly = decompose_in_generators(elem, ctx)
+            ok = eval_generator_poly(poly, ctx) == elem
+            detail = f"{label} {poly.to_text()}"
+        except VerificationError as exc:
+            ok, detail = False, str(exc)
+        yield (f"generators {name}", ok, detail)
+
+
+def _oracle(run: _Setup) -> Iterator[Check]:
+    args = run.args
+    p = args.p
+    budget = args.budget
+    octx = run.omega()  # rejects a bad --trunc before any enumeration
+
+    def total(n: int, r: int) -> int:
+        return sum(_type_census((r,) * n, None, p, budget).values())
+
+    expected_totals = [
+        ("count rank2 exponent1", 2, 1, p + 3),
+        ("count rank3 exponent1", 3, 1, 2 * p * p + 2 * p + 4),
+    ] + [(f"count chain r={r}", 1, r, r + 1) for r in range(1, 5)]
+    for name, nn, rr, want in expected_totals:
+        got = total(nn, rr)
+        yield (name, got == want, f"got {got}")
+    for nn, rr in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        all_types = [
+            m
+            for m in partitions_up_to(nn * rr, nn)
+            if not m or m[0] <= rr
+        ]
+        sum_m = sum(m_count(m, nn, p, budget=budget) for m in all_types)
+        got = total(nn, rr)
+        yield (f"m-sum n={nn} r={rr}", sum_m == got, f"sum {sum_m} vs total {got}")
+    maxoe = args.max_order_exp
+    shapes = [lam for d in range(maxoe + 1) for lam in partitions_of_exponent(d, d or 1)]
+    for lam in shapes:
+        for mu in shapes:
+            if order_exponent(mu) > order_exponent(lam):
+                continue
+            found = count_of_type_in_group(lam, mu, p, budget=budget) > 0
+            predicted = embeds(mu, lam)
+            yield (
+                f"embedding L={format_partition(lam)} M={format_partition(mu)}",
+                found == predicted,
+                f"search {found}, containment {predicted}",
+            )
+    for m in partitions_up_to(maxoe, args.n + 1):
+        for n_ in partitions_up_to(order_exponent(m), args.n):
+            va = a_coeff(m, n_, octx)
+            vb = a_by_enumeration(m, n_, octx)
+            yield (
+                f"a-route M={format_partition(m)} N={format_partition(n_)}",
+                va == vb,
+                f"transversal {va}, enumeration {vb}",
+            )
+    hctx = run.hecke()
+    # labels kept so that stdout stays byte-identical: "table" is the
+    # Pieri product, "normalized count" the Hall table
+    for m, n_, l in run.c_cells():
+        vc = c_coeff(m, n_, l, hctx)
+        vv = c_by_enumeration(m, n_, l, hctx)
+        yield (
+            f"c-route M={format_partition(m)} "
+            f"N={format_partition(n_)} L={format_partition(l)}",
+            vc == vv,
+            f"table {vc}, normalized count {vv}",
+        )
+
+
+# the names and order of the command line's suite table, which `verify all` runs
+SUITES = {
+    "hom": _hom,
+    "tp": _tp,
+    "inverse": _inverse,
+    "shimura": _shimura,
+    "oracle": _oracle,
+}
+
+
+def run_suites(
+    names: Iterable[str],
+    args,
+    memo: dict[str, int],
+    omega_ctx: Callable[..., OmegaContext],
+    hecke_ctx: Callable[..., HeckeContext],
+    c_cells: Callable[..., Iterable[tuple[Partition, Partition, Partition]]],
+) -> list[Check]:
+    """The checks of the suites named, in that order.
+
+    omega_ctx(args, memo) and hecke_ctx(args, memo) build the contexts,
+    and c_cells(args) yields the cells of `table c`.
+    """
+    setup = _Setup(args, memo, omega_ctx, hecke_ctx, c_cells)
+    return [check for name in names for check in SUITES[name](setup)]

@@ -202,6 +202,12 @@ def test_bad_element_exit_code(capsys):
     assert code == 2
 
 
+def test_a_digit_int_cannot_read_is_a_parse_error(capsys):
+    # "²" passes str.isdigit; int's own message must not reach the user
+    code, out, err = run(capsys, "mul", "--p", "3", "--n", "2", "1*[\u00b2]", "1*[1]")
+    assert (code, out, err) == (2, "", "error: bad partition part '\u00b2' in '[\u00b2]'\n")
+
+
 def test_nonprime_exit_code(capsys):
     code, _, err = run(
         capsys, "ccoeff", "--p", "6", "--n", "2", "--M", "[]", "--N", "[]", "--L", "[]"
@@ -988,8 +994,7 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
 
-@pytest.mark.parametrize("module", ["heckealg.cli", "heckealg"])
-def test_start_up_loads_no_dataclasses_inspect_or_typing(module):
+def _added_by_import(module: str) -> set[str]:
     # -S: a site hook (a .pth file) may import typing before the package does
     src = str(Path(heckealg.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -1000,4 +1005,28 @@ def test_start_up_loads_no_dataclasses_inspect_or_typing(module):
         ).stdout
     )
     assert module in added
-    assert not {"dataclasses", "inspect", "typing"} & set(added), added
+    return set(added)
+
+
+@pytest.mark.parametrize("module", ["heckealg.cli", "heckealg", "heckealg.verify"])
+def test_start_up_loads_no_dataclasses_inspect_or_typing(module):
+    added = _added_by_import(module)
+    assert not {"dataclasses", "inspect", "typing"} & added, added
+
+
+@pytest.mark.parametrize(
+    "module,kept_out", [("heckealg.cli", "heckealg.verify"), ("heckealg.verify", "heckealg.cli")]
+)
+def test_the_suites_and_the_command_line_import_apart(module, kept_out):
+    # the suites compile only for verify and selftest, and the suites
+    # never import the command line (under `python -m` that is __main__)
+    added = _added_by_import(module)
+    assert kept_out not in added, added
+
+
+def test_the_suite_table_names_the_suites_in_order():
+    from heckealg import cli, verify
+
+    assert list(cli._SUITES) == list(verify.SUITES) == [
+        "hom", "tp", "inverse", "shimura", "oracle"
+    ]

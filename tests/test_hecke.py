@@ -363,6 +363,18 @@ def test_decompose_failure_names_its_class(monkeypatch):
         decompose_in_generators(basis_element((2,), ctx), ctx)
 
 
+def test_decompose_failure_prints_the_image_as_an_element(monkeypatch):
+    def negated(exps, ctx):
+        mono = _eval_monomial(exps, ctx)
+        return mono.scaled(-1) if exps == (2, 0) else mono
+
+    monkeypatch.setattr(hecke, "_eval_monomial", negated)
+    ctx = HeckeContext(p=2, n=2)
+    with pytest.raises(VerificationError) as info:
+        decompose_in_generators(basis_element((2,), ctx), ctx)
+    assert str(info.value) == "image of [2] does not lead with 1*[2]: -1*[2] - 3*[1,1]"
+
+
 def test_decompose_mixed_element(ctx22):
     elem = HeckeElement(2, 2, {(2, 1): 2, (1,): -1, (): 7})
     poly = decompose_in_generators(elem, ctx22)

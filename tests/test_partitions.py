@@ -175,7 +175,8 @@ def test_profile_rejects_garbage():
 
 @pytest.mark.parametrize(
     "text,expected",
-    [("[]", ()), ("[2]", (2,)), ("[2,1]", (2, 1)), ("[ 3 , 1 , 1 ]", (3, 1, 1))],
+    [("[]", ()), ("[2]", (2,)), ("[2,1]", (2, 1)), ("[ 3 , 1 , 1 ]", (3, 1, 1)),
+     ("[\u0663]", (3,))],  # an Arabic-Indic three, which int reads
 )
 def test_parse_accepts(text, expected):
     assert parse_partition(text) == expected
@@ -187,6 +188,13 @@ def test_parse_accepts(text, expected):
 def test_parse_rejects(text):
     with pytest.raises(ParseError):
         parse_partition(text)
+
+
+@pytest.mark.parametrize("part", ["\u00b2", "\u2460"])
+def test_parse_rejects_digits_int_cannot_read(part):
+    # "²" and "①" are digits to str.isdigit but not decimals, and int rejects them
+    with pytest.raises(ParseError, match="bad partition part"):
+        parse_partition(f"[{part}]")
 
 
 @given(partitions)
