@@ -581,6 +581,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # exact values are read, cached and printed at any size: lift CPython's
+    # limit on int/str conversion for this run only (a Python without the
+    # limit has no setter)
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv: list[str] | None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:

@@ -383,19 +383,22 @@ def _times_monomial(
     """x T_1^a_1 ... T_n^a_n by one Pieri step per factor.
 
     memo holds the products of this x with monomials, keyed by exponents,
-    so monomials that share their lower factors share the steps.
+    so monomials that share their lower factors share the steps.  The
+    missing exponent vectors are found by lowering the last factor and
+    built upwards in a loop, so no degree reaches the recursion limit.
     """
-    hit = memo.get(exps)
-    if hit is not None:
-        return hit
-    if not any(exps):
-        value = x
-    else:
+    steps = []  # (exponents, index of their last factor), last step first
+    while exps not in memo:
+        if not any(exps):
+            memo[exps] = x
+            break
         k = max(i for i, a in enumerate(exps) if a)
-        prev = _times_monomial(x, exps[:k] + (exps[k] - 1,) + exps[k + 1 :], ctx, memo)
-        terms = _apply(prev.terms, lambda mu: _pieri_row(mu, k + 1, ctx))
-        value = HeckeElement._canonical(ctx.p, ctx.n, terms)
-    memo[exps] = value
+        steps.append((exps, k))
+        exps = exps[:k] + (exps[k] - 1,) + exps[k + 1 :]
+    value = memo[exps]
+    for exps, k in reversed(steps):
+        terms = _apply(value.terms, lambda mu: _pieri_row(mu, k + 1, ctx))
+        value = memo[exps] = HeckeElement._canonical(ctx.p, ctx.n, terms)
     return value
 
 

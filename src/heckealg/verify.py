@@ -10,6 +10,8 @@ This module never imports heckealg.cli: under `python -m heckealg.cli`
 that module is __main__, and importing it would compile it a second
 time.  The command line hands `run_suites` its parsed options, its memo
 and the builders of the contexts and of the cells of `table c` instead.
+A run builds its contexts once, the H_(n+1) -> H_n transfer and its
+target, and every suite it names checks against them.
 """
 
 from __future__ import annotations
@@ -50,20 +52,8 @@ from .subgroups import _type_census, count_of_type_in_group, m_count
 Check = tuple[str, bool, str]
 
 
-class _Setup:
-    """One verify run: args, the parsed options; omega() and hecke(), a new
-    context over the run's memo; c_cells(), the (M, N, L) cells of `table c`."""
-
-    def __init__(self, args, memo, omega_ctx, hecke_ctx, c_cells):
-        self.args = args
-        self.omega = lambda: omega_ctx(args, memo)
-        self.hecke = lambda: hecke_ctx(args, memo)
-        self.c_cells = lambda: c_cells(args)
-
-
-def _hom(run: _Setup) -> Iterator[Check]:
-    ctx = run.omega()
-    parts = list(partitions_up_to(run.args.max_order_exp, run.args.n + 1))
+def _hom(maxoe: int, ctx: OmegaContext) -> Iterator[Check]:
+    parts = list(partitions_up_to(maxoe, ctx.n + 1))
     for m1 in parts:
         for m2 in parts:
             rep = verify_omega_hom(m1, m2, ctx)
@@ -74,16 +64,14 @@ def _hom(run: _Setup) -> Iterator[Check]:
             )
 
 
-def _tp(run: _Setup) -> Iterator[Check]:
-    ctx = run.omega()
-    for r in range(run.args.max_order_exp + 1):
+def _tp(maxoe: int, ctx: OmegaContext) -> Iterator[Check]:
+    for r in range(maxoe + 1):
         rep = verify_tp_formula(r, ctx)
         yield (f"aggregate r={r}", rep.passed, rep.describe())
 
 
-def _inverse(run: _Setup) -> Iterator[Check]:
-    ctx = run.omega()
-    parts = list(partitions_up_to(run.args.max_order_exp, run.args.n))
+def _inverse(maxoe: int, ctx: OmegaContext) -> Iterator[Check]:
+    parts = list(partitions_up_to(maxoe, ctx.n))
     for b in parts:
         for a in partitions_between((), b):
             mids = list(partitions_between(a, b))
@@ -104,12 +92,10 @@ def _inverse(run: _Setup) -> Iterator[Check]:
         )
 
 
-def _shimura(run: _Setup) -> Iterator[Check]:
-    ctx = run.hecke()
-    maxoe = run.args.max_order_exp
+def _shimura(maxoe: int, ctx: HeckeContext) -> Iterator[Check]:
     targets = [
         (f"L={format_partition(lam)}", f"{format_partition(lam)} =", basis_element, lam)
-        for lam in partitions_up_to(maxoe, run.args.n)
+        for lam in partitions_up_to(maxoe, ctx.n)
     ] + [
         (f"aggregate r={r}", f"aggregate r={r}:", t_aggregate, r)
         for r in range(maxoe + 1)
@@ -125,11 +111,10 @@ def _shimura(run: _Setup) -> Iterator[Check]:
         yield (f"generators {name}", ok, detail)
 
 
-def _oracle(run: _Setup) -> Iterator[Check]:
-    args = run.args
-    p = args.p
-    budget = args.budget
-    octx = run.omega()  # rejects a bad --trunc before any enumeration
+def _oracle(
+    maxoe: int, octx: OmegaContext, cells: Iterable[tuple[Partition, Partition, Partition]]
+) -> Iterator[Check]:
+    p, budget = octx.p, octx.budget
 
     def total(n: int, r: int) -> int:
         return sum(_type_census((r,) * n, None, p, budget).values())
@@ -150,7 +135,6 @@ def _oracle(run: _Setup) -> Iterator[Check]:
         sum_m = sum(m_count(m, nn, p, budget=budget) for m in all_types)
         got = total(nn, rr)
         yield (f"m-sum n={nn} r={rr}", sum_m == got, f"sum {sum_m} vs total {got}")
-    maxoe = args.max_order_exp
     shapes = [lam for d in range(maxoe + 1) for lam in partitions_of_exponent(d, d or 1)]
     for lam in shapes:
         for mu in shapes:
@@ -163,8 +147,8 @@ def _oracle(run: _Setup) -> Iterator[Check]:
                 found == predicted,
                 f"search {found}, containment {predicted}",
             )
-    for m in partitions_up_to(maxoe, args.n + 1):
-        for n_ in partitions_up_to(order_exponent(m), args.n):
+    for m in partitions_up_to(maxoe, octx.n + 1):
+        for n_ in partitions_up_to(order_exponent(m), octx.n):
             va = a_coeff(m, n_, octx)
             vb = a_by_enumeration(m, n_, octx)
             yield (
@@ -172,10 +156,10 @@ def _oracle(run: _Setup) -> Iterator[Check]:
                 va == vb,
                 f"transversal {va}, enumeration {vb}",
             )
-    hctx = run.hecke()
+    hctx = octx.target
     # labels kept so that stdout stays byte-identical: "table" is the
     # Pieri product, "normalized count" the Hall table
-    for m, n_, l in run.c_cells():
+    for m, n_, l in cells:
         vc = c_coeff(m, n_, l, hctx)
         vv = c_by_enumeration(m, n_, l, hctx)
         yield (
@@ -197,17 +181,27 @@ SUITES = {
 
 
 def run_suites(
-    names: Iterable[str],
+    names: list[str],
     args,
     memo: dict[str, int],
     omega_ctx: Callable[..., OmegaContext],
     hecke_ctx: Callable[..., HeckeContext],
     c_cells: Callable[..., Iterable[tuple[Partition, Partition, Partition]]],
 ) -> list[Check]:
-    """The checks of the suites named, in that order.
+    """The checks of the suites named, in that order, against one set of contexts.
 
-    omega_ctx(args, memo) and hecke_ctx(args, memo) build the contexts,
-    and c_cells(args) yields the cells of `table c`.
+    The run builds its contexts once, before any check: the transfer
+    omega_ctx(args, memo) when a suite computes one (every suite but
+    shimura), with its target as the rank-n algebra, and hecke_ctx(args,
+    memo) only for a run of shimura alone.  c_cells(args) yields the
+    cells of `table c`.
     """
-    setup = _Setup(args, memo, omega_ctx, hecke_ctx, c_cells)
-    return [check for name in names for check in SUITES[name](setup)]
+    transfer = omega_ctx(args, memo) if set(names) - {"shimura"} else None
+    algebra = hecke_ctx(args, memo) if transfer is None else transfer.target
+    # what each suite reads besides --max-order-exp
+    reads = {"shimura": (algebra,), "oracle": (transfer, c_cells(args))}
+    return [
+        check
+        for name in names
+        for check in SUITES[name](args.max_order_exp, *reads.get(name, (transfer,)))
+    ]

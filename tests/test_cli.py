@@ -171,6 +171,27 @@ def test_verify_all_passes(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize(
+    "suite,omegas,heckes", [("all", 1, 2), ("oracle", 1, 2), ("shimura", 0, 1)]
+)
+def test_a_verify_run_builds_its_contexts_once(capsys, monkeypatch, suite, omegas, heckes):
+    # one transfer H_(n+1) -> H_n and its two algebras serve every suite;
+    # shimura alone computes no transfer and builds the rank-n algebra only
+    from heckealg.hecke import HeckeContext
+    from heckealg.omega import OmegaContext
+
+    built = []
+    for cls in (OmegaContext, HeckeContext):
+        def counting(self, *args, _init=cls.__init__, _cls=cls, **kwargs):
+            built.append(_cls)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    code, _, _ = run(capsys, "verify", suite, "--p", "2", "--n", "1", "--max-order-exp", "2")
+    assert code == 0
+    assert (built.count(OmegaContext), built.count(HeckeContext)) == (omegas, heckes)
+
+
 def test_verify_json_payload(capsys):
     code, out, _ = run(
         capsys,
@@ -230,6 +251,77 @@ def test_a_prime_past_the_primality_limit_is_a_usage_error(capsys):
     )
     assert (code, out) == (2, "")
     assert "318665857834031151167461" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decompose", "--p", "2", "--n", "1", "1*[1500]"),
+        ("mul", "--p", "2", "--n", "1", "1*[1]", "1*[1500]"),
+        ("mul", "--p", "2", "--n", "1", "1*[1500]", "1*[1]"),
+    ],
+    ids=["decompose", "mul x T1^1500", "mul T1^1500 x"],
+)
+def test_products_and_decompositions_have_no_depth_limit(capsys, argv):
+    # one Pieri step per generator factor: 1500 factors once recursed past
+    # Python's recursion limit, so mul x y and mul y x disagreed
+    want = "1*T1^1500\n" if argv[0] == "decompose" else "1*[1501]\n"
+    assert run(capsys, *argv) == (0, want, "")
+
+
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int/str conversion limit"
+)
+# a(M, N) with 4,506 digits, past CPython's default limit of 4,300
+_BIG_A = ("acoeff", "--p", "1009", "--n", "1", "--M", "[1500]", "--N", "[]")
+
+
+@pytest.fixture(scope="module")
+def big_a():
+    from heckealg.omega import OmegaContext, a_coeff
+
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(a_coeff((1500,), (), OmegaContext(1009, 1)))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("output", ["text", "json", "csv"])
+def test_exact_values_print_at_any_size(capsys, big_a, output):
+    assert len(big_a) == 4506
+    want = {
+        "text": big_a + "\n",
+        "json": json.dumps({"p": 1009, "n": 1, "M": [1500], "N": [], "value": big_a}) + "\n",
+        "csv": f"M,N,value\n[1500],[],{big_a}\n",
+    }[output]
+    assert run(capsys, *_BIG_A, "--output", output) == (0, want, "")
+
+
+@needs_digit_limit
+def test_the_cache_keeps_exact_values_at_any_size(tmp_path, capsys, monkeypatch, big_a):
+    argv = (*_BIG_A, "--cache", str(tmp_path))
+    assert run(capsys, *argv) == (0, big_a + "\n", "")
+
+    def refuse(*args):
+        raise AssertionError("the value should come from the cache")
+
+    monkeypatch.setattr(sys.modules["heckealg.omega"], "_transversal_bins", refuse)
+    assert run(capsys, *argv) == (0, big_a + "\n", "")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize(
+    "argv",
+    [_BIG_A, ("mul", "--p", "6", "--n", "1", "1*[1]", "1*[1]"), ("mul", "--bogus"), ("--help",)],
+    ids=["ok", "error", "usage", "help"],
+)
+def test_main_restores_the_int_digit_limit(capsys, argv):
+    limit = sys.get_int_max_str_digits()
+    run(capsys, *argv)
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_budget_exit_code(capsys):
