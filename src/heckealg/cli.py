@@ -15,7 +15,8 @@ verification suites, all over exact integers.  Examples:
 
 Exit codes: 0 success, 2 bad arguments, unparsable input or an unusable
 --cache, 3 an enumeration would exceed --budget, 4 a verification check
-failed.
+failed.  A reader that closes stdout early (`| head`) changes none of
+them and leaves no traceback: the rest of the output is dropped.
 
 For `omega`, `acoeff` and `table a` the class M lives in the rank-(n+1)
 algebra upstairs; --n names the target rank.  Commands that compute a
@@ -232,10 +233,7 @@ def _cmd_omega(args, memo) -> _Output:
 def _cmd_decompose(args, memo) -> _Output:
     ctx = _hecke_ctx(args, memo)
     poly = decompose_in_generators(parse_element(args.x, args.p, args.n), ctx)
-    rows = [
-        ["[" + ",".join(str(a) for a in exps) + "]", str(c)]
-        for exps, c in poly.sorted_terms()
-    ]
+    rows = [[format_partition(exps), str(c)] for exps, c in poly.sorted_terms()]
     payload = {"p": args.p, **poly.to_json_dict()}
     return _Output(payload, ["exponents", "coeff"], rows, poly.to_text())
 
@@ -617,7 +615,19 @@ def _run(argv: list[str] | None) -> int:
             return EXIT_BUDGET
         # a ParseError is a ValueError
         return EXIT_VERIFY if isinstance(exc, VerificationError) else EXIT_USAGE
-    _emit(args, out)
+    try:
+        _emit(args, out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone, as under `| head`: what it did not read is
+        # dropped, and stdout points at devnull so the flush at exit cannot fail
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, ValueError):  # io.UnsupportedOperation is a ValueError
+            return out.code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
     return out.code
 
 

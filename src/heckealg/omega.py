@@ -15,10 +15,10 @@ a surjective ring homomorphism down to the rank-n algebra.
 
 The default route takes a(M, N) from a closed form (see a_coeff) built
 on Macdonald's Hall polynomials and Riedtmann's formula; it enumerates
-nothing.  a(M, N) is zero unless M/N is a horizontal strip, so omega(M)
-walks the strips below M (partitions.strips_below), and each bin behind
-a_coeff is generated from the strips above N (partitions.horizontal_strips)
-and built once per context; neither lists partitions to filter them.
+nothing.  a(M, N) is zero unless M/N is a horizontal strip, and the N
+below M, like the M of one size above N with M_1 <= r, form an interval
+of the containment order: omega(M) and each bin behind a_coeff (built
+once per context) walk it with partitions.partitions_between.
 
 The enumeration route, the oracle, reads the count at (M, N) off one
 sweep of the subgroups of order p^|M|, counted by their type and the
@@ -52,10 +52,9 @@ from .partitions import (
     Partition,
     embeds,
     format_partition,
-    horizontal_strips,
     order_exponent,
     p_rank,
-    strips_below,
+    partitions_between,
     validate_partition,
 )
 from .subgroups import (
@@ -148,7 +147,7 @@ def _transversal_bins(
     p, n = ctx.p, ctx.n
     scale = p ** (t * n) * ctx._aut((t,)) * ctx._aut(n_)
     bins = {}
-    for m in horizontal_strips(n_, t, n + 1, r):
+    for m in partitions_between(n_, ((r,) + n_)[: n + 1], order_exponent(n_) + t):
         num, aut = scale * _hall_cyclic(m, n_, p), ctx._aut(m)
         bins[m], rest = divmod(num, aut)
         if rest:
@@ -241,7 +240,7 @@ def _omega_image(m: Partition, ctx: OmegaContext) -> dict[Partition, int]:
     image = ctx._images.get(m)
     if image is None:
         size = order_exponent(m)
-        below = strips_below(m, ctx.n)  # a(M, N) = 0 unless M/N is a horizontal strip
+        below = partitions_between(m[1:], m[: ctx.n])  # the N with M/N a horizontal strip
         image = ctx._images[m] = {
             n_: a for n_ in below if (a := _a_cell(m, n_, size - order_exponent(n_), ctx))
         }

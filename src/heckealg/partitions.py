@@ -9,7 +9,6 @@ decreasing, all parts positive) at every public boundary.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from itertools import product
 
 from .errors import ParseError
 
@@ -21,8 +20,6 @@ __all__ = [
     "conjugate",
     "embeds",
     "is_horizontal_strip",
-    "horizontal_strips",
-    "strips_below",
     "partitions_between",
     "partitions_of_exponent",
     "partitions_up_to",
@@ -93,61 +90,35 @@ def is_horizontal_strip(lam: Partition, mu: Partition) -> bool:
     return len(mu) <= len(lam) and all(a >= b >= c for a, b, c in pairs)
 
 
-def horizontal_strips(mu: Partition, t: int, max_parts: int, cap: int) -> Iterator[Partition]:
-    """Each lam with lam/mu a horizontal t-strip, lam_1 <= cap and at most
-    max_parts parts, lexicographically decreasing.
-
-    lam_i runs over [mu_i, mu_(i-1)] with mu_0 = cap, so every candidate is
-    a strip; those that place fewer than t boxes are dropped:
-
-    >>> list(horizontal_strips((2,), 2, 2, 3))
-    [(3, 1), (2, 2)]
-    """
-    rows = min(len(mu) + 1, max_parts)
-    if len(mu) > rows:
-        return
-    grown = [((), t)]  # (first rows of lam, boxes still to place)
-    for lo, hi in zip(mu + (0,) * (rows - len(mu)), (cap,) + mu):
-        grown = [
-            (lam + (part,), rest + lo - part)
-            for lam, rest in grown
-            for part in range(min(hi, lo + rest), lo - 1, -1)
-        ]
-    for lam, rest in grown:
-        if not rest:
-            yield lam[:-1] if lam and not lam[-1] else lam
-
-
-def strips_below(lam: Partition, max_parts: int) -> Iterator[Partition]:
-    """Each mu with lam/mu a horizontal strip and at most max_parts parts.
-
-    mu_i runs over [lam_(i+1), lam_i], so no candidate fails:
-
-    >>> list(strips_below((2, 1), 1))
-    [(1,), (2,)]
-    """
-    if len(lam) <= max_parts + 1:
-        bounds = zip(lam[1:] + (0,), lam[:max_parts])
-        for mu in product(*(range(lo, hi + 1) for lo, hi in bounds)):
-            yield tuple(part for part in mu if part)
-
-
-def partitions_between(low: Partition, high: Partition) -> Iterator[Partition]:
+def partitions_between(
+    low: Partition, high: Partition, size: int | None = None
+) -> Iterator[Partition]:
     """Each c with embeds(low, c) and embeds(c, high), in the order of
-    partitions_up_to.  c_i runs over [low_i, min(high_i, c_(i-1))], so no
-    candidate fails:
+    partitions_up_to; with size given, only those with |c| = size.
+    c_i runs over [low_i, min(high_i, c_(i-1))], so no candidate fails:
 
     >>> list(partitions_between((1,), (2, 1)))
     [(1,), (2,), (1, 1), (2, 1)]
+
+    With size given, c_i also stops where the boxes still to place above
+    low run out, and a candidate that places too few is dropped:
+
+    >>> list(partitions_between((2,), (3, 2), 4))
+    [(3, 1), (2, 2)]
     """
-    grown = [()] if len(low) <= len(high) else []
+    # the boxes c may add to low; with no size, more than high leaves room for
+    spare = sum(high) if size is None else size - sum(low)
+    grown = [((), spare)] if len(low) <= len(high) else []  # (first rows of c, boxes left)
     for lo, hi in zip(low + (0,) * (len(high) - len(low)), high):
         grown = [
-            c + (x,) for c in grown for x in range(min(hi, c[-1] if c else hi), lo - 1, -1)
+            (c + (x,), rest + lo - x)
+            for c, rest in grown
+            for x in range(min(hi, c[-1] if c else hi, lo + rest), lo - 1, -1)
         ]
     # lexicographically decreasing so far: a stable sort by size grades it
-    for c in sorted(grown, key=sum):
-        yield tuple(part for part in c if part)
+    for c, rest in sorted(grown, key=lambda pair: sum(pair[0])):
+        if size is None or not rest:
+            yield c[: len(c) - c.count(0)]  # the zeros trail
 
 
 def partitions_of_exponent(d: int, max_parts: int) -> Iterator[Partition]:

@@ -274,45 +274,24 @@ def type_of(s: SubgroupRep) -> Partition:
 
 
 def intersect(a: SubgroupRep, b: SubgroupRep) -> SubgroupRep:
-    """Intersection, computed through the kernel of the stacked basis.
+    """Intersection by Zassenhaus's algorithm: one Howell form of the rows
+    (u, u) for u in A and (v, 0) for v in B.
 
-    A vector in both spans is x*A = y*B; the pairs (x, y) form the kernel
-    of the stacked matrix [A; -B], which the Howell form of an augmented
-    matrix exposes as the rows whose leading n columns vanish.
+    Their span is {(x + y, x) : x in A, y in B}, and (0, w) lies in it
+    exactly when w = x = -y, so w runs over A & B.  In Howell form the
+    rows whose first n entries vanish span every element of the span that
+    vanishes there, so their right halves span A & B.  Those halves are
+    already A & B's canonical rows: the pivots, the reduction above each
+    pivot and the closure of each row against the rows below all sit in
+    the right half.
     """
     _require_same_ambient(a, b)
     amb = a.ambient
-    p, r, n = amb.p, amb.r, amb.n
-    pr = p**r
-    arows = a.rows
-    brows = b.rows
-    if not arows or not brows:
-        return SubgroupRep(amb, ())
-    na, nb = len(arows), len(brows)
-    width = n + na + nb
-    aug = []
-    for i, row in enumerate(arows):
-        tail = [0] * (na + nb)
-        tail[i] = 1
-        aug.append(row + tuple(tail))
-    for i, row in enumerate(brows):
-        tail = [0] * (na + nb)
-        tail[na + i] = 1
-        aug.append(tuple((-x) % pr for x in row) + tuple(tail))
-    hrows = _howell_rows(aug, p, r, width)
-    gens = []
-    for row in hrows:
-        if any(row[:n]):
-            continue
-        x = row[n : n + na]
-        w = [0] * n
-        for coef, arow in zip(x, arows):
-            if coef:
-                for j in range(n):
-                    w[j] = (w[j] + coef * arow[j]) % pr
-        if any(w):
-            gens.append(tuple(w))
-    return SubgroupRep(amb, _howell_rows(gens, p, r, n))
+    n = amb.n
+    zero = (0,) * n
+    rows = [u + u for u in a.rows] + [v + zero for v in b.rows]
+    hrows = _howell_rows(rows, amb.p, amb.r, 2 * n)
+    return SubgroupRep(amb, tuple(row[n:] for row in hrows if not any(row[:n])))
 
 
 def quotient_type(l: SubgroupRep, m: SubgroupRep) -> Partition:

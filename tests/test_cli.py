@@ -1066,6 +1066,47 @@ print(json.dumps(sizes))
 """
 
 
+def test_a_closed_stdout_is_not_a_crash():
+    # head closes the pipe after the header, long before the table is written
+    src = str(Path(heckealg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = "table c --p 2 --n 3 --max-order-exp 9".split()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "heckealg.cli", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"M,N,L,value\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        ("table c --p 2 --n 1 --max-order-exp 2", 0),
+        ("verify hom --p 2 --n 1 --max-order-exp 1 --cache {poisoned}", 4),
+    ],
+)
+def test_a_stdout_that_refuses_writes_keeps_the_exit_code(tmp_path, monkeypatch, argv, code):
+    poisoned = tmp_path / "poisoned"
+    poisoned.mkdir()
+    (poisoned / CACHE_FILENAME).write_text(
+        '{"version": "1", "key": "a:p=2:n=1:M=[1]:N=[]", "value": "5"}\n'
+    )
+    err = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    monkeypatch.setattr(sys, "stderr", err)
+    assert main(argv.format(poisoned=poisoned).split()) == code
+    assert err.getvalue() == ""
+
+
 def test_importing_the_cli_computes_nothing():
     src = str(Path(heckealg.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH")]

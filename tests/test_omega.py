@@ -326,13 +326,14 @@ def test_omega_images_walk_the_strips(p, n, d):
 
 def test_each_bin_is_built_once_per_context(monkeypatch):
     built = []
-    real = omega_module.horizontal_strips
+    real = omega_module.partitions_between
 
-    def recording(mu, t, max_parts, cap):
-        built.append((mu, t, cap))
-        return real(mu, t, max_parts, cap)
+    def recording(low, high, size=None):
+        if size is not None:  # only a bin walks one size
+            built.append((low, high, size))
+        return real(low, high, size)
 
-    monkeypatch.setattr(omega_module, "horizontal_strips", recording)
+    monkeypatch.setattr(omega_module, "partitions_between", recording)
     classes = list(partitions_up_to(6, 3))
     for _ in range(2):
         ctx = OmegaContext(p=3, n=2)

@@ -9,7 +9,6 @@ from heckealg.partitions import (
     conjugate,
     embeds,
     format_partition,
-    horizontal_strips,
     is_horizontal_strip,
     order_exponent,
     p_rank,
@@ -18,7 +17,6 @@ from heckealg.partitions import (
     partitions_between,
     partitions_of_exponent,
     partitions_up_to,
-    strips_below,
     torsion_type,
     type_from_torsion_profile,
     validate_partition,
@@ -107,7 +105,7 @@ def test_partitions_up_to_is_graded_and_complete():
 
 
 def test_horizontal_strips_match_the_filter():
-    # the generator picks each lam_i between mu_i and mu_(i-1); the filter
+    # the walk picks each lam_i between mu_i and mu_(i-1); the filter
     # keeps the partitions of |mu| + t that are capped strips over mu
     for n in range(1, 5):
         for mu in partitions_up_to(7, 4):
@@ -118,11 +116,12 @@ def test_horizontal_strips_match_the_filter():
                         for lam in partitions_of_exponent(order_exponent(mu) + t, n)
                         if (not lam or lam[0] <= cap) and is_horizontal_strip(lam, mu)
                     ]
-                    assert list(horizontal_strips(mu, t, n, cap)) == want, (n, mu, t, cap)
+                    got = partitions_between(mu, ((cap,) + mu)[:n], order_exponent(mu) + t)
+                    assert list(got) == want, (n, mu, t, cap)
 
 
 def test_strips_below_match_the_filter():
-    # the generator picks each mu_i between lam_(i+1) and lam_i; the filter
+    # the walk picks each mu_i between lam_(i+1) and lam_i; the filter
     # keeps the partitions below lam that embed in it with lam/mu a strip
     for n in range(1, 5):
         for lam in partitions_up_to(8, n + 2):
@@ -131,7 +130,7 @@ def test_strips_below_match_the_filter():
                 for mu in partitions_up_to(order_exponent(lam), n)
                 if embeds(mu, lam) and is_horizontal_strip(lam, mu)
             }
-            got = list(strips_below(lam, n))
+            got = list(partitions_between(lam[1:], lam[:n]))
             assert len(got) == len(want) and set(got) == want, (n, lam)
 
 
@@ -143,6 +142,9 @@ def test_partitions_between_match_the_filter():
         for high in parts:
             want = [c for c in parts if embeds(low, c) and embeds(c, high)]
             assert list(partitions_between(low, high)) == want, (low, high)
+            for size in range(sum(low) - 1, sum(high) + 2):
+                got = list(partitions_between(low, high, size))
+                assert got == [c for c in want if sum(c) == size], (low, high, size)
 
 
 def test_profile_round_trip():

@@ -191,12 +191,15 @@ def test_m_counts_partition_the_census(p, n, r):
     assert sum(m_count(lam, n, p) for lam in types) == total
 
 
-def test_intersect_matches_element_sets():
-    amb = Ambient(2, 2, 2)
+@pytest.mark.parametrize("p,n,r", [(2, 2, 2), (3, 2, 1), (2, 3, 1), (3, 2, 2)])
+def test_intersect_matches_element_sets(p, n, r):
+    amb = Ambient(p, n, r)
     reps = list(enumerate_subgroups(amb))
     for a, b in itertools.product(reps, repeat=2):
         got = intersect(a, b)
         assert elements_of(got) == elements_of(a) & elements_of(b)
+        # the tail rows of the one Howell pass are already canonical
+        assert got == subgroup_from_rows(amb, got.rows)
 
 
 def test_subgroup_from_rows_rejects_a_short_row():
