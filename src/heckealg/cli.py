@@ -242,12 +242,13 @@ def _cmd_decompose(args, memo) -> _Output:
 
 
 def _c_cells(args) -> Iterator[tuple[Partition, Partition, Partition]]:
-    for l in partitions_up_to(args.max_order_exp, args.n):
-        d = order_exponent(l)
-        for dm in range(d + 1):
-            for m in partitions_of_exponent(dm, args.n):
-                for n_ in partitions_of_exponent(d - dm, args.n):
-                    yield m, n_, l
+    sized = [list(partitions_of_exponent(d, args.n)) for d in range(args.max_order_exp + 1)]
+    for d, classes in enumerate(sized):  # the L of partitions_up_to, size by size
+        for l in classes:
+            for dm in range(d + 1):
+                for m in sized[dm]:
+                    for n_ in sized[d - dm]:
+                        yield m, n_, l
 
 
 def _embedded_pairs(

@@ -4,6 +4,10 @@ A partition (a_1 >= a_2 >= ... >= a_k > 0) stands for the group
 Z/p^a_1 + ... + Z/p^a_k; the empty partition is the trivial group.
 Partitions are plain tuples of ints throughout, kept canonical (weakly
 decreasing, all parts positive) at every public boundary.
+
+One walk, partitions_between, enumerates them: depth first, largest row
+first, from an explicit stack (no recursion), and sorted by size only
+when no size is given; partitions_of_exponent is its sized case.
 """
 
 from __future__ import annotations
@@ -93,48 +97,42 @@ def is_horizontal_strip(lam: Partition, mu: Partition) -> bool:
 def partitions_between(
     low: Partition, high: Partition, size: int | None = None
 ) -> Iterator[Partition]:
-    """Each c with embeds(low, c) and embeds(c, high), in the order of
-    partitions_up_to; with size given, only those with |c| = size.
-    c_i runs over [low_i, min(high_i, c_(i-1))], so no candidate fails:
+    """Each c with embeds(low, c) and embeds(c, high), walked depth first
+    with no recursion: c_i runs down [low_i, min(high_i, c_(i-1))], largest
+    row first, and a zero row ends c.  Without size, a stable sort by size
+    gives the order of partitions_up_to; with it, only |c| = size is kept,
+    lexicographically decreasing, and c_i stops where the boxes run out:
 
-    >>> list(partitions_between((1,), (2, 1)))
-    [(1,), (2,), (1, 1), (2, 1)]
-
-    With size given, c_i also stops where the boxes still to place above
-    low run out, and a candidate that places too few is dropped:
-
-    >>> list(partitions_between((2,), (3, 2), 4))
-    [(3, 1), (2, 2)]
+    >>> list(partitions_between((1,), (2, 1))), list(partitions_between((2,), (3, 2), 4))
+    ([(1,), (2,), (1, 1), (2, 1)], [(3, 1), (2, 2)])
     """
+    rows = len(high)
+    low += (0,) * (rows - len(low))
     # the boxes c may add to low; with no size, more than high leaves room for
     spare = sum(high) if size is None else size - sum(low)
-    grown = [((), spare)] if len(low) <= len(high) else []  # (first rows of c, boxes left)
-    for lo, hi in zip(low + (0,) * (len(high) - len(low)), high):
-        grown = [
-            (c + (x,), rest + lo - x)
-            for c, rest in grown
-            for x in range(min(hi, c[-1] if c else hi, lo + rest), lo - 1, -1)
-        ]
-    # lexicographically decreasing so far: a stable sort by size grades it
-    for c, rest in sorted(grown, key=lambda pair: sum(pair[0])):
-        if size is None or not rest:
-            yield c[: len(c) - c.count(0)]  # the zeros trail
+    found, stack = [], [((), spare)] if len(low) == rows else []  # (rows of c, boxes left)
+    keep, push, pop = found.append, stack.append, stack.pop
+    while stack:
+        c, rest = pop()
+        i = len(c)
+        if i == rows or rest is None:  # rest None: c ended by a zero row
+            if size is None or not rest:  # a class that places too few is dropped
+                keep(c)
+            continue
+        lo, top = low[i], c[-1] if i and c[-1] < high[i] else high[i]
+        if lo + rest < top:
+            top = lo + rest
+        if not lo and (size is None or not rest):
+            push((c, None))  # popped after the longer classes above c
+        for x in range(lo or 1, top + 1):
+            push((c + (x,), rest + lo - x))
+    yield from found if size is not None else sorted(found, key=sum)
 
 
 def partitions_of_exponent(d: int, max_parts: int) -> Iterator[Partition]:
-    """Partitions of d into at most max_parts parts, lexicographically decreasing."""
-
-    def gen(rest: int, slots: int, cap: int) -> Iterator[Partition]:
-        if rest == 0:
-            yield ()
-            return
-        if slots == 0:
-            return
-        for first in range(min(rest, cap), 0, -1):
-            for tail in gen(rest - first, slots - 1, first):
-                yield (first,) + tail
-
-    yield from gen(d, max_parts, d)
+    """Partitions of d into at most max_parts parts, lexicographically
+    decreasing: the sized walk of partitions_between below (d,) * max_parts."""
+    return partitions_between((), (d,) * max_parts, d)
 
 
 def partitions_up_to(max_order_exp: int, max_parts: int) -> Iterator[Partition]:

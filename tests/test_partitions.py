@@ -1,5 +1,7 @@
 """Partition arithmetic and the containment order."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,6 +96,26 @@ def test_partitions_of_exponent():
     assert list(partitions_of_exponent(3, 2)) == [(3,), (2, 1)]
     assert list(partitions_of_exponent(3, 3)) == [(3,), (2, 1), (1, 1, 1)]
     assert list(partitions_of_exponent(4, 1)) == [(4,)]
+    # the filter keeps the weakly decreasing rows of d boxes among all
+    # k-tuples, zeros dropped, lexicographically decreasing
+    for d in range(-1, 9):
+        for k in range(6):
+            want = sorted(
+                (
+                    tuple(a for a in c if a)
+                    for c in itertools.product(range(d + 1), repeat=k)
+                    if sum(c) == d and list(c) == sorted(c, reverse=True)
+                ),
+                reverse=True,
+            )
+            assert list(partitions_of_exponent(d, k)) == want, (d, k)
+
+
+def test_partitions_between_walks_any_number_of_rows():
+    # the walk keeps its own stack, so 2,000 rows reach no recursion limit
+    low, high = (1,) * 1999, (1,) * 2000
+    assert list(partitions_between(low, high)) == [low, high]
+    assert list(partitions_between(low, high, 2000)) == [high]
 
 
 def test_partitions_up_to_is_graded_and_complete():
@@ -136,11 +158,14 @@ def test_strips_below_match_the_filter():
 
 def test_partitions_between_match_the_filter():
     # the filter keeps the classes between low and high in the order of
-    # partitions_up_to; the generator builds them row by row instead
+    # partitions_up_to; the walk builds them row by row instead.  A low
+    # that high does not contain, or with more rows, leaves nothing between
     parts = list(partitions_up_to(8, 3))
-    for low in parts:
+    longer = [(1, 1, 1, 1), (2, 1, 1, 1), (2, 2, 2, 2)]
+    for low in parts + longer:
         for high in parts:
             want = [c for c in parts if embeds(low, c) and embeds(c, high)]
+            assert bool(want) == embeds(low, high), (low, high)
             assert list(partitions_between(low, high)) == want, (low, high)
             for size in range(sum(low) - 1, sum(high) + 2):
                 got = list(partitions_between(low, high, size))
