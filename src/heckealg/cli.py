@@ -47,10 +47,11 @@ The verification suites live in heckealg.verify, which only `verify`
 and `selftest` import: without bytecode every imported module is
 compiled, and the suites were the largest part of this module's compile.
 This module keeps their names and options, in the order `verify all`
-runs them, and writes their checks in each output format.
+runs them, and returns their checks as records.
 
-Commands return their output in every format and print nothing; `main`
-prints the one --output names (the text form of a table is its csv).
+Commands return records and print nothing; `main` renders them in the
+one format --output names and builds no other (the text form of a table
+is its csv).  Only this module knows the JSON and csv shape of a result.
 `main` also loads the cache before the command runs and flushes it only
 after the command returns, so a usage error, a budget overrun or a
 failed exact identity (exit 2, 3 or 4 from an error) writes nothing,
@@ -64,7 +65,7 @@ import csv
 import json
 import os
 import sys
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from .cache import CACHE_ENV, CacheStore
 from .errors import BudgetExceededError, VerificationError
@@ -181,38 +182,79 @@ def _omega_ctx(args: argparse.Namespace, memo: dict[str, int]) -> OmegaContext:
 # annotation names come from collections.abc: importing dataclasses (and
 # inspect with it) or typing would cost every command-line call several ms
 class _Output:
-    """What a command returns: its result in every output format.
+    """What a command returns: its result as records, which only _emit renders.
 
-    payload is the JSON object, header and rows the csv table, text the
-    text form (None: the csv table), code the exit code.
+    head holds the leading JSON fields, key the JSON field of the record
+    list (None: the one record's fields follow head's).  columns names a
+    record's fields in order, and is the csv header; a last column
+    (name, *columns) holds a list of sub-records, which nest under name in
+    JSON and give one csv row each.  records is read once; its classes are
+    tuples.  text makes the text form (None: the csv table), and code is
+    the exit code.
     """
 
     def __init__(
         self,
-        payload: dict,
-        header: list[str],
-        rows: list[list[str]],
-        text: str | None = None,
+        head: dict,
+        key: str | None,
+        columns: tuple,
+        records: Iterable[tuple],
+        text: Callable[[], str] | None = None,
         code: int = EXIT_OK,
     ):
-        self.payload, self.header, self.rows = payload, header, rows
+        self.head, self.key, self.columns, self.records = head, key, columns, records
         self.text, self.code = text, code
 
 
 def _emit(args, out: _Output) -> None:
+    """Print out in the format --output names, and build no other."""
     if args.output == "json":
-        print(json.dumps(out.payload))
+        fields = [_fields(out.columns, record) for record in out.records]
+        payload = {**out.head, **(fields[0] if out.key is None else {out.key: fields})}
+        print(json.dumps(payload))  # a tuple, so a class, becomes a JSON list
     elif args.output == "csv" or out.text is None:
+        *flat, last = out.columns
         w = csv.writer(sys.stdout, lineterminator="\n")
-        w.writerow(out.header)
-        w.writerows(out.rows)
+        w.writerow(out.columns if isinstance(last, str) else [*flat, *last[1:]])
+        for record in out.records:
+            w.writerows(_rows(out.columns, record))
     else:
-        print(out.text)
+        print(out.text())
+
+
+def _fields(columns: tuple, record: tuple) -> dict:
+    *flat, last = columns
+    if isinstance(last, str):
+        return dict(zip(columns, record))
+    name, *sub = last
+    return {**dict(zip(flat, record)), name: [dict(zip(sub, r)) for r in record[-1]]}
+
+
+def _rows(columns: tuple, record: tuple) -> list[list]:
+    if isinstance(columns[-1], str):
+        return [list(map(_cell, record))]
+    *flat, subs = record
+    flat = list(map(_cell, flat))
+    return [flat + list(map(_cell, r)) for r in subs]
+
+
+def _cell(value):
+    """A csv cell: a class as format_partition writes it, a bool as true or false."""
+    if isinstance(value, tuple):
+        return format_partition(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value
+
+
+def _terms(terms: list[tuple]) -> Iterator[tuple[tuple, str]]:
+    """The (class or exponents, coefficient) records of sorted terms."""
+    return ((lam, str(c)) for lam, c in terms)
 
 
 def _element_output(elem: HeckeElement) -> _Output:
-    rows = [[format_partition(lam), str(c)] for lam, c in elem.sorted_terms()]
-    return _Output(elem.to_json_dict(), ["lambda", "coeff"], rows, elem.to_text())
+    return _Output({"p": elem.p, "n": elem.n}, "terms", ("lambda", "coeff"),
+                   _terms(elem.sorted_terms()), elem.to_text)
 
 
 # --- element commands ---------------------------------------------------------
@@ -233,9 +275,8 @@ def _cmd_omega(args, memo) -> _Output:
 def _cmd_decompose(args, memo) -> _Output:
     ctx = _hecke_ctx(args, memo)
     poly = decompose_in_generators(parse_element(args.x, args.p, args.n), ctx)
-    rows = [[format_partition(exps), str(c)] for exps, c in poly.sorted_terms()]
-    payload = {"p": args.p, **poly.to_json_dict()}
-    return _Output(payload, ["exponents", "coeff"], rows, poly.to_text())
+    return _Output({"p": args.p, "n": poly.n}, "terms", ("exponents", "coeff"),
+                   _terms(poly.sorted_terms()), poly.to_text)
 
 
 # --- scalar coefficients and their tables --------------------------------------
@@ -273,17 +314,9 @@ class _CoeffSpec:
     ):
         self.columns, self.context, self.cells, self.function = columns, context, cells, function
 
-    def value(self, *args) -> int:
-        return globals()[self.function](*args)
-
-    def tabulate(self, cells: list[tuple], values: list[int]) -> tuple:
-        """The JSON fields of each cell, then the csv header and rows."""
-        pairs = list(zip(cells, values))
-        fields = [
-            {**dict(zip(self.columns, map(list, c))), "value": str(v)} for c, v in pairs
-        ]
-        rows = [[*map(format_partition, c), str(v)] for c, v in pairs]
-        return fields, [*self.columns, "value"], rows
+    def record(self, cell: tuple, ctx) -> tuple:
+        """The cell's classes, then its value as a decimal string."""
+        return (*cell, str(globals()[self.function](*cell, ctx)))
 
 
 _COEFFS = {
@@ -306,40 +339,23 @@ _COEFFS = {
 def _cmd_coeff(args, memo) -> _Output:
     spec = _COEFFS[args.kind]
     cell = tuple(parse_partition(getattr(args, name)) for name in spec.columns)
-    value = spec.value(*cell, spec.context(args, memo))
-    (fields,), *table = spec.tabulate([cell], [value])
-    return _Output({"p": args.p, "n": args.n, **fields}, *table, text=str(value))
+    record = spec.record(cell, spec.context(args, memo))
+    return _Output({"p": args.p, "n": args.n}, None, (*spec.columns, "value"), [record],
+                   lambda: record[-1])
 
 
 def _cmd_table(args, memo) -> _Output:
+    head = {"p": args.p, "n": args.n}
     if args.kind == "omega":
-        return _table_omega(args, memo)
+        ms = list(partitions_up_to(args.max_order_exp, args.n + 1))
+        ctx = _omega_ctx(args, memo)
+        images = [_terms(omega(basis_element(m, ctx.source), ctx).sorted_terms()) for m in ms]
+        return _Output(head, "entries", ("M", ("image", "lambda", "coeff")), zip(ms, images))
     spec = _COEFFS[args.kind]
     cells = list(spec.cells(args))
     ctx = spec.context(args, memo)
-    fields, *table = spec.tabulate(cells, [spec.value(*cell, ctx) for cell in cells])
-    payload = {"p": args.p, "n": args.n, "table": args.kind, "rows": fields}
-    return _Output(payload, *table)
-
-
-def _table_omega(args, memo) -> _Output:
-    ms = list(partitions_up_to(args.max_order_exp, args.n + 1))
-    ctx = _omega_ctx(args, memo)
-    images = [omega(basis_element(m, ctx.source), ctx).sorted_terms() for m in ms]
-    entries = [
-        {
-            "M": list(m),
-            "image": [{"lambda": list(lam), "coeff": str(c)} for lam, c in image],
-        }
-        for m, image in zip(ms, images)
-    ]
-    rows = [
-        [format_partition(m), format_partition(lam), str(c)]
-        for m, image in zip(ms, images)
-        for lam, c in image
-    ]
-    payload = {"p": args.p, "n": args.n, "entries": entries}
-    return _Output(payload, ["M", "lambda", "coeff"], rows)
+    records = [spec.record(cell, ctx) for cell in cells]
+    return _Output({**head, "table": args.kind}, "rows", (*spec.columns, "value"), records)
 
 
 # --- verification suites --------------------------------------------------------
@@ -363,21 +379,14 @@ def _cmd_verify(args, memo, label: str | None = None) -> _Output:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     checks = run_suites(names, args, memo, _omega_ctx, _hecke_ctx, _c_cells)
     failures = sum(not ok for _, ok, _ in checks)
-    lines = [f"ok   {c}" if ok else f"FAIL {c}: {why}" for c, ok, why in checks]
-    payload = {
-        "suite": label or args.suite,
-        "p": args.p,
-        "n": args.n,
-        "passed": not failures,
-        "checks": [{"name": c, "passed": ok, "detail": why} for c, ok, why in checks],
-    }
-    return _Output(
-        payload,
-        ["name", "passed", "detail"],
-        [[c, "true" if ok else "false", why] for c, ok, why in checks],
-        "\n".join([*lines, f"{len(checks)} checks, {failures} failed"]),
-        EXIT_VERIFY if failures else EXIT_OK,
-    )
+
+    def text() -> str:
+        lines = [f"ok   {c}" if ok else f"FAIL {c}: {why}" for c, ok, why in checks]
+        return "\n".join([*lines, f"{len(checks)} checks, {failures} failed"])
+
+    head = {"suite": label or args.suite, "p": args.p, "n": args.n, "passed": not failures}
+    return _Output(head, "checks", ("name", "passed", "detail"), checks, text,
+                   EXIT_VERIFY if failures else EXIT_OK)
 
 
 def _cmd_count_subgroups(args, memo) -> _Output:
@@ -385,15 +394,8 @@ def _cmd_count_subgroups(args, memo) -> _Output:
     by_type = _type_census((amb.r,) * amb.n, None, amb.p, args.budget)
     total = sum(by_type.values())
     ordered = sorted(by_type.items(), key=lambda kv: (order_exponent(kv[0]), kv[0]))
-    payload = {
-        "p": args.p,
-        "n": args.n,
-        "r": args.trunc,
-        "total": total,
-        "by_type": [{"type": list(t), "count": c} for t, c in ordered],
-    }
-    rows = [[format_partition(t), str(c)] for t, c in ordered]
-    return _Output(payload, ["type", "count"], rows, str(total))
+    head = {"p": args.p, "n": args.n, "r": args.trunc, "total": total}
+    return _Output(head, "by_type", ("type", "count"), ordered, lambda: str(total))
 
 
 def _cmd_selftest(args, memo) -> _Output:

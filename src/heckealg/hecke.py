@@ -170,16 +170,6 @@ class HeckeElement:
     def to_text(self) -> str:
         return _class_sum(self.terms)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "n": self.n,
-            "terms": [
-                {"lambda": list(lam), "coeff": str(c)}
-                for lam, c in self.sorted_terms()
-            ],
-        }
-
     def __str__(self) -> str:
         return self.to_text()
 
@@ -467,14 +457,6 @@ class GeneratorPoly:
             (c, "".join(f"*T{k}" if a == 1 else f"*T{k}^{a}" for k, a in enumerate(exps, 1) if a))
             for exps, c in self.sorted_terms()
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "terms": [
-                {"exponents": list(e), "coeff": str(c)} for e, c in self.sorted_terms()
-            ],
-        }
 
     def __str__(self) -> str:
         return self.to_text()

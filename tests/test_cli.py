@@ -204,6 +204,94 @@ def test_verify_json_payload(capsys):
     assert all(c["passed"] for c in payload["checks"])
 
 
+def test_a_json_run_builds_no_csv_cell(capsys, monkeypatch):
+    # only the --output format is built: JSON formats no class as a csv
+    # cell (cache.coeff_key binds format_partition apart, so memo keys do
+    # not count here)
+    cli = sys.modules["heckealg.cli"]
+    calls = []
+    real = cli.format_partition
+    monkeypatch.setattr(cli, "format_partition", lambda lam: calls.append(lam) or real(lam))
+    for argv in (["table", "c", "--p", "3", "--n", "2", "--max-order-exp", "4"],
+                 ["table", "omega", "--p", "2", "--n", "2", "--max-order-exp", "3"]):
+        code, out, _ = run(capsys, *argv, "--output", "json")
+        assert code == 0 and json.loads(out)
+    assert calls == []
+    assert run(capsys, "table", "c", "--p", "3", "--n", "2", "--output", "csv")[0] == 0
+    assert calls
+
+
+# stdout of what the goldens under tests/data lack: an empty rank-1
+# element, flat single-record JSON of a and b, integer counts of several
+# types and a one-class omega table
+_RENDERED = [
+    (["mul", "--p", "2", "--n", "1", "0", "1*[1]"], {
+        "text": "0\n", "json": '{"p": 2, "n": 1, "terms": []}\n', "csv": "lambda,coeff\n"}),
+    (["table", "omega", "--p", "2", "--n", "1", "--max-order-exp", "0"], {
+        "text": "M,lambda,coeff\n[],[],1\n",
+        "json": '{"p": 2, "n": 1, "entries": '
+                '[{"M": [], "image": [{"lambda": [], "coeff": "1"}]}]}\n',
+        "csv": "M,lambda,coeff\n[],[],1\n"}),
+    (["acoeff", "--p", "2", "--n", "1", "--M", "[2,1]", "--N", "[1]"], {
+        "json": '{"p": 2, "n": 1, "M": [2, 1], "N": [1], "value": "2"}\n'}),
+    (["bcoeff", "--p", "2", "--n", "1", "--B", "[2]", "--A", "[]"], {
+        "json": '{"p": 2, "n": 1, "B": [2], "A": [], "value": "-2"}\n'}),
+    (["count-subgroups", "--p", "3", "--n", "2", "--trunc", "2"], {
+        "json": '{"p": 3, "n": 2, "r": 2, "total": 23, "by_type": ['
+                '{"type": [], "count": 1}, {"type": [1], "count": 4}, '
+                '{"type": [1, 1], "count": 1}, {"type": [2], "count": 12}, '
+                '{"type": [2, 1], "count": 4}, {"type": [2, 2], "count": 1}]}\n'}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,output,stdout",
+    [(argv, output, stdout) for argv, by_output in _RENDERED
+     for output, stdout in by_output.items()],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_renderer_corner_cases(capsys, argv, output, stdout):
+    assert run(capsys, *argv, "--output", output)[:2] == (0, stdout)
+
+
+# verify hom at p = 2, n = 1, --max-order-exp 1, its last check forced to fail
+_HOM_CHECKS = [
+    ("hom M1=[] M2=[]", True, "ok; omega(M1*M2) = 1*[]; omega(M1)*omega(M2) = 1*[]"),
+    ("hom M1=[] M2=[1]", True,
+     "ok; omega(M1*M2) = 2*[] + 1*[1]; omega(M1)*omega(M2) = 2*[] + 1*[1]"),
+    ("hom M1=[1] M2=[]", True,
+     "ok; omega(M1*M2) = 2*[] + 1*[1]; omega(M1)*omega(M2) = 2*[] + 1*[1]"),
+    ("hom M1=[1] M2=[1]", False, "MISMATCH; omega(M1*M2) = 4*[] + 4*[1] + 1*[2]; "
+     "omega(M1)*omega(M2) = 8*[] + 8*[1] + 2*[2]"),
+]
+_HOM_FAILED = {
+    "json": '{"suite": "hom", "p": 2, "n": 1, "passed": false, "checks": ['
+            + ", ".join(f'{{"name": "{name}", "passed": {str(ok).lower()}, '
+                        f'"detail": "{name}: {detail}"}}'
+                        for name, ok, detail in _HOM_CHECKS)
+            + "]}\n",
+    "csv": "name,passed,detail\n" + "".join(
+        f"{name},{str(ok).lower()},{name}: {detail}\n" for name, ok, detail in _HOM_CHECKS),
+    "text": "".join(f"ok   {name}\n" if ok else f"FAIL {name}: {name}: {detail}\n"
+                    for name, ok, detail in _HOM_CHECKS) + "4 checks, 1 failed\n",
+}
+
+
+@pytest.mark.parametrize("output", list(_HOM_FAILED))
+def test_a_failed_check_renders_false_and_exits_4(capsys, monkeypatch, output):
+    import heckealg.verify as verify
+
+    real = verify.verify_omega_hom
+
+    def forced(m1, m2, ctx):
+        rep = real(m1, m2, ctx)
+        return rep._replace(rhs=rep.rhs.scaled(2)) if (m1, m2) == ((1,), (1,)) else rep
+
+    monkeypatch.setattr(verify, "verify_omega_hom", forced)
+    argv = ["verify", "hom", "--p", "2", "--n", "1", "--max-order-exp", "1", "--output", output]
+    assert run(capsys, *argv)[:2] == (4, _HOM_FAILED[output])
+
+
 def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0

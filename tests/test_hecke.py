@@ -2,6 +2,7 @@
 
 import doctest
 import itertools
+import json
 
 import pytest
 from conftest import delsarte, gaussian_binomial
@@ -398,11 +399,14 @@ def test_poly_drops_zero_coefficients():
         ({}, "0"),
     ],
 )
-def test_poly_rendering(coeffs, text):
+def test_poly_rendering(capsys, ctx22, coeffs, text):
     poly = GeneratorPoly(2, coeffs)
     assert poly.to_text() == str(poly) == text
-    payload = poly.to_json_dict()
-    assert payload["n"] == 2
+    # the JSON shape belongs to the command line: decompose the element poly names
+    element = eval_generator_poly(poly, ctx22).to_text()
+    assert main(["decompose", "--p", "2", "--n", "2", "--output", "json", "--", element]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["p"], payload["n"]) == (2, 2)
     assert {tuple(t["exponents"]): int(t["coeff"]) for t in payload["terms"]} == coeffs
 
 
