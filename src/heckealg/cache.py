@@ -2,7 +2,8 @@
 
 One record per line: {"version": "1", "key": "...", "value": "..."}.
 Keys name the coefficient and its full argument tuple (see coeff_key).
-Values are decimal strings.  The file is only ever appended to, so
+Values are decimal strings, exactly as str(int) writes them; any other
+value makes its line unreadable.  The file is only ever appended to, so
 concurrent readers see a prefix; unreadable lines are skipped with a
 warning rather than aborting the run.
 
@@ -96,7 +97,11 @@ class CacheStore:
                         key = record["key"]
                         if not isinstance(key, str):
                             raise ValueError("key is not a string")
-                        value = int(record["value"])
+                        text = record["value"]
+                        value = int(text) if isinstance(text, str) else None
+                        # flush writes str(value): refuse the rest of what int() reads
+                        if value is None or str(value) != text:
+                            raise ValueError(f"value {text!r} is not a decimal string")
                     except (ValueError, KeyError, TypeError) as exc:
                         print(
                             f"warning: {self.path}:{lineno}: skipping bad cache line ({exc})",

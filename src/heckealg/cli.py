@@ -49,11 +49,18 @@ compiled, and the suites were the largest part of this module's compile.
 This module keeps their names and options, in the order `verify all`
 runs them, and returns their checks as records.
 
+A run computes in one context, which `main` builds from the options
+the command reads before the command runs, and hands to it: the
+H_(n+1) -> H_n transfer for a command that takes --split, the rank-n
+algebra for any other command that takes --n, and none for
+`count-subgroups`, which counts in its own ambient group.  So --p and
+--n are checked before any class or element literal is read.
+
 Commands return records and print nothing; `main` renders them in the
 one format --output names and builds no other (the text form of a table
 is its csv).  Only this module knows the JSON and csv shape of a result.
-`main` also loads the cache before the command runs and flushes it only
-after the command returns, so a usage error, a budget overrun or a
+`main` also loads the cache before the context is built and flushes it
+only after the command returns, so a usage error, a budget overrun or a
 failed exact identity (exit 2, 3 or 4 from an error) writes nothing,
 while a verify run whose checks fail (exit 4) keeps what it computed.
 """
@@ -72,6 +79,7 @@ from .errors import BudgetExceededError, VerificationError
 from .hecke import (
     HeckeContext,
     HeckeElement,
+    _c_cells,
     c_coeff,
     decompose_in_generators,
     multiply,
@@ -85,7 +93,6 @@ from .partitions import (
     order_exponent,
     parse_partition,
     partitions_between,
-    partitions_of_exponent,
     partitions_up_to,
 )
 from .subgroups import DEFAULT_BUDGET, Ambient, _type_census
@@ -159,20 +166,25 @@ def _cache_dir(args: argparse.Namespace) -> str | None:
     return os.environ.get(CACHE_ENV) or None
 
 
-def _hecke_ctx(args: argparse.Namespace, memo: dict[str, int]) -> HeckeContext:
+def _context(
+    args: argparse.Namespace, memo: dict[str, int]
+) -> HeckeContext | OmegaContext | None:
+    """The run's one context, over memo: the transfer if the command takes
+    --split, else the rank-n algebra; none for count-subgroups, whose own
+    Ambient checks and words its p, n and r."""
     budget = getattr(args, "budget", DEFAULT_BUDGET)
+    if "split" in args:
+        return OmegaContext(
+            p=args.p,
+            n=args.n,
+            split=args.split,
+            trunc_override=getattr(args, "trunc", None),
+            budget=budget,
+            memo=memo,
+        )
+    if args.command == "count-subgroups":
+        return None
     return HeckeContext(p=args.p, n=args.n, budget=budget, memo=memo)
-
-
-def _omega_ctx(args: argparse.Namespace, memo: dict[str, int]) -> OmegaContext:
-    return OmegaContext(
-        p=args.p,
-        n=args.n,
-        split=args.split,
-        trunc_override=getattr(args, "trunc", None),
-        budget=getattr(args, "budget", DEFAULT_BUDGET),
-        memo=memo,
-    )
 
 
 # --- output -----------------------------------------------------------------
@@ -260,36 +272,23 @@ def _element_output(elem: HeckeElement) -> _Output:
 # --- element commands ---------------------------------------------------------
 
 
-def _cmd_mul(args, memo) -> _Output:
-    ctx = _hecke_ctx(args, memo)
+def _cmd_mul(args, ctx: HeckeContext) -> _Output:
     x = parse_element(args.x, args.p, args.n)
     y = parse_element(args.y, args.p, args.n)
     return _element_output(multiply(x, y, ctx))
 
 
-def _cmd_omega(args, memo) -> _Output:
-    ctx = _omega_ctx(args, memo)
+def _cmd_omega(args, ctx: OmegaContext) -> _Output:
     return _element_output(omega(parse_element(args.x, args.p, args.n + 1), ctx))
 
 
-def _cmd_decompose(args, memo) -> _Output:
-    ctx = _hecke_ctx(args, memo)
+def _cmd_decompose(args, ctx: HeckeContext) -> _Output:
     poly = decompose_in_generators(parse_element(args.x, args.p, args.n), ctx)
     return _Output({"p": args.p, "n": poly.n}, "terms", ("exponents", "coeff"),
                    _terms(poly.sorted_terms()), poly.to_text)
 
 
 # --- scalar coefficients and their tables --------------------------------------
-
-
-def _c_cells(args) -> Iterator[tuple[Partition, Partition, Partition]]:
-    sized = [list(partitions_of_exponent(d, args.n)) for d in range(args.max_order_exp + 1)]
-    for d, classes in enumerate(sized):  # the L of partitions_up_to, size by size
-        for l in classes:
-            for dm in range(d + 1):
-                for m in sized[dm]:
-                    for n_ in sized[d - dm]:
-                        yield m, n_, l
 
 
 def _embedded_pairs(
@@ -301,18 +300,17 @@ def _embedded_pairs(
 
 
 class _CoeffSpec:
-    """One scalar coefficient: its argument names, context, table cells and
-    the name of its value function.
+    """One scalar coefficient: its argument names, table cells and the name
+    of its value function.
 
     The argument names are the `*coeff` options, the table columns and
-    the JSON fields alike.  The value function is looked up in this
-    module at each call, so a wrapper bound over its name sees the call.
+    the JSON fields alike.  cells(max_order_exp, n) yields the table's
+    cells.  The value function is looked up in this module at each call,
+    so a wrapper bound over its name sees the call.
     """
 
-    def __init__(
-        self, columns: tuple[str, ...], context: Callable, cells: Callable, function: str
-    ):
-        self.columns, self.context, self.cells, self.function = columns, context, cells, function
+    def __init__(self, columns: tuple[str, ...], cells: Callable, function: str):
+        self.columns, self.cells, self.function = columns, cells, function
 
     def record(self, cell: tuple, ctx) -> tuple:
         """The cell's classes, then its value as a decimal string."""
@@ -320,41 +318,28 @@ class _CoeffSpec:
 
 
 _COEFFS = {
-    "c": _CoeffSpec(("M", "N", "L"), _hecke_ctx, _c_cells, "c_coeff"),
-    "a": _CoeffSpec(
-        ("M", "N"),
-        _omega_ctx,
-        lambda args: _embedded_pairs(args.max_order_exp, args.n + 1, args.n),
-        "a_coeff",
-    ),
-    "b": _CoeffSpec(
-        ("B", "A"),
-        _omega_ctx,
-        lambda args: _embedded_pairs(args.max_order_exp, args.n, args.n),
-        "b_coeff",
-    ),
+    "c": _CoeffSpec(("M", "N", "L"), _c_cells, "c_coeff"),
+    "a": _CoeffSpec(("M", "N"), lambda d, n: _embedded_pairs(d, n + 1, n), "a_coeff"),
+    "b": _CoeffSpec(("B", "A"), lambda d, n: _embedded_pairs(d, n, n), "b_coeff"),
 }
 
 
-def _cmd_coeff(args, memo) -> _Output:
+def _cmd_coeff(args, ctx: HeckeContext | OmegaContext) -> _Output:
     spec = _COEFFS[args.kind]
     cell = tuple(parse_partition(getattr(args, name)) for name in spec.columns)
-    record = spec.record(cell, spec.context(args, memo))
+    record = spec.record(cell, ctx)
     return _Output({"p": args.p, "n": args.n}, None, (*spec.columns, "value"), [record],
                    lambda: record[-1])
 
 
-def _cmd_table(args, memo) -> _Output:
+def _cmd_table(args, ctx: HeckeContext | OmegaContext) -> _Output:
     head = {"p": args.p, "n": args.n}
     if args.kind == "omega":
         ms = list(partitions_up_to(args.max_order_exp, args.n + 1))
-        ctx = _omega_ctx(args, memo)
         images = [_terms(omega(basis_element(m, ctx.source), ctx).sorted_terms()) for m in ms]
         return _Output(head, "entries", ("M", ("image", "lambda", "coeff")), zip(ms, images))
     spec = _COEFFS[args.kind]
-    cells = list(spec.cells(args))
-    ctx = spec.context(args, memo)
-    records = [spec.record(cell, ctx) for cell in cells]
+    records = [spec.record(cell, ctx) for cell in spec.cells(args.max_order_exp, args.n)]
     return _Output({**head, "table": args.kind}, "rows", (*spec.columns, "value"), records)
 
 
@@ -372,38 +357,31 @@ _SUITES = {
 }
 
 
-def _cmd_verify(args, memo, label: str | None = None) -> _Output:
-    """Run args.suite (every suite for "all"); label names it in the JSON."""
-    from .verify import run_suites  # only verify and selftest compile the suites
+def _cmd_verify(args, ctx: HeckeContext | OmegaContext) -> _Output:
+    """Run args.suite, or every suite for a name _SUITES lacks ("all",
+    "selftest"), against the run's one context."""
+    from .verify import SUITES  # only verify and selftest compile the suites
 
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
-    checks = run_suites(names, args, memo, _omega_ctx, _hecke_ctx, _c_cells)
+    names = [args.suite] if args.suite in _SUITES else list(_SUITES)
+    checks = [check for name in names for check in SUITES[name](args.max_order_exp, ctx)]
     failures = sum(not ok for _, ok, _ in checks)
 
     def text() -> str:
         lines = [f"ok   {c}" if ok else f"FAIL {c}: {why}" for c, ok, why in checks]
         return "\n".join([*lines, f"{len(checks)} checks, {failures} failed"])
 
-    head = {"suite": label or args.suite, "p": args.p, "n": args.n, "passed": not failures}
+    head = {"suite": args.suite, "p": args.p, "n": args.n, "passed": not failures}
     return _Output(head, "checks", ("name", "passed", "detail"), checks, text,
                    EXIT_VERIFY if failures else EXIT_OK)
 
 
-def _cmd_count_subgroups(args, memo) -> _Output:
+def _cmd_count_subgroups(args, ctx: None) -> _Output:
     amb = Ambient(args.p, args.n, args.trunc)  # refuses a bad p, n or r
     by_type = _type_census((amb.r,) * amb.n, None, amb.p, args.budget)
     total = sum(by_type.values())
     ordered = sorted(by_type.items(), key=lambda kv: (order_exponent(kv[0]), kv[0]))
     head = {"p": args.p, "n": args.n, "r": args.trunc, "total": total}
     return _Output(head, "by_type", ("type", "count"), ordered, lambda: str(total))
-
-
-def _cmd_selftest(args, memo) -> _Output:
-    argv = ["verify", "all", "--p", "2", "--n", "1", "--max-order-exp", "2",
-            "--budget", str(args.budget)]
-    ns = _parse(argv)
-    # memo is empty: the self-test takes no --cache
-    return _cmd_verify(ns, memo, label="selftest")
 
 
 # --- entry point -----------------------------------------------------------------
@@ -510,7 +488,8 @@ _COMMANDS = {
         {"--trunc": dict(type=int, default=1, help="truncation exponent r")},
         dict(func=_cmd_count_subgroups)),
     "selftest": _Command(
-        "small fixed verification run", "budget output", {}, dict(func=_cmd_selftest)),
+        "small fixed verification run", "budget output", {},
+        dict(func=_cmd_verify, suite="selftest", p=2, n=1, max_order_exp=2, split="first")),
 }
 
 
@@ -606,7 +585,7 @@ def _run(argv: list[str] | None) -> int:
     store = CacheStore(directory) if directory else None
     try:
         memo = store.load() if store else {}
-        out = args.func(args, memo)
+        out = args.func(args, _context(args, memo))
         if store:
             store.flush(memo)
     except OSError as exc:  # only the cache reads or writes files

@@ -295,6 +295,16 @@ def c_coeff(
     return value
 
 
+def _c_cells(max_order_exp: int, n: int) -> Iterator[tuple[Partition, Partition, Partition]]:
+    sized = [list(partitions_of_exponent(d, n)) for d in range(max_order_exp + 1)]
+    for d, classes in enumerate(sized):  # the L of partitions_up_to, size by size
+        for l in classes:
+            for dm in range(d + 1):
+                for m in sized[dm]:
+                    for n_ in sized[d - dm]:
+                        yield m, n_, l
+
+
 def c_by_enumeration(
     m: Sequence[int], n_: Sequence[int], l: Sequence[int], ctx: HeckeContext
 ) -> int:

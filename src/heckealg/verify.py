@@ -8,19 +8,20 @@ be the largest part of the command line's compile.
 
 This module never imports heckealg.cli: under `python -m heckealg.cli`
 that module is __main__, and importing it would compile it a second
-time.  The command line hands `run_suites` its parsed options, its memo
-and the builders of the contexts and of the cells of `table c` instead.
-A run builds its contexts once, the H_(n+1) -> H_n transfer and its
-target, and every suite it names checks against them.
+time.  The command line's entry point builds the run's one context
+instead, and every suite takes it with --max-order-exp: the
+H_(n+1) -> H_n transfer, whose target is the rank-n algebra, or that
+algebra alone for a run of shimura, the one suite without --split.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterator
 
 from .errors import VerificationError
 from .hecke import (
     HeckeContext,
+    _c_cells,
     basis_element,
     c_by_enumeration,
     c_coeff,
@@ -39,7 +40,6 @@ from .omega import (
     verify_tp_formula,
 )
 from .partitions import (
-    Partition,
     embeds,
     format_partition,
     order_exponent,
@@ -92,7 +92,9 @@ def _inverse(maxoe: int, ctx: OmegaContext) -> Iterator[Check]:
         )
 
 
-def _shimura(maxoe: int, ctx: HeckeContext) -> Iterator[Check]:
+def _shimura(maxoe: int, ctx: HeckeContext | OmegaContext) -> Iterator[Check]:
+    if isinstance(ctx, OmegaContext):  # a transfer: its target is the algebra
+        ctx = ctx.target
     targets = [
         (f"L={format_partition(lam)}", f"{format_partition(lam)} =", basis_element, lam)
         for lam in partitions_up_to(maxoe, ctx.n)
@@ -111,9 +113,7 @@ def _shimura(maxoe: int, ctx: HeckeContext) -> Iterator[Check]:
         yield (f"generators {name}", ok, detail)
 
 
-def _oracle(
-    maxoe: int, octx: OmegaContext, cells: Iterable[tuple[Partition, Partition, Partition]]
-) -> Iterator[Check]:
+def _oracle(maxoe: int, octx: OmegaContext) -> Iterator[Check]:
     p, budget = octx.p, octx.budget
 
     def total(n: int, r: int) -> int:
@@ -159,7 +159,7 @@ def _oracle(
     hctx = octx.target
     # labels kept so that stdout stays byte-identical: "table" is the
     # Pieri product, "normalized count" the Hall table
-    for m, n_, l in cells:
+    for m, n_, l in _c_cells(maxoe, hctx.n):
         vc = c_coeff(m, n_, l, hctx)
         vv = c_by_enumeration(m, n_, l, hctx)
         yield (
@@ -170,7 +170,8 @@ def _oracle(
         )
 
 
-# the names and order of the command line's suite table, which `verify all` runs
+# the names and order of the command line's suite table, which `verify all`
+# runs; each suite takes --max-order-exp and the run's context
 SUITES = {
     "hom": _hom,
     "tp": _tp,
@@ -178,30 +179,3 @@ SUITES = {
     "shimura": _shimura,
     "oracle": _oracle,
 }
-
-
-def run_suites(
-    names: list[str],
-    args,
-    memo: dict[str, int],
-    omega_ctx: Callable[..., OmegaContext],
-    hecke_ctx: Callable[..., HeckeContext],
-    c_cells: Callable[..., Iterable[tuple[Partition, Partition, Partition]]],
-) -> list[Check]:
-    """The checks of the suites named, in that order, against one set of contexts.
-
-    The run builds its contexts once, before any check: the transfer
-    omega_ctx(args, memo) when a suite computes one (every suite but
-    shimura), with its target as the rank-n algebra, and hecke_ctx(args,
-    memo) only for a run of shimura alone.  c_cells(args) yields the
-    cells of `table c`.
-    """
-    transfer = omega_ctx(args, memo) if set(names) - {"shimura"} else None
-    algebra = hecke_ctx(args, memo) if transfer is None else transfer.target
-    # what each suite reads besides --max-order-exp
-    reads = {"shimura": (algebra,), "oracle": (transfer, c_cells(args))}
-    return [
-        check
-        for name in names
-        for check in SUITES[name](args.max_order_exp, *reads.get(name, (transfer,)))
-    ]

@@ -171,12 +171,30 @@ def test_verify_all_passes(capsys):
     assert "FAIL" not in out
 
 
-@pytest.mark.parametrize(
-    "suite,omegas,heckes", [("all", 1, 2), ("oracle", 1, 2), ("shimura", 0, 1)]
-)
-def test_a_verify_run_builds_its_contexts_once(capsys, monkeypatch, suite, omegas, heckes):
-    # one transfer H_(n+1) -> H_n and its two algebras serve every suite;
-    # shimura alone computes no transfer and builds the rank-n algebra only
+_ONE_TRANSFER, _ONE_ALGEBRA, _NO_CONTEXT = (1, 2), (0, 1), (0, 0)
+
+
+@pytest.mark.parametrize("argv,omegas_heckes", [
+    *((f"verify {suite} --p 2 --n 1 --max-order-exp 2", _ONE_TRANSFER)
+      for suite in ("all", "oracle")),
+    ("verify shimura --p 2 --n 1 --max-order-exp 2", _ONE_ALGEBRA),
+    ("mul --p 2 --n 2 1*[1] 1*[1]", _ONE_ALGEBRA),
+    ("decompose --p 2 --n 2 1*[2]", _ONE_ALGEBRA),
+    ("ccoeff --p 2 --n 2 --M [1] --N [1] --L [1,1]", _ONE_ALGEBRA),
+    ("table c --p 2 --n 2 --max-order-exp 2", _ONE_ALGEBRA),
+    ("acoeff --p 2 --n 1 --M [2,1] --N [1]", _ONE_TRANSFER),
+    ("bcoeff --p 2 --n 1 --B [2] --A []", _ONE_TRANSFER),
+    ("omega --p 2 --n 1 1*[1,1]", _ONE_TRANSFER),
+    *((f"table {kind} --p 2 --n 1 --max-order-exp 2", _ONE_TRANSFER)
+      for kind in ("a", "b", "omega")),
+    ("selftest", _ONE_TRANSFER),
+    ("count-subgroups --p 2 --n 2 --trunc 2", _NO_CONTEXT),
+])
+def test_a_verify_run_builds_its_contexts_once(capsys, monkeypatch, argv, omegas_heckes):
+    # a run computes in one context, built once from its options: a
+    # command with --split (every suite but shimura) in one transfer
+    # H_(n+1) -> H_n and its two algebras, any other command with --n in
+    # the rank-n algebra only, and count-subgroups in its own Ambient
     from heckealg.hecke import HeckeContext
     from heckealg.omega import OmegaContext
 
@@ -187,9 +205,9 @@ def test_a_verify_run_builds_its_contexts_once(capsys, monkeypatch, suite, omega
             _init(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", counting)
-    code, _, _ = run(capsys, "verify", suite, "--p", "2", "--n", "1", "--max-order-exp", "2")
+    code, _, _ = run(capsys, *argv.split())
     assert code == 0
-    assert (built.count(OmegaContext), built.count(HeckeContext)) == (omegas, heckes)
+    assert (built.count(OmegaContext), built.count(HeckeContext)) == omegas_heckes
 
 
 def test_verify_json_payload(capsys):
@@ -323,6 +341,18 @@ def test_nonprime_exit_code(capsys):
     )
     assert code == 2
     assert "prime" in err
+
+
+@pytest.mark.parametrize("command,classes", [
+    ("ccoeff", ["--M", "[1", "--N", "[1]", "--L", "[1,1]"]),
+    ("acoeff", ["--M", "[1", "--N", "[1]"]),
+    ("bcoeff", ["--B", "[1", "--A", "[]"]),
+])
+def test_p_is_checked_before_the_class_literals(capsys, command, classes):
+    # the run's context is built from --p and --n before the command reads
+    # its class literals, so of two faults the prime is reported
+    argv = [command, "--p", "4", "--n", "2", *classes]
+    assert run(capsys, *argv) == (2, "", "error: p must be prime, got 4\n")
 
 
 def test_a_large_prime_is_decided_at_once(capsys):
@@ -794,7 +824,12 @@ def test_corrupt_cache_lines_warn_and_continue(tmp_path, capsys):
     cache_file.write_text(
         'garbage\n'
         '{"version": "1", "key": "c:p=2:n=2:M=[1]:N=[1]:L=[1,1]", "value": "3"}\n'
-        '{"version": "99", "key": "x", "value": "5"}\n'
+        # int() reads each of these values, but the writer writes none of them
+        + "".join(
+            f'{{"version": "1", "key": "c:p=2:n=2:M=[1]:N=[1]:L=[1,1]", "value": {value}}}\n'
+            for value in ("5.7", "true", '"1_0"', '" 7 "', '"+3"', '"\\u0663"')
+        )
+        + '{"version": "99", "key": "x", "value": "5"}\n'
     )
     code, out, err = run(
         capsys,
@@ -803,7 +838,7 @@ def test_corrupt_cache_lines_warn_and_continue(tmp_path, capsys):
     )
     assert code == 0
     assert out.strip() == "3"
-    assert err.count("skipping bad cache line") == 2
+    assert err.count("skipping bad cache line") == 8
 
 
 def test_poisoned_cache_value_is_used_verbatim(tmp_path, capsys):
