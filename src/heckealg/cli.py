@@ -28,10 +28,11 @@ the exponent of the oracle's ambient, so of the transfer surfaces only
 the structure constants of `ccoeff` and `table c` take the elementary
 Pieri rule; the Hall table in the c-route of `verify oracle` is their
 oracle.
---budget bounds enumerations, so only `verify oracle|all`,
-`count-subgroups` and `selftest` take it.  `mul`, `decompose` and
-`verify shimura` read no cache either, so they take no --cache.  For
-`count-subgroups` --trunc is the exponent r of (Z/p^r)^n (default 1).
+--budget bounds enumerations, so only `verify oracle|all` and
+`selftest` take it.  `mul`, `decompose` and `verify shimura` read no
+cache either, so they take no --cache.  `count-subgroups` counts the
+subgroups of (Z/p^r)^n of each type by Delsarte's formula, r from
+--trunc (default 1), and enumerates nothing.
 --cache points at a directory holding the append-only coefficient
 cache (environment variable HECKE_CACHE_DIR supplies the default); one
 that cannot be read or written as such is a usage error (exit 2).
@@ -76,6 +77,7 @@ from collections.abc import Callable, Iterable, Iterator
 
 from .cache import CACHE_ENV, CacheStore
 from .errors import BudgetExceededError, VerificationError
+from .hall import _delsarte, _gaussian_table
 from .hecke import (
     HeckeContext,
     HeckeElement,
@@ -95,7 +97,7 @@ from .partitions import (
     partitions_between,
     partitions_up_to,
 )
-from .subgroups import DEFAULT_BUDGET, Ambient, _type_census
+from .subgroups import DEFAULT_BUDGET, Ambient
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -377,9 +379,11 @@ def _cmd_verify(args, ctx: HeckeContext | OmegaContext) -> _Output:
 
 def _cmd_count_subgroups(args, ctx: None) -> _Output:
     amb = Ambient(args.p, args.n, args.trunc)  # refuses a bad p, n or r
-    by_type = _type_census((amb.r,) * amb.n, None, amb.p, args.budget)
-    total = sum(by_type.values())
-    ordered = sorted(by_type.items(), key=lambda kv: (order_exponent(kv[0]), kv[0]))
+    lam = (amb.r,) * amb.n
+    types = sorted(partitions_between((), lam), key=lambda mu: (order_exponent(mu), mu))
+    gauss = _gaussian_table(amb.p, amb.n)
+    ordered = [(mu, _delsarte(lam, mu, amb.p, gauss)) for mu in types]
+    total = sum(count for _, count in ordered)
     head = {"p": args.p, "n": args.n, "r": args.trunc, "total": total}
     return _Output(head, "by_type", ("type", "count"), ordered, lambda: str(total))
 
@@ -484,7 +488,7 @@ _COMMANDS = {
     }, _cmd_verify),
     "count-subgroups": _Command(
         "count subgroups of (Z/p^r)^n, r from --trunc",
-        "p n budget output",
+        "p n output",
         {"--trunc": dict(type=int, default=1, help="truncation exponent r")},
         dict(func=_cmd_count_subgroups)),
     "selftest": _Command(

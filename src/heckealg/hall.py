@@ -1,8 +1,11 @@
-"""Hall polynomials, automorphism counts and Gaussian binomials: pure p-counts.
+"""Hall polynomials, automorphism counts, Gaussian binomials and subgroup
+counts: pure p-counts.
 
 Closed forms of Macdonald, *Symmetric Functions and Hall Polynomials*
-(2nd ed.), evaluated at a prime p in integer arithmetic: every division
-is checked exact, and the Gaussian binomials need none.  Nothing here
+(2nd ed.), and Delsarte's count of the subgroups of each type (Butler,
+*Subgroup Lattices and Symmetric Functions*, 1994, 1.4), evaluated at a
+prime p in integer arithmetic: every division is checked exact, and the
+Gaussian binomials, so the subgroup counts, need none.  Nothing here
 enumerates subgroups.
 """
 
@@ -12,7 +15,7 @@ from itertools import groupby
 from math import prod
 
 from .errors import exact_quotient
-from .partitions import Partition
+from .partitions import Partition, conjugate, embeds
 
 
 def _aut_order(lam: Partition, p: int) -> int:
@@ -57,3 +60,27 @@ def _gaussian_table(p: int, n: int) -> list[list[int]]:
         up = table[-1]
         table.append([1] + [up[b - 1] + p**b * up[b] for b in range(1, a)] + [1])
     return table
+
+
+def _delsarte(
+    lam: Partition, mu: Partition, p: int, gauss: list[list[int]] | None = None
+) -> int:
+    """The number of subgroups of type mu in a group of type lam (Delsarte 1948):
+    prod_i p^(mu'_(i+1) (lam'_i - mu'_i)) [lam'_i - mu'_(i+1); mu'_i - mu'_(i+1)]_p,
+    0 unless mu fits inside lam.  Every lam'_i is at most the rank of lam,
+    so _gaussian_table's rows up to it hold each binomial; a caller that
+    counts many mu passes those rows as gauss, built once.
+
+    >>> [_delsarte((2, 2), mu, 2) for mu in [(), (1,), (2,), (1, 1), (2, 1), (2, 2)]]
+    [1, 3, 6, 1, 3, 1]
+    """
+    if not embeds(mu, lam):
+        return 0
+    lc, mc = conjugate(lam), conjugate(mu)
+    mc += (0,) * (len(lc) + 1 - len(mc))
+    if gauss is None:
+        gauss = _gaussian_table(p, len(lam))
+    return prod(
+        p ** (mc[i + 1] * (l - mc[i])) * gauss[l - mc[i + 1]][mc[i] - mc[i + 1]]
+        for i, l in enumerate(lc)
+    )

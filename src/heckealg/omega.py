@@ -64,6 +64,7 @@ from .subgroups import (
     _meet_census,
     _sweep,
     intersect,
+    is_prime,
     m_count,
     standard_split,
 )
@@ -98,6 +99,10 @@ class OmegaContext:
         self, p: int, n: int, split: str = "first", trunc_override: int | None = None,
         budget: int = DEFAULT_BUDGET, memo: dict[str, int] | None = None,
     ):
+        # p first, as HeckeContext checks it, so both contexts report a bad
+        # prime before any other fault
+        if not is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
         if split not in ("first", "last"):
             raise ValueError(f"split must be 'first' or 'last', got {split!r}")
         if trunc_override is not None and trunc_override < 1:

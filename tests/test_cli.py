@@ -16,12 +16,16 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from conftest import delsarte
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import heckealg
 from heckealg.cache import CACHE_ENV, CACHE_FILENAME, CacheStore
 from heckealg.cli import _COMMANDS, _build_parser, _parse, _read_argv, main
+from heckealg.errors import BudgetExceededError
+from heckealg.partitions import partitions_between
+from heckealg.subgroups import DEFAULT_BUDGET, Ambient, _type_census, enumerate_subgroups
 
 
 def run(capsys, *argv):
@@ -134,6 +138,33 @@ def test_count_subgroups(capsys):
     payload = json.loads(out)
     assert payload["total"] == 15
     assert {"type": [1], "count": 3} in payload["by_type"]
+
+
+def test_count_subgroups_beyond_enumeration(capsys):
+    # enumeration would need 1,036,488,922,562 candidates; Delsarte's formula needs none
+    want = sum(delsarte((2, 2, 2), mu, 1009) for mu in partitions_between((), (2, 2, 2)))
+    assert want == 3113583892299
+    t0 = time.process_time()
+    assert run(capsys, "count-subgroups", "--p", "1009", "--n", "3", "--trunc", "2") == (
+        0, f"{want}\n", "")
+    assert time.process_time() - t0 < 1
+
+
+def test_count_subgroups_builds_the_gaussian_rows_once(capsys, monkeypatch):
+    # rebuilt for each type, the rows make (Z/2)^300 about 100 times slower
+    calls = []
+    real = sys.modules["heckealg.hall"]._gaussian_table
+
+    def counting(p, n):
+        calls.append((p, n))
+        return real(p, n)
+
+    for module in ("heckealg.hall", "heckealg.cli"):
+        monkeypatch.setattr(sys.modules[module], "_gaussian_table", counting)
+    argv = ("count-subgroups", "--p", "2", "--n", "6", "--trunc", "2", "--output", "json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and len(json.loads(out)["by_type"]) == 28
+    assert calls == [(2, 6)]
 
 
 def test_table_omega_json_schema(capsys):
@@ -344,14 +375,20 @@ def test_nonprime_exit_code(capsys):
 
 
 @pytest.mark.parametrize("command,classes", [
-    ("ccoeff", ["--M", "[1", "--N", "[1]", "--L", "[1,1]"]),
-    ("acoeff", ["--M", "[1", "--N", "[1]"]),
-    ("bcoeff", ["--B", "[1", "--A", "[]"]),
+    ("ccoeff", ["--n", "2", "--M", "[1", "--N", "[1]", "--L", "[1,1]"]),
+    ("acoeff", ["--n", "2", "--M", "[1", "--N", "[1]"]),
+    ("bcoeff", ["--n", "2", "--B", "[1", "--A", "[]"]),
+    # either context checks the prime before the rank and the truncation
+    ("acoeff", ["--n", "0", "--M", "[1]", "--N", "[]"]),
+    ("bcoeff", ["--n", "0", "--B", "[1]", "--A", "[]"]),
+    ("omega", ["--n", "0", "1*[1]"]),
+    ("table a", ["--n", "0"]),
+    ("verify oracle", ["--n", "2", "--trunc", "0"]),
 ])
 def test_p_is_checked_before_the_class_literals(capsys, command, classes):
     # the run's context is built from --p and --n before the command reads
     # its class literals, so of two faults the prime is reported
-    argv = [command, "--p", "4", "--n", "2", *classes]
+    argv = [*command.split(), "--p", "4", *classes]
     assert run(capsys, *argv) == (2, "", "error: p must be prime, got 4\n")
 
 
@@ -443,12 +480,13 @@ def test_main_restores_the_int_digit_limit(capsys, argv):
 
 
 def test_budget_exit_code(capsys):
-    code, _, err = run(
+    # Delsarte's formula counts without enumerating: nothing for a budget to bound
+    code, out, err = run(
         capsys, "count-subgroups", "--p", "2", "--n", "3", "--trunc", "3",
         "--budget", "50",
     )
-    assert code == 3
-    assert "budget" in err
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --budget 50" in err
 
 
 @pytest.mark.parametrize(
@@ -464,19 +502,19 @@ def test_budget_overrun_in_sweeps(capsys, argv):
     assert "budget" in err
 
 
-def test_budget_trips_before_the_pivot_structures_are_listed(capsys):
+def test_budget_trips_before_the_pivot_structures_are_listed():
     # (Z/2^10)^6 has 11^6 pivot structures; the budget stops the listing early
-    code, _, err = run(
-        capsys, "count-subgroups", "--p", "2", "--n", "6", "--trunc", "10",
-        "--budget", "10",
-    )
-    assert code == 3
-    assert "needs at least" in err and "budget is 10" in err
+    t0 = time.process_time()
+    with pytest.raises(BudgetExceededError) as exc:
+        next(enumerate_subgroups(Ambient(2, 6, 10), budget=10))
+    assert time.process_time() - t0 < 1
+    assert "needs at least" in str(exc.value) and "budget is 10" in str(exc.value)
 
 
-# four sweeping command lines at budgets from 1 to 10^5: exit code, stdout
+# three sweeping command lines at budgets from 1 to 10^5: exit code, stdout
 # digest and stderr, recorded while each oracle cell still swept on its
 # own.  A memoised sweep must not move the point where a budget trips.
+# count-subgroups, which counts by Delsarte's formula, refuses each budget.
 BUDGET_GRID = json.loads((Path(__file__).parent / "data" / "budget_grid.json").read_text())
 
 
@@ -487,11 +525,10 @@ def test_budget_grid_keeps_its_recorded_outputs(capsys, cold_tables, case):
     assert hashlib.sha256(out.encode()).hexdigest() == case["stdout_sha256"]
 
 
-def test_a_census_at_the_default_budget_does_not_serve_a_smaller_one(capsys):
-    argv = ["count-subgroups", "--p", "2", "--n", "2", "--trunc", "2"]
-    assert run(capsys, *argv)[:2] == (0, "15\n")
-    code, out, err = run(capsys, *argv, "--budget", "1")
-    assert (code, out) == (3, "") and "budget is 1" in err
+def test_a_census_at_the_default_budget_does_not_serve_a_smaller_one(cold_tables):
+    assert sum(_type_census((2, 2), None, 2, DEFAULT_BUDGET).values()) == 15
+    with pytest.raises(BudgetExceededError, match="budget is 1"):
+        _type_census((2, 2), None, 2, 1)
 
 
 def test_oracle_rejects_bad_trunc_before_enumerating(capsys, monkeypatch, cold_tables):
@@ -951,7 +988,7 @@ _BOUNDED_OPTIONS = [
                              ("verify", "hom tp inverse shimura oracle all"))
       for kind in kinds.split()),
     *((command, "--budget", value)
-      for command in ("verify oracle", "verify all", "count-subgroups", "selftest")
+      for command in ("verify oracle", "verify all", "selftest")
       for value in ("0", "-5")),
 ]
 

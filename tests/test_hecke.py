@@ -35,7 +35,7 @@ from heckealg.partitions import (
     partitions_of_exponent,
     partitions_up_to,
 )
-from heckealg.subgroups import count_of_type_in_group
+from heckealg.subgroups import DEFAULT_BUDGET, _type_census, count_of_type_in_group
 
 
 @pytest.fixture(scope="module")
@@ -459,3 +459,31 @@ def test_structure_constants_sum_to_subgroup_counts(p, n, max_order_exp):
     assert checked == sum(
         len(list(partitions_between((), lam))) for lam in partitions_up_to(max_order_exp, n)
     )
+
+
+# the (p, n, r) of (Z/p^r)^n whose 66 subgroup types the formula is
+# checked on by enumeration
+_DELSARTE_GRID = [
+    (2, 1, 4), (2, 2, 3), (2, 3, 2), (3, 2, 2), (3, 3, 1), (5, 2, 2), (2, 4, 1), (2, 3, 3),
+]
+
+
+def test_delsarte_counts_the_enumerated_subgroups_of_each_type():
+    cells = 0
+    for p, n, r in _DELSARTE_GRID:
+        census = _type_census((r,) * n, None, p, DEFAULT_BUDGET)
+        assert {mu: hall._delsarte((r,) * n, mu, p) for mu in census} == census, (p, n, r)
+        assert set(census) == set(partitions_between((), (r,) * n)), (p, n, r)
+        cells += len(census)
+    assert cells == 66
+
+
+def test_delsarte_without_division_is_the_product_form():
+    # every type below (4^6) at p = 1009, against the test copy that
+    # divides its Gaussian binomials out
+    lam = (4,) * 6
+    types = list(partitions_between((), lam))
+    assert len(types) == 210
+    for mu in types:
+        assert hall._delsarte(lam, mu, 1009) == delsarte(lam, mu, 1009), mu
+    assert hall._delsarte((2, 1), (3,), 2) == hall._delsarte((2, 1), (1, 1, 1), 2) == 0
