@@ -14,9 +14,10 @@ verification suites, all over exact integers.  Examples:
     heckealg selftest
 
 Exit codes: 0 success, 2 bad arguments, unparsable input or an unusable
---cache, 3 an enumeration would exceed --budget, 4 a verification check
-failed.  A reader that closes stdout early (`| head`) changes none of
-them and leaves no traceback: the rest of the output is dropped.
+--cache, 3 an enumeration would exceed --budget, or count-subgroups the
+fixed DEFAULT_BUDGET, 4 a verification check failed.  A reader that
+closes stdout early (`| head`) changes none of them and leaves no
+traceback: the rest of the output is dropped.
 
 For `omega`, `acoeff` and `table a` the class M lives in the rank-(n+1)
 algebra upstairs; --n names the target rank.  Commands that compute a
@@ -32,7 +33,8 @@ oracle.
 `selftest` take it.  `mul`, `decompose` and `verify shimura` read no
 cache either, so they take no --cache.  `count-subgroups` counts the
 subgroups of (Z/p^r)^n of each type by Delsarte's formula, r from
---trunc (default 1), and enumerates nothing.
+--trunc (default 1), and enumerates nothing; an ambient whose types it
+prices past DEFAULT_BUDGET steps exits 3 before any is listed.
 --cache points at a directory holding the append-only coefficient
 cache (environment variable HECKE_CACHE_DIR supplies the default); one
 that cannot be read or written as such is a usage error (exit 2).
@@ -71,13 +73,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
 
 from .cache import CACHE_ENV, CacheStore
 from .errors import BudgetExceededError, VerificationError
-from .hall import _delsarte, _gaussian_table
+from .hall import _delsarte_counts
 from .hecke import (
     HeckeContext,
     HeckeElement,
@@ -378,12 +381,19 @@ def _cmd_verify(args, ctx: HeckeContext | OmegaContext) -> _Output:
 
 
 def _cmd_count_subgroups(args, ctx: None) -> _Output:
-    amb = Ambient(args.p, args.n, args.trunc)  # refuses a bad p, n or r
-    lam = (amb.r,) * amb.n
-    types = sorted(partitions_between((), lam), key=lambda mu: (order_exponent(mu), mu))
-    gauss = _gaussian_table(amb.p, amb.n)
-    ordered = [(mu, _delsarte(lam, mu, amb.p, gauss)) for mu in types]
-    total = sum(count for _, count in ordered)
+    p, n, r = Ambient(args.p, args.n, args.trunc)  # refuses a bad p, n or r
+    # C(n + r, n) >= n + r types, each a product over n + r parts of binomials
+    # from n q-Pascal rows whose digits grow with n: priced before any is
+    # listed, and C(n + r, n) computed only once n + r is small
+    price = (n + r) ** 2 * n
+    if price <= DEFAULT_BUDGET:
+        price = math.comb(n + r, n) * (n + r) * n
+    if price > DEFAULT_BUDGET:
+        raise BudgetExceededError(price, DEFAULT_BUDGET, (
+            f"counting the subgroups of (Z/{p}^{r})^{n} by type needs at least {price} steps"))
+    counts = _delsarte_counts((r,) * n, p)
+    ordered = sorted(counts.items(), key=lambda item: (order_exponent(item[0]), item[0]))
+    total = sum(counts.values())
     head = {"p": args.p, "n": args.n, "r": args.trunc, "total": total}
     return _Output(head, "by_type", ("type", "count"), ordered, lambda: str(total))
 

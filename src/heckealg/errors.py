@@ -17,13 +17,11 @@ class BudgetExceededError(HeckeError):
     once it passes the budget.
     """
 
-    def __init__(self, needed: int, budget: int):
+    def __init__(self, needed: int, budget: int, what: str | None = None):
         self.needed = needed
         self.budget = budget
-        super().__init__(
-            f"enumeration of subgroup bases needs at least {needed} candidates, "
-            f"budget is {budget}"
-        )
+        what = what or f"enumeration of subgroup bases needs at least {needed} candidates"
+        super().__init__(f"{what}, budget is {budget}")
 
 
 class VerificationError(HeckeError):

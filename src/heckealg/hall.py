@@ -15,7 +15,7 @@ from itertools import groupby
 from math import prod
 
 from .errors import exact_quotient
-from .partitions import Partition, conjugate, embeds
+from .partitions import Partition, conjugate, partitions_between
 
 
 def _aut_order(lam: Partition, p: int) -> int:
@@ -62,25 +62,24 @@ def _gaussian_table(p: int, n: int) -> list[list[int]]:
     return table
 
 
-def _delsarte(
-    lam: Partition, mu: Partition, p: int, gauss: list[list[int]] | None = None
-) -> int:
-    """The number of subgroups of type mu in a group of type lam (Delsarte 1948):
-    prod_i p^(mu'_(i+1) (lam'_i - mu'_i)) [lam'_i - mu'_(i+1); mu'_i - mu'_(i+1)]_p,
-    0 unless mu fits inside lam.  Every lam'_i is at most the rank of lam,
-    so _gaussian_table's rows up to it hold each binomial; a caller that
-    counts many mu passes those rows as gauss, built once.
+def _delsarte_counts(lam: Partition, p: int) -> dict[Partition, int]:
+    """mu -> the number of subgroups of type mu in a group of type lam, for each
+    mu inside lam, in partitions_between's order (Delsarte 1948):
+    prod_i p^(mu'_(i+1) (lam'_i - mu'_i)) [lam'_i - mu'_(i+1); mu'_i - mu'_(i+1)]_p.
+    Every lam'_i is at most the rank of lam, so _gaussian_table's rows up to
+    it, built once, hold each binomial.
 
-    >>> [_delsarte((2, 2), mu, 2) for mu in [(), (1,), (2,), (1, 1), (2, 1), (2, 2)]]
-    [1, 3, 6, 1, 3, 1]
+    >>> _delsarte_counts((2, 2), 2)
+    {(): 1, (1,): 3, (2,): 6, (1, 1): 1, (2, 1): 3, (2, 2): 1}
     """
-    if not embeds(mu, lam):
-        return 0
-    lc, mc = conjugate(lam), conjugate(mu)
-    mc += (0,) * (len(lc) + 1 - len(mc))
-    if gauss is None:
-        gauss = _gaussian_table(p, len(lam))
-    return prod(
-        p ** (mc[i + 1] * (l - mc[i])) * gauss[l - mc[i + 1]][mc[i] - mc[i + 1]]
-        for i, l in enumerate(lc)
-    )
+    lc = conjugate(lam)
+    gauss = _gaussian_table(p, len(lam))
+    counts = {}
+    for mu in partitions_between((), lam):
+        mc = conjugate(mu)
+        mc += (0,) * (len(lc) + 1 - len(mc))
+        counts[mu] = prod(
+            p ** (mc[i + 1] * (l - mc[i])) * gauss[l - mc[i + 1]][mc[i] - mc[i + 1]]
+            for i, l in enumerate(lc)
+        )
+    return counts

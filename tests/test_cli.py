@@ -159,8 +159,7 @@ def test_count_subgroups_builds_the_gaussian_rows_once(capsys, monkeypatch):
         calls.append((p, n))
         return real(p, n)
 
-    for module in ("heckealg.hall", "heckealg.cli"):
-        monkeypatch.setattr(sys.modules[module], "_gaussian_table", counting)
+    monkeypatch.setattr(sys.modules["heckealg.hall"], "_gaussian_table", counting)
     argv = ("count-subgroups", "--p", "2", "--n", "6", "--trunc", "2", "--output", "json")
     code, out, _ = run(capsys, *argv)
     assert code == 0 and len(json.loads(out)["by_type"]) == 28
@@ -481,12 +480,28 @@ def test_main_restores_the_int_digit_limit(capsys, argv):
 
 def test_budget_exit_code(capsys):
     # Delsarte's formula counts without enumerating: nothing for a budget to bound
-    code, out, err = run(
-        capsys, "count-subgroups", "--p", "2", "--n", "3", "--trunc", "3",
-        "--budget", "50",
-    )
-    assert (code, out) == (2, "")
-    assert "unrecognized arguments: --budget 50" in err
+    for value in ("50", "0", "-5"):
+        code, out, err = run(
+            capsys, "count-subgroups", "--p", "2", "--n", "3", "--trunc", "3",
+            "--budget", value,
+        )
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: --budget {value}" in err
+
+
+@pytest.mark.parametrize(("n", "trunc", "price"), [
+    ("40", "40", 344023067946675764677184000),  # about 1e23 types
+    ("1000", "1", 1002001000),  # 1001 types, from q-Pascal rows of 1000 binomials
+    ("1", "1000", 1002001),  # 1001 types, each a product over 1000 columns
+    ("10000000", "10000000", 4 * 10**21),  # priced without C(2 * 10^7, 10^7)
+])
+def test_count_subgroups_refuses_an_ambient_over_the_default_budget(capsys, n, trunc, price):
+    t0 = time.process_time()
+    code, out, err = run(capsys, "count-subgroups", "--p", "2", "--n", n, "--trunc", trunc)
+    assert time.process_time() - t0 < 1
+    assert (code, out) == (3, "")
+    assert err == (f"error: counting the subgroups of (Z/2^{trunc})^{n} by type needs at "
+                   f"least {price} steps, budget is {DEFAULT_BUDGET}\n")
 
 
 @pytest.mark.parametrize(
@@ -981,14 +996,15 @@ def test_golden_cache_lifecycle(tmp_path, capsys, case):
 
 
 # a negative --max-order-exp or a --budget below 1 is a usage error
-# wherever the option is taken; --max-order-exp 0 sweeps the trivial class
+# wherever the option is taken, and count-subgroups, which takes no
+# --budget, refuses any; --max-order-exp 0 sweeps the trivial class
 _BOUNDED_OPTIONS = [
     *((f"{command} {kind}", "--max-order-exp", "-1")
       for command, kinds in (("table", "c a b omega"),
                              ("verify", "hom tp inverse shimura oracle all"))
       for kind in kinds.split()),
     *((command, "--budget", value)
-      for command in ("verify oracle", "verify all", "selftest")
+      for command in ("verify oracle", "verify all", "count-subgroups", "selftest")
       for value in ("0", "-5")),
 ]
 
