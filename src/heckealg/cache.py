@@ -1,7 +1,9 @@
-"""Append-only JSONL store for computed scalar coefficients.
+"""Append-only JSONL store for the transfer's scalar coefficients a and b.
 
 One record per line: {"version": "1", "key": "...", "value": "..."}.
 Keys name the coefficient and its full argument tuple (see coeff_key).
+Lines under any other key, such as the c: lines of older stores, load
+like the rest but are never read, and stay in the file.
 Values are decimal strings, exactly as str(int) writes them; any other
 value makes its line unreadable.  The file is only ever appended to, so
 concurrent readers see a prefix; unreadable lines are skipped with a
@@ -33,8 +35,8 @@ __all__ = ["CacheStore", "CACHE_ENV", "CACHE_FILENAME", "SCHEMA_VERSION", "coeff
 def coeff_key(kind: str, p: int, n: int, **classes: Partition) -> str:
     """The cache key of coefficient kind at (p, n) and the named classes.
 
-    >>> coeff_key("c", 2, 2, M=(1,), N=(1,), L=(1, 1))
-    'c:p=2:n=2:M=[1]:N=[1]:L=[1,1]'
+    >>> coeff_key("a", 2, 1, M=(2, 1), N=(1,))
+    'a:p=2:n=1:M=[2,1]:N=[1]'
     >>> coeff_key("b", 2, 2, B=(2,), A=())
     'b:p=2:n=2:B=[2]:A=[]'
     """

@@ -30,14 +30,17 @@ the structure constants of `ccoeff` and `table c` take the elementary
 Pieri rule; the Hall table in the c-route of `verify oracle` is their
 oracle.
 --budget bounds enumerations, so only `verify oracle|all` and
-`selftest` take it.  `mul`, `decompose` and `verify shimura` read no
-cache either, so they take no --cache.  `count-subgroups` counts the
-subgroups of (Z/p^r)^n of each type by Delsarte's formula, r from
---trunc (default 1), and enumerates nothing; an ambient whose types it
-prices past DEFAULT_BUDGET steps exits 3 before any is listed.
+`selftest` take it.  Only the transfer's values a and b are stored, so
+only the commands that take --split take --cache: `ccoeff`, `table c`,
+`mul`, `decompose` and `verify shimura` compute in the rank-n algebra,
+whose Pieri products are memoised for one run only.  `count-subgroups`
+counts the subgroups of (Z/p^r)^n of each type by Delsarte's formula, r
+from --trunc (default 1), and enumerates nothing; an ambient whose types
+it prices past DEFAULT_BUDGET steps exits 3 before any is listed.
 --cache points at a directory holding the append-only coefficient
-cache (environment variable HECKE_CACHE_DIR supplies the default); one
-that cannot be read or written as such is a usage error (exit 2).
+cache (environment variable HECKE_CACHE_DIR supplies the default, and
+a command without --cache ignores it); one that cannot be read or
+written as such is a usage error (exit 2).
 Each command, table kind and suite accepts only the options it reads;
 `table --help` and `verify --help` list them.  A well-formed command
 line (the command, then the kind or suite, then positionals and exact
@@ -154,29 +157,26 @@ _OPTIONS = {
 }
 
 # the options each command reads, by what it computes (--budget and
-# --trunc if it enumerates, --cache if it memoises coefficients)
+# --trunc if it enumerates, --cache if it computes the transfer, whose
+# a and b values alone are stored)
 _ELEMENT_OPTIONS = "p n output"
-_COEFF_OPTIONS = "p n cache output"
-_TRANSFER_OPTIONS = _COEFF_OPTIONS + " split"
+_TRANSFER_OPTIONS = "p n cache output split"
 _TRANSFER_SWEEP_OPTIONS = _TRANSFER_OPTIONS + " max-order-exp"
 _SWEEP_OPTIONS = _TRANSFER_SWEEP_OPTIONS + " budget trunc"
 
 
 def _cache_dir(args: argparse.Namespace) -> str | None:
-    # mul, decompose and verify shimura memoise nothing: ignore $HECKE_CACHE_DIR
-    if "cache" not in args:
-        return None
-    if args.cache:
-        return args.cache
-    return os.environ.get(CACHE_ENV) or None
+    # only the transfer's a and b are stored: a command that takes no
+    # --cache (no --split) ignores $HECKE_CACHE_DIR
+    return (args.cache or os.environ.get(CACHE_ENV) or None) if "cache" in args else None
 
 
 def _context(
     args: argparse.Namespace, memo: dict[str, int]
 ) -> HeckeContext | OmegaContext | None:
-    """The run's one context, over memo: the transfer if the command takes
-    --split, else the rank-n algebra; none for count-subgroups, whose own
-    Ambient checks and words its p, n and r."""
+    """The run's one context: the transfer over memo if the command takes
+    --split, else the rank-n algebra, which stores nothing; none for
+    count-subgroups, whose own Ambient checks and words its p, n and r."""
     budget = getattr(args, "budget", DEFAULT_BUDGET)
     if "split" in args:
         return OmegaContext(
@@ -189,7 +189,7 @@ def _context(
         )
     if args.command == "count-subgroups":
         return None
-    return HeckeContext(p=args.p, n=args.n, budget=budget, memo=memo)
+    return HeckeContext(p=args.p, n=args.n, budget=budget)
 
 
 # --- output -----------------------------------------------------------------
@@ -462,7 +462,7 @@ _REQUIRED = dict(required=True)
 _COMMANDS = {
     "ccoeff": _Command(
         "structure constant c(M, N; L)",
-        _COEFF_OPTIONS,
+        _ELEMENT_OPTIONS,
         {"--M": dict(required=True, help='partition literal, e.g. "[1]"'),
          "--N": _REQUIRED, "--L": _REQUIRED},
         dict(func=_cmd_coeff, kind="c")),
@@ -489,7 +489,7 @@ _COMMANDS = {
         "write an element in the generators T_k",
         _ELEMENT_OPTIONS, {"x": {}}, dict(func=_cmd_decompose)),
     "table": _Kinds("tabulate coefficients", "kind", {
-        "c": _COEFF_OPTIONS + " max-order-exp",
+        "c": _ELEMENT_OPTIONS + " max-order-exp",
         **dict.fromkeys(("a", "b", "omega"), _TRANSFER_SWEEP_OPTIONS),
     }, _cmd_table),
     "verify": _Kinds("run a verification suite", "suite", {
@@ -498,8 +498,9 @@ _COMMANDS = {
     }, _cmd_verify),
     "count-subgroups": _Command(
         "count subgroups of (Z/p^r)^n, r from --trunc",
-        "p n output",
-        {"--trunc": dict(type=int, default=1, help="truncation exponent r")},
+        _ELEMENT_OPTIONS,
+        {"--n": dict(type=int, required=True, help="rank n of the ambient (Z/p^r)^n"),
+         "--trunc": dict(type=int, default=1, help="truncation exponent r")},
         dict(func=_cmd_count_subgroups)),
     "selftest": _Command(
         "small fixed verification run", "budget output", {},
@@ -560,10 +561,21 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     return _read_argv(argv) or _build_parser().parse_args(argv)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports the arguments it cannot place under its own usage and name,
+    where argparse hands them up to the root; subparsers take its class."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _build_parser() -> argparse.ArgumentParser:
     """The whole argparse tree: every command, table kind and verify suite
     with its arguments and -h."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="heckealg",
         description="Exact structure constants, transfers and checks "
         "for algebras of finite abelian p-groups of bounded rank.",

@@ -42,7 +42,6 @@ import re
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from itertools import groupby
 
-from .cache import coeff_key
 from .errors import ParseError, VerificationError
 from .hall import _gaussian_table
 from .partitions import (
@@ -77,9 +76,7 @@ __all__ = [
 class HeckeContext:
     """Shared state for one (p, n): memos, and the budget of the oracles."""
 
-    def __init__(
-        self, p: int, n: int, budget: int = DEFAULT_BUDGET, memo: dict[str, int] | None = None
-    ):
+    def __init__(self, p: int, n: int, budget: int = DEFAULT_BUDGET):
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         if n < 1:
@@ -87,10 +84,9 @@ class HeckeContext:
         if budget < 1:
             raise ValueError("budget must be positive")
         self.p, self.n, self.budget = p, n, budget
-        self.memo = {} if memo is None else memo
         self._pieri: dict[tuple[Partition, int], dict[Partition, int]] = {}
         self._monos: dict[tuple[int, ...], HeckeElement] = {}
-        # products of basis classes for c_coeff, never written to a cache
+        # products of basis classes, the rows c_coeff reads
         self._products: dict[tuple[Partition, Partition], HeckeElement] = {}
         # [a; b]_p for the Pieri rows, grown to the rows they read
         self._gauss: list[list[int]] = []
@@ -276,23 +272,16 @@ def c_coeff(
     Zero unless all three classes have p-rank at most ctx.n and the order
     exponents add up.  Otherwise it is the coefficient of L in the
     product of M and N (see multiply), which enumerates nothing and is
-    computed once per context for every L.
+    computed once per context for every L: that row is the only memo, and
+    no value of c is written to the coefficient cache.
     """
     classes = _c_classes(m, n_, l, ctx)
     if classes is None:
         return 0
     m, n_, l = classes
-    key = coeff_key("c", ctx.p, ctx.n, M=m, N=n_, L=l)
-    hit = ctx.memo.get(key)
-    if hit is not None:
-        return hit
-    product = ctx._products.get((m, n_))
-    if product is None:
-        product = multiply(basis_element(m, ctx), basis_element(n_, ctx), ctx)
-        ctx._products[m, n_] = product
-    value = product.terms.get(l, 0)
-    ctx.memo[key] = value
-    return value
+    if (m, n_) not in ctx._products:
+        ctx._products[m, n_] = multiply(basis_element(m, ctx), basis_element(n_, ctx), ctx)
+    return ctx._products[m, n_].terms.get(l, 0)
 
 
 def _c_cells(max_order_exp: int, n: int) -> Iterator[tuple[Partition, Partition, Partition]]:

@@ -111,10 +111,9 @@ class OmegaContext:
             raise ValueError(f"target rank must be at least 1, got {n}")
         self.p, self.n, self.split = p, n, split
         self.trunc_override, self.budget = trunc_override, budget
-        self.memo = {} if memo is None else memo
-        # shares the scalar memo so cached values flow to both ranks
-        self.source = HeckeContext(p, n + 1, budget, self.memo)
-        self.target = HeckeContext(p, n, budget, self.memo)
+        self.memo = {} if memo is None else memo  # the a and b values, keyed by coeff_key
+        self.source = HeckeContext(p, n + 1, budget)
+        self.target = HeckeContext(p, n, budget)
         self._images: dict[Partition, dict[Partition, int]] = {}
         self._lifts: dict[Partition, HeckeElement] = {}
         self._bins: dict[tuple[Partition, int, int], dict[Partition, int]] = {}
@@ -201,12 +200,9 @@ def _a_cell(m: Partition, n_: Partition, t: int, ctx: OmegaContext) -> int:
     if t > m[0]:
         return 0
     key = coeff_key("a", ctx.p, ctx.n, M=m, N=n_)
-    hit = ctx.memo.get(key)
-    if hit is not None:
-        return hit
-    value = _transversal_bins(ctx, n_, t, m[0]).get(m, 0)
-    ctx.memo[key] = value
-    return value
+    if key not in ctx.memo:
+        ctx.memo[key] = _transversal_bins(ctx, n_, t, m[0]).get(m, 0)
+    return ctx.memo[key]
 
 
 def i_count(m: Sequence[int], n_: Sequence[int], ctx: OmegaContext) -> int:
@@ -275,12 +271,9 @@ def b_coeff(b: Sequence[int], a: Sequence[int], ctx: OmegaContext) -> int:
     if not embeds(a, b):
         return 0
     key = coeff_key("b", ctx.p, ctx.n, B=b, A=a)
-    hit = ctx.memo.get(key)
-    if hit is not None:
-        return hit
-    value = lift_section(b, ctx).terms.get(a, 0)
-    ctx.memo[key] = value
-    return value
+    if key not in ctx.memo:
+        ctx.memo[key] = lift_section(b, ctx).terms.get(a, 0)
+    return ctx.memo[key]
 
 
 def lift_section(n_: Sequence[int], ctx: OmegaContext) -> HeckeElement:

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import heckealg
 from heckealg.cache import CACHE_ENV, CACHE_FILENAME, CacheStore
 from heckealg.cli import _COMMANDS, _build_parser, _parse, _read_argv, main
-from heckealg.errors import BudgetExceededError
+from heckealg.errors import BudgetExceededError, VerificationError
 from heckealg.partitions import partitions_between
 from heckealg.subgroups import DEFAULT_BUDGET, Ambient, _type_census, enumerate_subgroups
 
@@ -340,6 +340,47 @@ def test_a_failed_check_renders_false_and_exits_4(capsys, monkeypatch, output):
     assert run(capsys, *argv)[:2] == (4, _HOM_FAILED[output])
 
 
+def test_a_failed_decomposition_is_a_failed_generators_check(capsys, monkeypatch):
+    # shimura turns a VerificationError of the solver into a failed check:
+    # [1] is both the class L=[1] and the aggregate r=1
+    import heckealg.verify as verify
+
+    real = verify.decompose_in_generators
+
+    def forced(x, ctx):
+        if x.terms == {(1,): 1}:
+            raise VerificationError("image of [1] does not lead with 1*[1]: 2*[1]")
+        return real(x, ctx)
+
+    monkeypatch.setattr(verify, "decompose_in_generators", forced)
+    argv = ["verify", "shimura", "--p", "2", "--n", "1", "--max-order-exp", "1"]
+    assert run(capsys, *argv) == (4, (
+        "ok   generators L=[]\n"
+        "FAIL generators L=[1]: image of [1] does not lead with 1*[1]: 2*[1]\n"
+        "ok   generators aggregate r=0\n"
+        "FAIL generators aggregate r=1: image of [1] does not lead with 1*[1]: 2*[1]\n"
+        "4 checks, 2 failed\n"), "")
+
+
+def test_a_failed_recursion_alone_fails_the_aggregate_check(capsys, monkeypatch):
+    # omega(T~(p)) matches its weighted sum, but the recursion form does not
+    import heckealg.verify as verify
+
+    real = verify.verify_tp_formula
+
+    def forced(r, ctx):
+        rep = real(r, ctx)
+        return rep._replace(recursion_rhs=rep.recursion_rhs.scaled(2)) if r == 1 else rep
+
+    monkeypatch.setattr(verify, "verify_tp_formula", forced)
+    argv = ["verify", "tp", "--p", "2", "--n", "1", "--max-order-exp", "1"]
+    assert run(capsys, *argv) == (4, (
+        "ok   aggregate r=0\n"
+        "FAIL aggregate r=1: aggregate r=1: MISMATCH; omega(T~(p^1)) = 2*[] + 1*[1]; "
+        "weighted sum = 2*[] + 1*[1]; recursion lhs = 1*[1], rhs = 2*[1]\n"
+        "2 checks, 1 failed\n"), "")
+
+
 def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
@@ -608,8 +649,10 @@ _FOREIGN_OPTIONS = [
     ("acoeff", "--budget", "5"),
     ("bcoeff", "--budget", "5"),
     ("omega", "--budget", "5"),
-    # structure constants take the Pieri rule: no enumeration
+    # structure constants take the Pieri rule: no enumeration, and no
+    # value of c is stored
     ("ccoeff", "--budget", "5"),
+    ("ccoeff", "--cache", "unused-dir"),
     # so do products and decompositions, which memoise nothing: no cache either
     ("mul", "--budget", "5"),
     ("mul", "--cache", "unused-dir"),
@@ -647,6 +690,7 @@ _KIND_FOREIGN_OPTIONS = [
     ("verify hom", "--budget", "5"),
     ("verify shimura", "--budget", "5"),
     ("table c", "--budget", "5"),
+    ("table c", "--cache", "unused-dir"),
     ("verify shimura", "--cache", "unused-dir"),
 ]
 
@@ -658,6 +702,20 @@ def test_foreign_option_of_a_kind_is_a_usage_error(capsys, command, option, valu
     assert code == 2
     assert option in err
     assert out == ""
+
+
+@pytest.mark.parametrize("command", ["ccoeff", "table c", "mul"])
+def test_a_foreign_option_is_reported_against_its_command(tmp_path, capsys, command):
+    # the command's parser names itself and its own usage, and the
+    # directory a refused --cache names is never made
+    store = tmp_path / "store"
+    rest = ["--max-order-exp", "2"] if command == "table c" else _CELL_ARGV[command]
+    argv = [*command.split(), "--p", "2", "--n", "2", *rest, "--cache", str(store)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: heckealg {command} [-h] --p P --n N ")
+    assert err.endswith(f"heckealg {command}: error: unrecognized arguments: --cache {store}\n")
+    assert not store.exists()
 
 
 def test_large_prime_needs_no_residue_sized_memory(capsys):
@@ -691,6 +749,12 @@ def test_mismatched_rank_element_is_usage_error(capsys):
     assert code == 2
 
 
+# a transfer coefficient, its cache key, and a store that plants 77 for it
+_ACOEFF = ("acoeff", "--p", "2", "--n", "1", "--M", "[2,1]", "--N", "[1]")
+_A_KEY = "a:p=2:n=1:M=[2,1]:N=[1]"
+_POISONED = f'garbage\n{{"version": "1", "key": "{_A_KEY}", "value": "77"}}\n'
+
+
 @pytest.mark.parametrize("spelling", ["absolute", "trailing slash", "relative", "raced"])
 def test_cache_round_trip(tmp_path, capsys, monkeypatch, spelling):
     monkeypatch.chdir(tmp_path)
@@ -706,17 +770,14 @@ def test_cache_round_trip(tmp_path, capsys, monkeypatch, spelling):
             raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), path)
 
         monkeypatch.setattr(os, "mkdir", raced_mkdir)
-    args = [
-        "ccoeff", "--p", "2", "--n", "2", "--M", "[1]", "--N", "[1]", "--L", "[1,1]",
-        "--cache", cache_dir,
-    ]
+    args = [*_ACOEFF, "--cache", cache_dir]
     code, cold, _ = run(capsys, *args)
     assert code == 0
     cache_file = tmp_path / "store" / CACHE_FILENAME
     assert cache_file.exists()
     first_size = cache_file.stat().st_size
     records = [json.loads(line) for line in cache_file.read_text().splitlines()]
-    assert {"version": "1", "key": "c:p=2:n=2:M=[1]:N=[1]:L=[1,1]", "value": "3"} in records
+    assert {"version": "1", "key": _A_KEY, "value": "2"} in records
     code, warm, _ = run(capsys, *args)
     assert code == 0
     assert warm == cold
@@ -813,38 +874,29 @@ def test_cached_command_makes_no_failing_file_system_call(tmp_path, capsys, monk
     )
 
 
-_POISONED = (
-    'garbage\n'
-    '{"version": "1", "key": "c:p=2:n=2:M=[1]:N=[1]:L=[1,1]", "value": "77"}\n'
-)
-_CCOEFF = ("ccoeff", "--p", "2", "--n", "2", "--M", "[1]", "--N", "[1]", "--L", "[1,1]")
-
-
 def test_cache_env_variable(tmp_path, capsys, monkeypatch):
     # the default cache of a command that takes --cache: written, read, overridden
     env_file = tmp_path / "env" / CACHE_FILENAME
     monkeypatch.setenv(CACHE_ENV, str(env_file.parent))
-    code, out, _ = run(
-        capsys, "ccoeff", "--p", "2", "--n", "2", "--M", "[1]", "--N", "[1]", "--L", "[2]"
-    )
-    assert code == 0
+    code, out, _ = run(capsys, "acoeff", "--p", "2", "--n", "1", "--M", "[2]", "--N", "[]")
+    assert (code, out) == (0, "4\n")
     assert env_file.exists()
     env_file.write_text(_POISONED)
-    code, out, err = run(capsys, *_CCOEFF)
+    code, out, err = run(capsys, *_ACOEFF)
     assert (code, out) == (0, "77\n")
     assert err.count("skipping bad cache line") == 1
-    code, out, err = run(capsys, *_CCOEFF, "--cache", str(tmp_path / "flag"))
-    assert (code, out, err) == (0, "3\n", "")
+    code, out, err = run(capsys, *_ACOEFF, "--cache", str(tmp_path / "flag"))
+    assert (code, out, err) == (0, "2\n", "")
     assert env_file.read_text() == _POISONED
     assert (tmp_path / "flag" / CACHE_FILENAME).read_text() == (
-        '{"version": "1", "key": "c:p=2:n=2:M=[1]:N=[1]:L=[1,1]", "value": "3"}\n'
+        f'{{"version": "1", "key": "{_A_KEY}", "value": "2"}}\n'
     )
 
 
 def test_empty_cache_env_means_no_cache(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(CACHE_ENV, "")
     monkeypatch.chdir(tmp_path)
-    assert run(capsys, *_CCOEFF) == (0, "3\n", "")
+    assert run(capsys, *_ACOEFF) == (0, "2\n", "")
     assert run(capsys, "table", "a", "--p", "2", "--n", "1", "--max-order-exp", "2")[0] == 0
     assert list(tmp_path.iterdir()) == []
 
@@ -855,8 +907,10 @@ def test_empty_cache_env_means_no_cache(tmp_path, capsys, monkeypatch):
         (("mul", "--p", "2", "--n", "2", "1*[1]", "1*[1]"), "1*[2] + 3*[1,1]\n"),
         (("decompose", "--p", "2", "--n", "2", "1*[2]"), "1*T1^2 - 3*T2\n"),
         (("verify", "shimura", "--p", "2", "--n", "2", "--max-order-exp", "2"), None),
+        (("ccoeff", "--p", "2", "--n", "2", "--M", "[1]", "--N", "[1]", "--L", "[1,1]"), "3\n"),
+        (("table", "c", "--p", "2", "--n", "2", "--max-order-exp", "2"), None),
     ],
-    ids=["mul", "decompose", "verify shimura"],
+    ids=["mul", "decompose", "verify shimura", "ccoeff", "table c"],
 )
 def test_element_commands_neither_read_nor_write_the_cache_env(
     tmp_path, capsys, monkeypatch, argv, want
@@ -875,36 +929,38 @@ def test_corrupt_cache_lines_warn_and_continue(tmp_path, capsys):
     cache_file = tmp_path / CACHE_FILENAME
     cache_file.write_text(
         'garbage\n'
-        '{"version": "1", "key": "c:p=2:n=2:M=[1]:N=[1]:L=[1,1]", "value": "3"}\n'
+        f'{{"version": "1", "key": "{_A_KEY}", "value": "2"}}\n'
         # int() reads each of these values, but the writer writes none of them
         + "".join(
-            f'{{"version": "1", "key": "c:p=2:n=2:M=[1]:N=[1]:L=[1,1]", "value": {value}}}\n'
+            f'{{"version": "1", "key": "{_A_KEY}", "value": {value}}}\n'
             for value in ("5.7", "true", '"1_0"', '" 7 "', '"+3"', '"\\u0663"')
         )
         + '{"version": "99", "key": "x", "value": "5"}\n'
+        + f'["version", "1", "key", "{_A_KEY}", "value", "2"]\n'
+        + '{"version": "1", "key": 5, "value": "2"}\n'
     )
-    code, out, err = run(
-        capsys,
-        "ccoeff", "--p", "2", "--n", "2", "--M", "[1]", "--N", "[1]", "--L", "[1,1]",
-        "--cache", str(tmp_path),
-    )
-    assert code == 0
-    assert out.strip() == "3"
-    assert err.count("skipping bad cache line") == 8
+    code, out, err = run(capsys, *_ACOEFF, "--cache", str(tmp_path))
+    assert (code, out) == (0, "2\n")
+    reasons = [
+        "Expecting value: line 1 column 1 (char 0)",
+        *(f"value {value!r} is not a decimal string"
+          for value in (5.7, True, "1_0", " 7 ", "+3", "\u0663")),
+        "unsupported version '99'",
+        "not an object",
+        "key is not a string",
+    ]
+    assert err.splitlines() == [
+        f"warning: {cache_file}:{lineno}: skipping bad cache line ({reason})"
+        for lineno, reason in zip([1, *range(3, 12)], reasons)
+    ]
 
 
 def test_poisoned_cache_value_is_used_verbatim(tmp_path, capsys):
     # the cache is trusted storage: a planted value comes straight back,
     # which is what makes the verify suites meaningful against it
     cache_file = tmp_path / CACHE_FILENAME
-    cache_file.write_text(
-        '{"version": "1", "key": "c:p=2:n=2:M=[1]:N=[1]:L=[1,1]", "value": "77"}\n'
-    )
-    code, out, _ = run(
-        capsys,
-        "ccoeff", "--p", "2", "--n", "2", "--M", "[1]", "--N", "[1]", "--L", "[1,1]",
-        "--cache", str(tmp_path),
-    )
+    cache_file.write_text(f'{{"version": "1", "key": "{_A_KEY}", "value": "77"}}\n')
+    code, out, _ = run(capsys, *_ACOEFF, "--cache", str(tmp_path))
     assert code == 0
     assert out.strip() == "77"
 
@@ -928,11 +984,7 @@ def test_unusable_cache_is_a_usage_error(tmp_path, capsys, layout):
         (tmp_path / "F").write_text("not a directory\n")
         cache = tmp_path / "F" if layout == "file" else tmp_path / "F" / "sub"
     before = _tree(tmp_path)
-    code, out, err = run(
-        capsys,
-        "ccoeff", "--p", "2", "--n", "2", "--M", "[1]", "--N", "[1]", "--L", "[1,1]",
-        "--cache", str(cache),
-    )
+    code, out, err = run(capsys, *_ACOEFF, "--cache", str(cache))
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: cache {cache}: ") and err.count("\n") == 1

@@ -27,6 +27,7 @@ from heckealg.hecke import (
     parse_element,
     t_aggregate,
 )
+from heckealg.omega import OmegaContext, a_coeff, b_coeff
 from heckealg.partitions import (
     conjugate,
     is_horizontal_strip,
@@ -299,9 +300,19 @@ def test_c_of_elementary_classes_counts_subspaces():
             assert c_coeff((1,) * a, (1,) * b, (1,) * (a + b), ctx) == want, (a, b)
 
 
-def test_memo_keys_are_scoped(ctx22):
-    c_coeff((1,), (1,), (1, 1), ctx22)
-    assert ctx22.memo.get("c:p=2:n=2:M=[1]:N=[1]:L=[1,1]") == 3
+def test_memo_keys_are_scoped():
+    # the transfer memoises a and b under their cache keys, scoped by p and
+    # the target rank; c is read off its product row and has no key
+    ctx = OmegaContext(p=2, n=1)
+    assert a_coeff((2, 1), (1,), ctx) == 2
+    assert b_coeff((2,), (), ctx) == -2
+    assert ctx.memo["a:p=2:n=1:M=[2,1]:N=[1]"] == 2
+    assert ctx.memo["b:p=2:n=1:B=[2]:A=[]"] == -2
+    assert all(key.startswith(("a:p=2:n=1:", "b:p=2:n=1:")) for key in ctx.memo)
+    keys = set(ctx.memo)
+    assert c_coeff((1,), (1,), (1, 1), ctx.source) == 3
+    assert set(ctx.memo) == keys
+    assert not hasattr(ctx.source, "memo")
 
 
 def test_aggregate_sums_classes(ctx22):
