@@ -1255,7 +1255,7 @@ _MUL = ["mul", "--p", "2", "--n", "2", "1*[1]", "1*[1]"]
 @example(_MUL[:-1] + [""])  # an empty string
 @example(["mul", "--p", "x"] + _MUL[3:])  # a bad int
 @example(_MUL + ["--output", "yaml"])  # a bad choice
-@example(["ccoeff", "--p", "2", "--n", "2", *_CELL_ARGV["ccoeff"], "--cache", "-h"])
+@example(["acoeff", "--p", "2", "--n", "2", *_CELL_ARGV["acoeff"], "--cache", "-h"])
 def test_reader_agrees_with_argparse(argv):
     _read_as_argparse_does(argv)
 
