@@ -2,8 +2,9 @@
 
 One record per line: {"version": "1", "key": "...", "value": "..."}.
 Keys name the coefficient and its full argument tuple (see coeff_key).
-Lines under any other key, such as the c: lines of older stores, load
-like the rest but are never read, and stay in the file.
+The loader keeps only the a: and b: keys: a line under any other key,
+such as the c: lines of older stores, is passed over without a warning
+and stays in the file.
 Values are decimal strings, exactly as str(int) writes them; any other
 value makes its line unreadable.  The file is only ever appended to, so
 concurrent readers see a prefix; unreadable lines are skipped with a
@@ -25,11 +26,10 @@ from itertools import islice
 
 from .partitions import Partition, format_partition
 
-CACHE_ENV = "HECKE_CACHE_DIR"
 CACHE_FILENAME = "hecke-cache.jsonl"
 SCHEMA_VERSION = "1"
 
-__all__ = ["CacheStore", "CACHE_ENV", "CACHE_FILENAME", "SCHEMA_VERSION", "coeff_key"]
+__all__ = ["CacheStore", "CACHE_FILENAME", "SCHEMA_VERSION", "coeff_key"]
 
 
 def coeff_key(kind: str, p: int, n: int, **classes: Partition) -> str:
@@ -76,7 +76,7 @@ class CacheStore:
         self.n_loaded = 0
 
     def load(self) -> dict[str, int]:
-        """Parse the cache file into a key -> value dict.
+        """Parse the a: and b: lines of the cache file into a key -> value dict.
 
         Callers extend that dict in place and hand it back to flush.  A
         dict keeps insertion order and a loaded key is never added again,
@@ -99,6 +99,8 @@ class CacheStore:
                         key = record["key"]
                         if not isinstance(key, str):
                             raise ValueError("key is not a string")
+                        if not key.startswith(("a:", "b:")):  # all the transfer reads
+                            continue
                         text = record["value"]
                         value = int(text) if isinstance(text, str) else None
                         # flush writes str(value): refuse the rest of what int() reads

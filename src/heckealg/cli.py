@@ -37,10 +37,10 @@ whose Pieri products are memoised for one run only.  `count-subgroups`
 counts the subgroups of (Z/p^r)^n of each type by Delsarte's formula, r
 from --trunc (default 1), and enumerates nothing; an ambient whose types
 it prices past DEFAULT_BUDGET steps exits 3 before any is listed.
---cache points at a directory holding the append-only coefficient
-cache (environment variable HECKE_CACHE_DIR supplies the default, and
-a command without --cache ignores it); one that cannot be read or
-written as such is a usage error (exit 2).
+--cache DIR names the directory of the append-only coefficient store,
+and nothing else does: without it a command stores nothing.  An empty
+DIR, or one that cannot be read or written as such, is a usage error
+(exit 2).
 Each command, table kind and suite accepts only the options it reads;
 `table --help` and `verify --help` list them.  A well-formed command
 line (the command, then the kind or suite, then positionals and exact
@@ -81,8 +81,8 @@ import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
 
-from .cache import CACHE_ENV, CacheStore
-from .errors import BudgetExceededError, VerificationError
+from .cache import CacheStore
+from .errors import DEFAULT_BUDGET, BudgetExceededError, VerificationError
 from .hall import _delsarte_counts
 from .hecke import (
     HeckeContext,
@@ -103,7 +103,7 @@ from .partitions import (
     partitions_between,
     partitions_up_to,
 )
-from .subgroups import DEFAULT_BUDGET, Ambient
+from .subgroups import Ambient
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -137,7 +137,7 @@ _OPTIONS = {
         default=DEFAULT_BUDGET,
         help="abort any enumeration larger than this (exit 3)",
     ),
-    "cache": dict(help=f"cache directory (default: ${CACHE_ENV} if set)"),
+    "cache": dict(help="cache directory"),
     "output": dict(
         choices=("text", "json", "csv"), default="text", help="output format"
     ),
@@ -163,12 +163,6 @@ _ELEMENT_OPTIONS = "p n output"
 _TRANSFER_OPTIONS = "p n cache output split"
 _TRANSFER_SWEEP_OPTIONS = _TRANSFER_OPTIONS + " max-order-exp"
 _SWEEP_OPTIONS = _TRANSFER_SWEEP_OPTIONS + " budget trunc"
-
-
-def _cache_dir(args: argparse.Namespace) -> str | None:
-    # only the transfer's a and b are stored: a command that takes no
-    # --cache (no --split) ignores $HECKE_CACHE_DIR
-    return (args.cache or os.environ.get(CACHE_ENV) or None) if "cache" in args else None
 
 
 def _context(
@@ -607,8 +601,11 @@ def _run(argv: list[str] | None) -> int:
         args = _parse(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return exc.code
-    directory = _cache_dir(args)
-    store = CacheStore(directory) if directory else None
+    directory = getattr(args, "cache", None)  # only the commands with --split take --cache
+    if directory == "":
+        print("error: cache: --cache needs a directory", file=sys.stderr)
+        return EXIT_USAGE
+    store = CacheStore(directory) if directory is not None else None
     try:
         memo = store.load() if store else {}
         out = args.func(args, _context(args, memo))

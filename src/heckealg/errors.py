@@ -9,6 +9,9 @@ class ParseError(HeckeError, ValueError):
     """Malformed text input (partition or element literals, bad config)."""
 
 
+DEFAULT_BUDGET = 10**6
+
+
 class BudgetExceededError(HeckeError):
     """An enumeration would exceed its candidate budget.
 

@@ -6,7 +6,8 @@ Closed forms of Macdonald, *Symmetric Functions and Hall Polynomials*
 *Subgroup Lattices and Symmetric Functions*, 1994, 1.4), evaluated at a
 prime p in integer arithmetic: every division is checked exact, and the
 Gaussian binomials, so the subgroup counts, need none.  Nothing here
-enumerates subgroups.
+enumerates subgroups.  is_prime, which every context and ambient applies
+to p, lives here so that the closed forms need no enumeration module for it.
 """
 
 from __future__ import annotations
@@ -16,6 +17,29 @@ from math import prod
 
 from .errors import exact_quotient
 from .partitions import Partition, conjugate, partitions_between
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# psi_12 (Sorenson and Webster, 2015): the least odd composite that passes
+# the strong-probable-prime test to every base in _SMALL_PRIMES
+_PSI_12 = 318665857834031151167461
+
+
+def is_prime(p: int) -> bool:
+    """Miller-Rabin to the bases _SMALL_PRIMES: exact below _PSI_12, else ValueError."""
+    if p < 2:
+        return False
+    if p >= _PSI_12:
+        raise ValueError(f"primality is decided only below {_PSI_12}, got {p}")
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    d = (p - 1) >> s
+    for a in _SMALL_PRIMES:
+        if p % a == 0:
+            return p == a
+        x = pow(a, d, p)
+        if x != 1 and all(pow(x, 2**j, p) != p - 1 for j in range(s)):
+            return False
+    return True
 
 
 def _aut_order(lam: Partition, p: int) -> int:

@@ -42,8 +42,8 @@ import re
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from itertools import groupby
 
-from .errors import ParseError, VerificationError
-from .hall import _gaussian_table
+from .errors import DEFAULT_BUDGET, ParseError, VerificationError
+from .hall import _gaussian_table, is_prime
 from .partitions import (
     Partition,
     conjugate,
@@ -55,7 +55,7 @@ from .partitions import (
     partitions_of_exponent,
     validate_partition,
 )
-from .subgroups import DEFAULT_BUDGET, _hall_census, is_prime
+from .subgroups import _hall_census
 
 __all__ = [
     "HeckeContext",

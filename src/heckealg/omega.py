@@ -40,8 +40,8 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from .cache import coeff_key
-from .errors import VerificationError, exact_quotient
-from .hall import _aut_order, _hall_cyclic
+from .errors import DEFAULT_BUDGET, VerificationError, exact_quotient
+from .hall import _aut_order, _hall_cyclic, is_prime
 from .hecke import (
     HeckeContext, HeckeElement, _apply, _peel, basis_element, multiply, t_aggregate
 )
@@ -58,13 +58,11 @@ from .partitions import (
     validate_partition,
 )
 from .subgroups import (
-    DEFAULT_BUDGET,
     Ambient,
     SubgroupRep,
     _meet_census,
     _sweep,
     intersect,
-    is_prime,
     m_count,
     standard_split,
 )

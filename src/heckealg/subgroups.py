@@ -23,7 +23,8 @@ from collections import Counter, namedtuple
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
 
-from .errors import BudgetExceededError
+from .errors import DEFAULT_BUDGET, BudgetExceededError
+from .hall import is_prime
 from .modmat import _howell_rows, _span_contains_rows, _span_order_exp
 from .partitions import (
     Partition,
@@ -46,32 +47,6 @@ __all__ = [
     "m_count",
     "standard_split",
 ]
-
-DEFAULT_BUDGET = 10**6
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-# psi_12 (Sorenson and Webster, 2015): the least odd composite that passes
-# the strong-probable-prime test to every base in _SMALL_PRIMES
-_PSI_12 = 318665857834031151167461
-
-
-def is_prime(p: int) -> bool:
-    """Miller-Rabin to the bases _SMALL_PRIMES: exact below _PSI_12, else ValueError."""
-    if p < 2:
-        return False
-    if p >= _PSI_12:
-        raise ValueError(f"primality is decided only below {_PSI_12}, got {p}")
-    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
-    d = (p - 1) >> s
-    for a in _SMALL_PRIMES:
-        if p % a == 0:
-            return p == a
-        x = pow(a, d, p)
-        if x != 1 and all(pow(x, 2**j, p) != p - 1 for j in range(s)):
-            return False
-    return True
-
 
 class Ambient(namedtuple("Ambient", "p n r")):
     """The truncated lattice (Z/p^r)^n."""

@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import heckealg
-from heckealg.cache import CACHE_ENV, CACHE_FILENAME, CacheStore
+from heckealg.cache import CACHE_FILENAME, CacheStore
 from heckealg.cli import _COMMANDS, _build_parser, _parse, _read_argv, main
 from heckealg.errors import BudgetExceededError, VerificationError
 from heckealg.partitions import partitions_between
@@ -788,20 +788,20 @@ def test_cache_round_trip(tmp_path, capsys, monkeypatch, spelling):
 def test_flush_appends_only_entries_added_after_load(tmp_path):
     cache_file = tmp_path / CACHE_FILENAME
     cache_file.write_text(
-        '{"version": "1", "key": "k1", "value": "1"}\n'
-        '{"version": "1", "key": "k2", "value": "2"}\n'
-        '{"version": "1", "key": "k1", "value": "1"}\n'
+        '{"version": "1", "key": "a:1", "value": "1"}\n'
+        '{"version": "1", "key": "b:2", "value": "2"}\n'
+        '{"version": "1", "key": "a:1", "value": "1"}\n'
     )
     store = CacheStore(str(tmp_path))
     memo = store.load()
-    assert memo == {"k1": 1, "k2": 2}
-    memo["k3"] = 3
-    memo["k0"] = 0
+    assert memo == {"a:1": 1, "b:2": 2}
+    memo["a:3"] = 3
+    memo["b:0"] = 0
     assert store.flush(memo) == 2
     assert store.flush(memo) == 0
-    memo["k4"] = 4
+    memo["a:4"] = 4
     assert store.flush(memo) == 1
-    assert CacheStore(str(tmp_path)).load() == {"k1": 1, "k2": 2, "k3": 3, "k0": 0, "k4": 4}
+    assert CacheStore(str(tmp_path)).load() == {"a:1": 1, "b:2": 2, "a:3": 3, "b:0": 0, "a:4": 4}
     assert len(cache_file.read_text().splitlines()) == 6
 
 
@@ -809,7 +809,9 @@ def test_flush_lines_are_json_dumps(tmp_path):
     # one write of all new lines, each byte-identical to json.dumps of its record
     store = CacheStore(str(tmp_path))
     memo = store.load()
-    memo.update({'quo"te': 7, "back\\slash": -12, "caf\u00e9:\u2211": 0, "tab\tnl\n": 10**30})
+    memo.update(
+        {'a:quo"te': 7, "b:back\\slash": -12, "a:caf\u00e9:\u2211": 0, "b:tab\tnl\n": 10**30}
+    )
     assert store.flush(memo) == 4
     want = "".join(
         json.dumps({"version": "1", "key": key, "value": str(memo[key])}) + "\n"
@@ -822,11 +824,11 @@ def test_flush_lines_are_json_dumps(tmp_path):
 def test_flush_makes_missing_parent_directories(tmp_path):
     store = CacheStore(str(tmp_path / "a" / "b"))
     memo = store.load()
-    memo["k"] = 1
+    memo["a:k"] = 1
     assert store.flush(memo) == 1
-    memo["j"] = 2
+    memo["b:j"] = 2
     assert store.flush(memo) == 1
-    assert CacheStore(str(tmp_path / "a" / "b")).load() == {"k": 1, "j": 2}
+    assert CacheStore(str(tmp_path / "a" / "b")).load() == {"a:k": 1, "b:j": 2}
 
 
 @pytest.mark.parametrize(
@@ -874,55 +876,82 @@ def test_cached_command_makes_no_failing_file_system_call(tmp_path, capsys, monk
     )
 
 
-def test_cache_env_variable(tmp_path, capsys, monkeypatch):
-    # the default cache of a command that takes --cache: written, read, overridden
-    env_file = tmp_path / "env" / CACHE_FILENAME
-    monkeypatch.setenv(CACHE_ENV, str(env_file.parent))
-    code, out, _ = run(capsys, "acoeff", "--p", "2", "--n", "1", "--M", "[2]", "--N", "[]")
-    assert (code, out) == (0, "4\n")
-    assert env_file.exists()
-    env_file.write_text(_POISONED)
-    code, out, err = run(capsys, *_ACOEFF)
-    assert (code, out) == (0, "77\n")
-    assert err.count("skipping bad cache line") == 1
-    code, out, err = run(capsys, *_ACOEFF, "--cache", str(tmp_path / "flag"))
-    assert (code, out, err) == (0, "2\n", "")
-    assert env_file.read_text() == _POISONED
-    assert (tmp_path / "flag" / CACHE_FILENAME).read_text() == (
-        f'{{"version": "1", "key": "{_A_KEY}", "value": "2"}}\n'
-    )
-
-
-def test_empty_cache_env_means_no_cache(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv(CACHE_ENV, "")
-    monkeypatch.chdir(tmp_path)
-    assert run(capsys, *_ACOEFF) == (0, "2\n", "")
-    assert run(capsys, "table", "a", "--p", "2", "--n", "1", "--max-order-exp", "2")[0] == 0
-    assert list(tmp_path.iterdir()) == []
+def _checks(*names):
+    return "".join(f"ok   {name}\n" for name in names) + f"{len(names)} checks, 0 failed\n"
 
 
 @pytest.mark.parametrize(
     ("argv", "want"),
     [
+        (_ACOEFF, "2\n"),
+        (("bcoeff", "--p", "2", "--n", "1", "--B", "[2]", "--A", "[]"), "-2\n"),
+        (("omega", "--p", "2", "--n", "1", "1*[2,1]"), "2*[1] + 1*[2]\n"),
+        (("table", "a", "--p", "2", "--n", "1", "--max-order-exp", "1"),
+         "M,N,value\n[],[],1\n[1],[],2\n[1],[1],1\n"),
+        (("table", "b", "--p", "2", "--n", "1", "--max-order-exp", "1"),
+         "B,A,value\n[],[],1\n[1],[],-2\n[1],[1],1\n"),
+        (("table", "omega", "--p", "2", "--n", "1", "--max-order-exp", "1"),
+         "M,lambda,coeff\n[],[],1\n[1],[],2\n[1],[1],1\n"),
+        (("table", "c", "--p", "2", "--n", "1", "--max-order-exp", "1"),
+         "M,N,L,value\n[],[],[],1\n[],[1],[1],1\n[1],[],[1],1\n"),
+        (("ccoeff", "--p", "2", "--n", "2", "--M", "[1]", "--N", "[1]", "--L", "[1,1]"), "3\n"),
         (("mul", "--p", "2", "--n", "2", "1*[1]", "1*[1]"), "1*[2] + 3*[1,1]\n"),
         (("decompose", "--p", "2", "--n", "2", "1*[2]"), "1*T1^2 - 3*T2\n"),
-        (("verify", "shimura", "--p", "2", "--n", "2", "--max-order-exp", "2"), None),
-        (("ccoeff", "--p", "2", "--n", "2", "--M", "[1]", "--N", "[1]", "--L", "[1,1]"), "3\n"),
-        (("table", "c", "--p", "2", "--n", "2", "--max-order-exp", "2"), None),
+        (("verify", "inverse", "--p", "2", "--n", "1", "--max-order-exp", "1"),
+         _checks("inverse B=[] A=[]", "inverse B=[1] A=[]", "inverse B=[1] A=[1]",
+                 "section N=[]", "section N=[1]")),
+        (("verify", "shimura", "--p", "2", "--n", "1", "--max-order-exp", "1"),
+         _checks("generators L=[]", "generators L=[1]", "generators aggregate r=0",
+                 "generators aggregate r=1")),
     ],
-    ids=["mul", "decompose", "verify shimura", "ccoeff", "table c"],
+    ids=["acoeff", "bcoeff", "omega", "table a", "table b", "table omega", "table c", "ccoeff",
+         "mul", "decompose", "verify inverse", "verify shimura"],
 )
-def test_element_commands_neither_read_nor_write_the_cache_env(
+def test_no_command_reads_or_writes_the_cache_environment_variable(
     tmp_path, capsys, monkeypatch, argv, want
 ):
-    # loading the poisoned file would warn about its garbage line
-    (tmp_path / CACHE_FILENAME).write_text(_POISONED)
-    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-    code, out, err = run(capsys, *argv)
-    assert (code, err) == (0, "")
-    assert want is None or out == want
-    assert [path.name for path in tmp_path.iterdir()] == [CACHE_FILENAME]
-    assert (tmp_path / CACHE_FILENAME).read_text() == _POISONED
+    # only --cache names a store: a poisoned one under the variable that once
+    # named the default would warn about its garbage line, and plant 77 for
+    # a(M=[2,1], N=[1]) in acoeff and omega
+    env, cwd = tmp_path / "env", tmp_path / "cwd"
+    env.mkdir()
+    cwd.mkdir()
+    (env / CACHE_FILENAME).write_text(_POISONED)
+    monkeypatch.setenv("HECKE_CACHE_DIR", str(env))
+    monkeypatch.chdir(cwd)
+    before = _tree(tmp_path)
+    assert run(capsys, *argv) == (0, want, "")
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("spelling", [["--cache", ""], ["--cache="]], ids=["reader", "argparse"])
+@pytest.mark.parametrize("argv", [_ACOEFF, ("table", "a", "--p", "2", "--n", "1")], ids=" ".join)
+def test_an_empty_cache_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, spelling):
+    # the direct reader takes `--cache ""`, and only argparse `--cache=`
+    assert (_read_argv([*argv, *spelling]) is None) == (spelling == ["--cache="])
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv, *spelling) == (2, "", "error: cache: --cache needs a directory\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_loader_keeps_only_the_a_and_b_lines(tmp_path, capsys):
+    # a line under any other key, such as the c: lines of older stores, is
+    # passed over without a warning and stays in the file
+    b_key = "b:p=2:n=1:B=[1]:A=[]"
+    before = "".join(
+        f'{{"version": "1", "key": "{key}", "value": "{value}"}}\n'
+        for key, value in [("c:p=2:n=2:M=[1]:N=[1]:L=[1,1]", 3),
+                           ("a:p=2:n=1:M=[2]:N=[]", 4), (b_key, -2)]
+    )
+    cache_file = tmp_path / CACHE_FILENAME
+    cache_file.write_text(before)
+    store = CacheStore(str(tmp_path))
+    assert store.load() == {"a:p=2:n=1:M=[2]:N=[]": 4, b_key: -2}
+    assert store.n_loaded == 2
+    assert run(capsys, *_ACOEFF, "--cache", str(tmp_path)) == (0, "2\n", "")
+    assert cache_file.read_text() == (
+        before + f'{{"version": "1", "key": "{_A_KEY}", "value": "2"}}\n'
+    )
 
 
 def test_corrupt_cache_lines_warn_and_continue(tmp_path, capsys):

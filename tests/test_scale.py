@@ -51,3 +51,13 @@ def test_a_digest_that_differs_between_trees_fails_the_probe(monkeypatch):
     report, failures = scale.probe(["old", "new"], 2, tiny=True)
     assert failures == ["mul: stdout digests differ: ['changed', 'same']"]
     assert report["commands"]["mul"]["trees"][1]["wall_s"] == [0.1, 0.1]
+
+
+def test_a_warm_cache_goes_only_to_the_commands_that_take_cache(tmp_path):
+    scale = _load()
+    report, failures = scale.probe([str(ROOT)], 1, warm_cache=str(tmp_path), tiny=True)
+    assert failures == []
+    stores = sorted(path.name for path in (tmp_path / "tree0").iterdir())
+    assert stores == [f"cmd{k}" for k, argv in enumerate(scale.commands(tiny=True).values())
+                      if " ".join(argv[:2]) in scale.CACHED]
+    assert len(stores) == 4

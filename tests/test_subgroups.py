@@ -8,10 +8,10 @@ import tracemalloc
 import pytest
 
 from heckealg.errors import BudgetExceededError
+from heckealg.hall import _PSI_12
 from heckealg.modmat import _howell_rows
 from heckealg.partitions import order_exponent, partitions_of_exponent, partitions_up_to
 from heckealg.subgroups import (
-    _PSI_12,
     DEFAULT_BUDGET,
     Ambient,
     _diagonal_rows,

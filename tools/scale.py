@@ -16,11 +16,12 @@ stdout differs between the trees or between rounds, fails the probe
 (exit 1).  The report is one JSON object on stdout: per command the
 argv, the digest, and per tree the runs and their medians.
 
-Without --warm-cache every child runs with no cache (HECKE_CACHE_DIR is
-removed from its environment).  With it, command k of tree i reads and
-writes the store DIR/tree<i>/cmd<k> through HECKE_CACHE_DIR, so a
-command that takes --cache is measured against the store that its own
-unmeasured pass filled, and no other command's lines.
+Without --warm-cache every child runs with no cache.  With it, a
+command that takes --cache (the transfer's: table a, b and omega, and
+verify inverse) is given `--cache DIR/tree<i>/cmd<k>`, k its place and i
+its tree's, so it is measured against the store that its own unmeasured
+pass filled, and no other command's lines.  No child sees
+HECKE_CACHE_DIR: older checkouts read it as their default store.
 
 --tiny runs the same commands at (2, 2) with small bounds; a test uses
 it to keep the probe working.  The probe measures only: it gates
@@ -37,6 +38,10 @@ import statistics
 import sys
 import tempfile
 import time
+
+
+# the probe's commands that compute the transfer, the only ones that take --cache
+CACHED = ("table a", "table b", "table omega", "verify inverse")
 
 
 def commands(tiny: bool = False) -> dict[str, list[str]]:
@@ -64,7 +69,7 @@ def run(tree: str, argv: list[str], cache: str | None, scratch: str) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "HECKE_CACHE_DIR"}
     env["PYTHONPATH"] = os.path.join(tree, "src")
     if cache is not None:
-        env["HECKE_CACHE_DIR"] = cache
+        argv = [*argv, "--cache", cache]
     out_path, err_path = os.path.join(scratch, "stdout"), os.path.join(scratch, "stderr")
     out_fd = os.open(out_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
     err_fd = os.open(err_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
@@ -110,7 +115,8 @@ def probe(trees: list[str], rounds: int, warm_cache: str | None = None,
                 order.reverse()
             for k, (name, argv) in enumerate(cmds.items()):
                 for i, tree in order:
-                    cache = warm_cache and os.path.join(warm_cache, f"tree{i}", f"cmd{k}")
+                    cached = warm_cache and " ".join(argv[:2]) in CACHED
+                    cache = os.path.join(warm_cache, f"tree{i}", f"cmd{k}") if cached else None
                     result = run(tree, argv, cache, scratch)
                     if result["exit"] != 0:
                         failures.append(f"{name} on {tree} exited {result['exit']}: "
@@ -146,8 +152,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("trees", nargs="+", metavar="TREE", help="checkout root (one or two)")
     parser.add_argument("--rounds", type=int, default=5, help="measured rounds (default 5)")
     parser.add_argument("--warm-cache", metavar="DIR",
-                        help="run command k of tree i against DIR/tree<i>/cmd<k> "
-                        "through HECKE_CACHE_DIR")
+                        help="give command k of tree i, if it takes --cache, "
+                        "--cache DIR/tree<i>/cmd<k>")
     parser.add_argument("--tiny", action="store_true", help="the same commands at (2, 2)")
     args = parser.parse_args(argv)
     if len(args.trees) > 2:
