@@ -28,18 +28,13 @@ from .hecke import (
     t_aggregate,
 )
 from .omega import (
-    HomReport,
     OmegaContext,
-    TpReport,
     a_by_enumeration,
     a_coeff,
     b_coeff,
     i_count,
-    j_count,
     lift_section,
     omega,
-    verify_omega_hom,
-    verify_tp_formula,
 )
 from .partitions import (
     Partition,
@@ -76,12 +71,10 @@ __all__ = [
     "HeckeContext",
     "HeckeElement",
     "HeckeError",
-    "HomReport",
     "OmegaContext",
     "ParseError",
     "Partition",
     "SubgroupRep",
-    "TpReport",
     "VerificationError",
     "a_by_enumeration",
     "a_coeff",
@@ -99,7 +92,6 @@ __all__ = [
     "i_count",
     "identity",
     "intersect",
-    "j_count",
     "lift_section",
     "m_count",
     "multiply",
@@ -116,7 +108,5 @@ __all__ = [
     "t_aggregate",
     "torsion_type",
     "type_of",
-    "verify_omega_hom",
-    "verify_tp_formula",
     "__version__",
 ]

@@ -32,19 +32,20 @@ omega(M) lies inside M, so it is smaller in the tuple order.  So the
 leading-term peel that writes elements in the generators (hecke._peel)
 also solves omega(lift(N)) = N for the section, and the integer inverse
 b(B, A) of a is the coefficient of A in lift(B).
+
+This module holds the transfer, its section and the oracle only: the
+checks that omega is multiplicative and how it acts on the aggregates
+T~(p^r) are the `verify hom` and `verify tp` suites of heckealg.verify.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Sequence
 
 from .cache import coeff_key
 from .errors import DEFAULT_BUDGET, VerificationError, exact_quotient
 from .hall import _aut_order, _hall_cyclic, is_prime
-from .hecke import (
-    HeckeContext, HeckeElement, _apply, _peel, basis_element, multiply, t_aggregate
-)
+from .hecke import HeckeContext, HeckeElement, _apply, _peel
 
 # unused here, but perfbench's span self-check looks this binding up
 from .modmat import _howell_rows  # noqa: F401
@@ -57,15 +58,7 @@ from .partitions import (
     partitions_between,
     validate_partition,
 )
-from .subgroups import (
-    Ambient,
-    SubgroupRep,
-    _meet_census,
-    _sweep,
-    intersect,
-    m_count,
-    standard_split,
-)
+from .subgroups import _meet_census, m_count
 
 __all__ = [
     "OmegaContext",
@@ -75,11 +68,6 @@ __all__ = [
     "b_coeff",
     "omega",
     "lift_section",
-    "j_count",
-    "HomReport",
-    "TpReport",
-    "verify_omega_hom",
-    "verify_tp_formula",
 ]
 
 
@@ -289,126 +277,3 @@ def lift_section(n_: Sequence[int], ctx: OmegaContext) -> HeckeElement:
         terms = _peel({n_: 1}, lambda c: _omega_image(c, ctx))
         hit = ctx._lifts[n_] = HeckeElement._canonical(ctx.p, ctx.n + 1, terms)
     return hit
-
-
-# --- subgroup-fiber count ----------------------------------------------------
-
-
-def j_count(r: int, nrep: SubgroupRep, ctx: OmegaContext) -> int:
-    """Number of order-p^r subgroups meeting V in the given subgroup.
-
-    The fiber size is p^((r - s) n) with p^s the order of the given
-    subgroup; the direct count is compared against that closed form and
-    a mismatch is a fatal verification failure.
-    """
-    if r < 0:
-        raise ValueError("order exponent must be nonnegative")
-    amb = Ambient(ctx.p, ctx.n + 1, max(r, 1))
-    if nrep.ambient != amb:
-        raise ValueError(
-            f"subgroup lives in {nrep.ambient}, fiber count needs {amb}"
-        )
-    v = standard_split(amb, ctx.split)
-    if not v.contains(nrep):
-        raise ValueError("the given subgroup does not lie inside V")
-    s = nrep.order_exp
-    if s > r:
-        raise ValueError(f"subgroup order exponent {s} exceeds r = {r}")
-    fiber = _sweep((amb.r,) * amb.n, r, ctx.p, ctx.budget)
-    count = sum(intersect(sub, v) == nrep for sub in fiber)
-    expected = ctx.p ** ((r - s) * ctx.n)
-    if count != expected:
-        raise VerificationError(
-            f"fiber over an order-p^{s} subgroup has {count} members, "
-            f"expected p^({r}-{s})*{ctx.n} = {expected}"
-        )
-    return count
-
-
-# --- verification reports -----------------------------------------------------
-
-
-class HomReport(namedtuple("HomReport", "m1 m2 lhs rhs")):
-    """Outcome of one multiplicativity check of omega."""
-
-    __slots__ = ()
-
-    @property
-    def passed(self) -> bool:
-        return self.lhs == self.rhs
-
-    def describe(self) -> str:
-        tag = "ok" if self.passed else "MISMATCH"
-        return (
-            f"hom M1={format_partition(self.m1)} M2={format_partition(self.m2)}: "
-            f"{tag}; omega(M1*M2) = {self.lhs.to_text()}; "
-            f"omega(M1)*omega(M2) = {self.rhs.to_text()}"
-        )
-
-
-class TpReport(namedtuple("TpReport", "r lhs rhs recursion_lhs recursion_rhs")):
-    """Outcome of one aggregate-pushforward check.
-
-    lhs is omega applied to the order-p^r aggregate of the source
-    algebra, rhs the predicted weighted sum of lower aggregates; for
-    r > 0 the recursion form (recursion_lhs, recursion_rhs; both None
-    at r = 0) is checked as well.
-    """
-
-    __slots__ = ()
-
-    @property
-    def passed(self) -> bool:
-        if self.lhs != self.rhs:
-            return False
-        if self.recursion_lhs is None:
-            return True
-        return self.recursion_lhs == self.recursion_rhs
-
-    def describe(self) -> str:
-        tag = "ok" if self.passed else "MISMATCH"
-        out = (
-            f"aggregate r={self.r}: {tag}; omega(T~(p^{self.r})) = "
-            f"{self.lhs.to_text()}; weighted sum = {self.rhs.to_text()}"
-        )
-        if self.recursion_lhs is not None:
-            out += (
-                f"; recursion lhs = {self.recursion_lhs.to_text()}, "
-                f"rhs = {self.recursion_rhs.to_text()}"
-            )
-        return out
-
-
-def verify_omega_hom(
-    m1: Sequence[int], m2: Sequence[int], ctx: OmegaContext
-) -> HomReport:
-    """Compare omega(M1 M2) with omega(M1) omega(M2)."""
-    m1 = validate_partition(m1)
-    m2 = validate_partition(m2)
-    e1 = basis_element(m1, ctx.source)
-    e2 = basis_element(m2, ctx.source)
-    lhs = omega(multiply(e1, e2, ctx.source), ctx)
-    rhs = multiply(omega(e1, ctx), omega(e2, ctx), ctx.target)
-    return HomReport(m1, m2, lhs, rhs)
-
-
-def verify_tp_formula(r: int, ctx: OmegaContext) -> TpReport:
-    """Check omega on the order-p^r aggregate against its closed form.
-
-    omega(T~(p^r)) = sum over s <= r of p^((r-s) n) T~(p^s), and for
-    r > 0 equivalently T~(p^r) = omega(T~(p^r)) - p^n omega(T~(p^(r-1)))
-    downstairs.
-    """
-    if r < 0:
-        raise ValueError("order exponent must be nonnegative")
-    lhs = omega(t_aggregate(r, ctx.source), ctx)
-    rhs = HeckeElement(ctx.p, ctx.n, {})
-    for s in range(r + 1):
-        rhs = rhs + t_aggregate(s, ctx.target).scaled(ctx.p ** ((r - s) * ctx.n))
-    rec_lhs = rec_rhs = None
-    if r > 0:
-        rec_lhs = t_aggregate(r, ctx.target)
-        rec_rhs = lhs - omega(t_aggregate(r - 1, ctx.source), ctx).scaled(
-            ctx.p**ctx.n
-        )
-    return TpReport(r, lhs, rhs, rec_lhs, rec_rhs)

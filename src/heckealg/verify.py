@@ -1,10 +1,12 @@
 """The verification suites of `heckealg verify` and `heckealg selftest`.
 
 Each suite checks what the other commands compute against an independent
-route, and yields (name, passed, detail) per check.  Only the `verify`
-and `selftest` commands import this module, inside the command: a run
-without bytecode compiles every module it imports, and the suites would
-be the largest part of the command line's compile.
+route, and yields (name, passed, detail) per check.  Each builds both sides
+of its identities and words its detail here, the paper's claim that omega
+is multiplicative (hom) and its image of the aggregates (tp) included.
+Only the `verify` and `selftest` commands import this module, inside the
+command: a run without bytecode compiles every module it imports, and the
+suites would be the largest part of the command line's compile.
 
 This module never imports heckealg.cli: under `python -m heckealg.cli`
 that module is __main__, and importing it would compile it a second
@@ -21,12 +23,14 @@ from collections.abc import Iterator
 from .errors import VerificationError
 from .hecke import (
     HeckeContext,
+    HeckeElement,
     _c_cells,
     basis_element,
     c_by_enumeration,
     c_coeff,
     decompose_in_generators,
     eval_generator_poly,
+    multiply,
     t_aggregate,
 )
 from .omega import (
@@ -36,8 +40,6 @@ from .omega import (
     b_coeff,
     lift_section,
     omega,
-    verify_omega_hom,
-    verify_tp_formula,
 )
 from .partitions import (
     embeds,
@@ -53,21 +55,45 @@ Check = tuple[str, bool, str]
 
 
 def _hom(maxoe: int, ctx: OmegaContext) -> Iterator[Check]:
-    parts = list(partitions_up_to(maxoe, ctx.n + 1))
-    for m1 in parts:
-        for m2 in parts:
-            rep = verify_omega_hom(m1, m2, ctx)
+    # the paper's claim: omega is multiplicative on every pair of classes
+    elems = [(m, basis_element(m, ctx.source)) for m in partitions_up_to(maxoe, ctx.n + 1)]
+    for m1, e1 in elems:
+        for m2, e2 in elems:
+            lhs = omega(multiply(e1, e2, ctx.source), ctx)
+            rhs = multiply(omega(e1, ctx), omega(e2, ctx), ctx.target)
+            name, ok = f"hom M1={format_partition(m1)} M2={format_partition(m2)}", lhs == rhs
             yield (
-                f"hom M1={format_partition(m1)} M2={format_partition(m2)}",
-                rep.passed,
-                rep.describe(),
+                name,
+                ok,
+                f"{name}: {'ok' if ok else 'MISMATCH'}; "
+                f"omega(M1*M2) = {lhs.to_text()}; omega(M1)*omega(M2) = {rhs.to_text()}",
             )
 
 
 def _tp(maxoe: int, ctx: OmegaContext) -> Iterator[Check]:
+    # omega(T~(p^r)) = sum over s <= r of p^((r-s) n) T~(p^s), and for r > 0
+    # equivalently T~(p^r) = omega(T~(p^r)) - p^n omega(T~(p^(r-1))) downstairs
+    p, n = ctx.p, ctx.n
+    below = None  # omega(T~(p^(r-1))), the image of the previous r
     for r in range(maxoe + 1):
-        rep = verify_tp_formula(r, ctx)
-        yield (f"aggregate r={r}", rep.passed, rep.describe())
+        image = omega(t_aggregate(r, ctx.source), ctx)
+        weighted = HeckeElement(p, n, {})
+        for s in range(r + 1):
+            weighted = weighted + t_aggregate(s, ctx.target).scaled(p ** ((r - s) * n))
+        ok = image == weighted
+        rest = ""
+        if below is not None:
+            rec_lhs = t_aggregate(r, ctx.target)
+            rec_rhs = image - below.scaled(p**n)
+            ok = ok and rec_lhs == rec_rhs
+            rest = f"; recursion lhs = {rec_lhs.to_text()}, rhs = {rec_rhs.to_text()}"
+        below = image
+        yield (
+            f"aggregate r={r}",
+            ok,
+            f"aggregate r={r}: {'ok' if ok else 'MISMATCH'}; omega(T~(p^{r})) = "
+            f"{image.to_text()}; weighted sum = {weighted.to_text()}{rest}",
+        )
 
 
 def _inverse(maxoe: int, ctx: OmegaContext) -> Iterator[Check]:

@@ -1,16 +1,26 @@
 """Fixtures shared by the test modules."""
 
 import sys
+from collections import Counter
 from math import prod
 
 import pytest
 
 from heckealg.errors import exact_quotient
 from heckealg.partitions import conjugate
-from heckealg.subgroups import DEFAULT_BUDGET, _hall_census, _meet_census, _type_census
+from heckealg.subgroups import (
+    DEFAULT_BUDGET,
+    Ambient,
+    _hall_census,
+    _meet_census,
+    _type_census,
+    enumerate_subgroups,
+    intersect,
+    standard_split,
+)
 
-# every sweep goes through subgroups._sweep into one of these memoised
-# tables (j_count's fiber loop aside), and they outlive the contexts that read them
+# every sweep of the library goes through subgroups._sweep into one of these
+# memoised tables, and they outlive the contexts that read them
 TABLES = (_type_census, _hall_census, _meet_census)
 
 
@@ -48,6 +58,22 @@ def sweeps(monkeypatch, cold_tables):
 
     monkeypatch.setattr(subgroups, "enumerate_subgroups", sweep)
     yield made
+
+
+# --- the transfer's fibers, which no library route counts -------------------
+
+
+def fibers(p: int, n: int, r: int):
+    """(s, count) for every subgroup N of order p^s <= p^r inside V, the
+    "first" kernel of (Z/p^max(r, 1))^(n+1): count is the number of
+    order-p^r subgroups S with S & V = N, found by intersecting each S with
+    V.  The transfer's fibers have p^((r - s) n) members."""
+    amb = Ambient(p, n + 1, max(r, 1))
+    v = standard_split(amb, "first")
+    meets = Counter(intersect(sub, v) for sub in enumerate_subgroups(amb, order_exp=r))
+    for s in range(r + 1):
+        for nrep in filter(v.contains, enumerate_subgroups(amb, order_exp=s)):
+            yield s, meets[nrep]
 
 
 # --- closed forms that the tests check the library against ------------------

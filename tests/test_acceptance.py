@@ -7,6 +7,8 @@ counterexamples attached.
 
 import itertools
 
+from conftest import fibers
+
 from heckealg.hecke import (
     HeckeContext,
     basis_element,
@@ -15,31 +17,22 @@ from heckealg.hecke import (
     decompose_in_generators,
     eval_generator_poly,
     multiply,
-    t_aggregate,
 )
 from heckealg.omega import (
     OmegaContext,
     a_coeff,
     b_coeff,
-    j_count,
     lift_section,
     omega,
-    verify_omega_hom,
-    verify_tp_formula,
 )
 from heckealg.partitions import (
     embeds,
-    format_partition,
     order_exponent,
     partitions_of_exponent,
     partitions_up_to,
 )
-from heckealg.subgroups import (
-    Ambient,
-    count_of_type_in_group,
-    enumerate_subgroups,
-    standard_split,
-)
+from heckealg.subgroups import Ambient, count_of_type_in_group, enumerate_subgroups
+from heckealg.verify import SUITES
 
 
 def _run(num, name, body):
@@ -54,20 +47,12 @@ def _run(num, name, body):
 def test_criterion_01_transfer_is_multiplicative():
     def body():
         bad = []
-        for p, n in itertools.product((2, 3), (1, 2)):
-            ctx = OmegaContext(p=p, n=n)
-            parts = list(partitions_up_to(3, n + 1))
-            for m1, m2 in itertools.product(parts, repeat=2):
-                rep = verify_omega_hom(m1, m2, ctx)
-                if not rep.passed:
-                    bad.append((p, n, m1, m2))
-        # spot checks one rank higher
-        ctx = OmegaContext(p=2, n=3)
-        parts = list(partitions_up_to(2, 4))
-        for m1, m2 in itertools.product(parts, repeat=2):
-            rep = verify_omega_hom(m1, m2, ctx)
-            if not rep.passed:
-                bad.append((2, 3, m1, m2))
+        # every pair up to order p^3, and spot checks one rank higher
+        cases = [(p, n, 3) for p, n in itertools.product((2, 3), (1, 2))] + [(2, 3, 2)]
+        for p, n, d in cases:
+            checks = list(SUITES["hom"](d, OmegaContext(p=p, n=n)))
+            assert len(checks) == len(list(partitions_up_to(d, n + 1))) ** 2
+            bad += [(p, n, name) for name, ok, _ in checks if not ok]
         assert not bad, f"multiplicativity failed at {bad[:5]}"
 
     _run(1, "transfer is a ring homomorphism", body)
@@ -77,13 +62,10 @@ def test_criterion_02_aggregate_pushforward():
     def body():
         bad = []
         for p, n in itertools.product((2, 3), (1, 2)):
-            ctx = OmegaContext(p=p, n=n)
-            for r in range(0, 4):
-                rep = verify_tp_formula(r, ctx)
-                if rep.lhs != rep.rhs:
-                    bad.append((p, n, r, "sum"))
-                if r > 0 and rep.recursion_lhs != rep.recursion_rhs:
-                    bad.append((p, n, r, "recursion"))
+            # the weighted sum, and for r > 0 the recursion, at r = 0..3
+            checks = list(SUITES["tp"](3, OmegaContext(p=p, n=n)))
+            assert len(checks) == 4
+            bad += [(p, n, name) for name, ok, _ in checks if not ok]
         assert not bad, f"aggregate formula failed at {bad[:5]}"
 
     _run(2, "aggregate pushforward closed form", body)
@@ -93,16 +75,10 @@ def test_criterion_03_fiber_counts():
     def body():
         checked = 0
         for n in (1, 2):
-            ctx = OmegaContext(p=2, n=n)
             for r in range(0, 3):
-                amb = Ambient(2, n + 1, max(r, 1))
-                v = standard_split(amb, "first")
-                for s in range(0, r + 1):
-                    inside_v = filter(v.contains, enumerate_subgroups(amb, order_exp=s))
-                    for nrep in inside_v:
-                        # j_count raises on any mismatch with p^((r-s)n)
-                        assert j_count(r, nrep, ctx) == 2 ** ((r - s) * n)
-                        checked += 1
+                for s, count in fibers(2, n, r):
+                    assert count == 2 ** ((r - s) * n), (n, r, s, count)
+                    checked += 1
         assert checked >= 20
 
     _run(3, "fiber count over every concrete intersection", body)

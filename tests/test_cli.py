@@ -13,6 +13,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -329,13 +330,15 @@ _HOM_FAILED = {
 def test_a_failed_check_renders_false_and_exits_4(capsys, monkeypatch, output):
     import heckealg.verify as verify
 
-    real = verify.verify_omega_hom
+    real = verify.multiply
 
-    def forced(m1, m2, ctx):
-        rep = real(m1, m2, ctx)
-        return rep._replace(rhs=rep.rhs.scaled(2)) if (m1, m2) == ((1,), (1,)) else rep
+    def forced(x, y, ctx):
+        # doubles omega([1])*omega([1]), the one product downstairs of two
+        # factors that both hold [1]
+        z = real(x, y, ctx)
+        return z.scaled(2) if ctx.n == 1 and (1,) in x.terms and (1,) in y.terms else z
 
-    monkeypatch.setattr(verify, "verify_omega_hom", forced)
+    monkeypatch.setattr(verify, "multiply", forced)
     argv = ["verify", "hom", "--p", "2", "--n", "1", "--max-order-exp", "1", "--output", output]
     assert run(capsys, *argv)[:2] == (4, _HOM_FAILED[output])
 
@@ -363,21 +366,25 @@ def test_a_failed_decomposition_is_a_failed_generators_check(capsys, monkeypatch
 
 
 def test_a_failed_recursion_alone_fails_the_aggregate_check(capsys, monkeypatch):
-    # omega(T~(p)) matches its weighted sum, but the recursion form does not
+    # omega(T~(p)) matches its weighted sum, but the recursion form does not.
+    # With omega(T~(1)) reused from r = 0, the recursion follows from the two
+    # weighted sums unless T~(p) downstairs changes between its calls: the
+    # second, the recursion's, is doubled
     import heckealg.verify as verify
 
-    real = verify.verify_tp_formula
+    real, calls = verify.t_aggregate, Counter()
 
     def forced(r, ctx):
-        rep = real(r, ctx)
-        return rep._replace(recursion_rhs=rep.recursion_rhs.scaled(2)) if r == 1 else rep
+        calls[r, ctx.n] += 1
+        x = real(r, ctx)
+        return x.scaled(2) if (r, ctx.n, calls[r, ctx.n]) == (1, 1, 2) else x
 
-    monkeypatch.setattr(verify, "verify_tp_formula", forced)
+    monkeypatch.setattr(verify, "t_aggregate", forced)
     argv = ["verify", "tp", "--p", "2", "--n", "1", "--max-order-exp", "1"]
     assert run(capsys, *argv) == (4, (
         "ok   aggregate r=0\n"
         "FAIL aggregate r=1: aggregate r=1: MISMATCH; omega(T~(p^1)) = 2*[] + 1*[1]; "
-        "weighted sum = 2*[] + 1*[1]; recursion lhs = 1*[1], rhs = 2*[1]\n"
+        "weighted sum = 2*[] + 1*[1]; recursion lhs = 2*[1], rhs = 1*[1]\n"
         "2 checks, 1 failed\n"), "")
 
 

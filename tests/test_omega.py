@@ -7,7 +7,7 @@ from math import prod
 from pathlib import Path
 
 import pytest
-from conftest import delsarte
+from conftest import delsarte, fibers
 
 from heckealg import hall, hecke, modmat, subgroups
 from heckealg.cache import CACHE_FILENAME
@@ -22,22 +22,14 @@ from heckealg.omega import (
     a_coeff,
     b_coeff,
     i_count,
-    j_count,
     lift_section,
     omega,
-    verify_omega_hom,
-    verify_tp_formula,
 )
 from heckealg.partitions import (
     conjugate, embeds, order_exponent, parse_partition, partitions_between, partitions_up_to
 )
-from heckealg.subgroups import (
-    DEFAULT_BUDGET,
-    Ambient,
-    _type_of_rows,
-    enumerate_subgroups,
-    standard_split,
-)
+from heckealg.subgroups import DEFAULT_BUDGET, _type_of_rows
+from heckealg.verify import SUITES
 
 # the package binds the name omega to the function, not the module
 omega_module = sys.modules["heckealg.omega"]
@@ -527,61 +519,45 @@ def test_omega_inverts_lift(n):
 
 
 def test_hom_on_elementary_pair(ctx1):
-    report = verify_omega_hom((1,), (1,), ctx1)
-    assert report.passed
-    assert report.lhs.terms == {(2,): 1, (1,): 4, (): 4}
+    e = basis_element((1,), ctx1.source)
+    lhs = omega(multiply(e, e, ctx1.source), ctx1)
+    assert lhs == multiply(omega(e, ctx1), omega(e, ctx1), ctx1.target)
+    assert lhs.terms == {(2,): 1, (1,): 4, (): 4}
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (3, 1)])
 def test_hom_small_sweep(p, n):
-    ctx = OmegaContext(p=p, n=n)
-    parts = list(partitions_up_to(2, n + 1))
-    for m1 in parts:
-        for m2 in parts:
-            assert verify_omega_hom(m1, m2, ctx).passed
+    checks = list(SUITES["hom"](2, OmegaContext(p=p, n=n)))
+    assert len(checks) == len(list(partitions_up_to(2, n + 1))) ** 2
+    assert all(ok for _, ok, _ in checks)
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (3, 1)])
 def test_aggregate_formula(p, n):
     ctx = OmegaContext(p=p, n=n)
-    for r in range(0, 4):
-        report = verify_tp_formula(r, ctx)
-        assert report.passed
-        # closed form coefficient of the top aggregate is 1
-        assert report.lhs != report.lhs.scaled(0) or r == 0
+    checks = list(SUITES["tp"](3, ctx))
+    assert [name for name, _, _ in checks] == [f"aggregate r={r}" for r in range(4)]
+    assert all(ok for _, ok, _ in checks)
+    # each image is nonzero: it holds the aggregate downstairs with coefficient 1
+    for r in range(4):
+        assert not omega(t_aggregate(r, ctx.source), ctx).is_zero()
 
 
 def test_aggregate_report_contents(ctx1):
-    report = verify_tp_formula(2, ctx1)
+    image = omega(t_aggregate(2, ctx1.source), ctx1)
     # omega(T~(4)) = T~(4) + 2 T~(2) + 4 T~(1)
     want = (
         t_aggregate(2, ctx1.target)
         + t_aggregate(1, ctx1.target).scaled(2)
         + t_aggregate(0, ctx1.target).scaled(4)
     )
-    assert report.lhs == want
-    assert report.recursion_lhs == t_aggregate(2, ctx1.target)
+    assert image == want
+    below = omega(t_aggregate(1, ctx1.source), ctx1)
+    assert image - below.scaled(2) == t_aggregate(2, ctx1.target)
 
 
-def test_j_count_fibers():
+def test_fiber_counts():
     for n in (1, 2):
-        ctx = OmegaContext(p=2, n=n)
         for r in range(0, 3):
-            amb = Ambient(2, n + 1, max(r, 1))
-            v = standard_split(amb, "first")
-            for s in range(0, r + 1):
-                for nrep in filter(v.contains, enumerate_subgroups(amb, order_exp=s)):
-                    assert j_count(r, nrep, ctx) == 2 ** ((r - s) * n)
-
-
-def test_j_count_validates_inputs(ctx1):
-    amb = Ambient(2, 2, 2)
-    v = standard_split(amb, "first")
-    with pytest.raises(ValueError):
-        j_count(1, v, ctx1)  # ambient truncation mismatch
-    whole = Ambient(2, 2, 1)
-    from heckealg.subgroups import subgroup_from_rows
-
-    off_v = subgroup_from_rows(whole, [(0, 1)])
-    with pytest.raises(ValueError):
-        j_count(1, off_v, ctx1)  # not inside V
+            for s, count in fibers(2, n, r):
+                assert count == 2 ** ((r - s) * n), (n, r, s)

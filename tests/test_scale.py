@@ -60,4 +60,4 @@ def test_a_warm_cache_goes_only_to_the_commands_that_take_cache(tmp_path):
     stores = sorted(path.name for path in (tmp_path / "tree0").iterdir())
     assert stores == [f"cmd{k}" for k, argv in enumerate(scale.commands(tiny=True).values())
                       if " ".join(argv[:2]) in scale.CACHED]
-    assert len(stores) == 4
+    assert len(stores) == 6

@@ -18,9 +18,9 @@ argv, the digest, and per tree the runs and their medians.
 
 Without --warm-cache every child runs with no cache.  With it, a
 command that takes --cache (the transfer's: table a, b and omega, and
-verify inverse) is given `--cache DIR/tree<i>/cmd<k>`, k its place and i
-its tree's, so it is measured against the store that its own unmeasured
-pass filled, and no other command's lines.  No child sees
+verify inverse, hom and tp) is given `--cache DIR/tree<i>/cmd<k>`, k its
+place and i its tree's, so it is measured against the store that its own
+unmeasured pass filled, and no other command's lines.  No child sees
 HECKE_CACHE_DIR: older checkouts read it as their default store.
 
 --tiny runs the same commands at (2, 2) with small bounds; a test uses
@@ -41,13 +41,14 @@ import time
 
 
 # the probe's commands that compute the transfer, the only ones that take --cache
-CACHED = ("table a", "table b", "table omega", "verify inverse")
+CACHED = ("table a", "table b", "table omega", "verify inverse", "verify hom", "verify tp")
 
 
 def commands(tiny: bool = False) -> dict[str, list[str]]:
     """name -> heckealg argv of the probe's fixed commands."""
     p, n = ("2", "2") if tiny else ("1009", "6")
-    c_bounds, d, inverse = ((2, 3), 3, 2) if tiny else ((10, 12), 14, 10)
+    c_bounds, d = ((2, 3), 3) if tiny else ((10, 12), 14)
+    suites = {"inverse": 2, "hom": 2, "tp": 3} if tiny else {"inverse": 10, "hom": 6, "tp": 14}
     x, y = ("1*[2,1]+2*[1,1]", "1*[2]-3*[1]") if tiny else (
         "1*[3,2,1]+2*[2,2,1,1]", "1*[2,2,1]-3*[4,1]")
     z = "1*[2,1]-5*[1,1]" if tiny else "1*[4,3,2,1,1]-5*[3,3,2,1]"
@@ -57,8 +58,9 @@ def commands(tiny: bool = False) -> dict[str, list[str]]:
     }
     for kind in ("a", "b", "omega"):
         out[f"table {kind} D={d}"] = ["table", kind, "--p", p, "--n", n, "--max-order-exp", str(d)]
-    out[f"verify inverse D={inverse}"] = [
-        "verify", "inverse", "--p", p, "--n", n, "--max-order-exp", str(inverse)]
+    for suite, bound in suites.items():
+        out[f"verify {suite} D={bound}"] = [
+            "verify", suite, "--p", p, "--n", n, "--max-order-exp", str(bound)]
     out["mul"] = ["mul", "--p", p, "--n", n, x, y]
     out["decompose"] = ["decompose", "--p", p, "--n", n, z]
     return out
