@@ -543,6 +543,22 @@ def test_aggregate_formula(p, n):
         assert not omega(t_aggregate(r, ctx.source), ctx).is_zero()
 
 
+def test_aggregate_suite_transfers_each_aggregate_once(ctx1, monkeypatch):
+    # the recursion at r reuses omega(T~(p^(r-1))) from r - 1, so the suite
+    # transfers T~(1), ..., T~(p^3) once each and nothing else
+    import heckealg.verify as verify
+
+    real, seen = verify.omega, []
+
+    def counted(x, ctx):
+        seen.append(x)
+        return real(x, ctx)
+
+    monkeypatch.setattr(verify, "omega", counted)
+    assert all(ok for _, ok, _ in SUITES["tp"](3, ctx1))
+    assert seen == [t_aggregate(r, ctx1.source) for r in range(4)]
+
+
 def test_aggregate_report_contents(ctx1):
     image = omega(t_aggregate(2, ctx1.source), ctx1)
     # omega(T~(4)) = T~(4) + 2 T~(2) + 4 T~(1)
