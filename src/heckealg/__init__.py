@@ -46,7 +46,6 @@ from .partitions import (
     parse_partition,
     partitions_of_exponent,
     partitions_up_to,
-    torsion_type,
 )
 from .subgroups import (
     Ambient,
@@ -106,7 +105,6 @@ __all__ = [
     "standard_split",
     "subgroup_from_rows",
     "t_aggregate",
-    "torsion_type",
     "type_of",
     "__version__",
 ]

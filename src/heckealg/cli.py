@@ -96,11 +96,10 @@ from .hecke import (
 )
 from .omega import OmegaContext, a_coeff, b_coeff, omega
 from .partitions import (
-    Partition,
+    embedded_pairs,
     format_partition,
     order_exponent,
     parse_partition,
-    partitions_between,
     partitions_up_to,
 )
 from .subgroups import Ambient
@@ -290,14 +289,6 @@ def _cmd_decompose(args, ctx: HeckeContext) -> _Output:
 # --- scalar coefficients and their tables --------------------------------------
 
 
-def _embedded_pairs(
-    max_order_exp: int, outer_rank: int, inner_rank: int
-) -> Iterator[tuple[Partition, Partition]]:
-    for big in partitions_up_to(max_order_exp, outer_rank):
-        for small in partitions_between((), big[:inner_rank]):
-            yield big, small
-
-
 class _CoeffSpec:
     """One scalar coefficient: its argument names, table cells and the name
     of its value function.
@@ -318,8 +309,8 @@ class _CoeffSpec:
 
 _COEFFS = {
     "c": _CoeffSpec(("M", "N", "L"), _c_cells, "c_coeff"),
-    "a": _CoeffSpec(("M", "N"), lambda d, n: _embedded_pairs(d, n + 1, n), "a_coeff"),
-    "b": _CoeffSpec(("B", "A"), lambda d, n: _embedded_pairs(d, n, n), "b_coeff"),
+    "a": _CoeffSpec(("M", "N"), lambda d, n: embedded_pairs(d, n + 1, n), "a_coeff"),
+    "b": _CoeffSpec(("B", "A"), lambda d, n: embedded_pairs(d, n, n), "b_coeff"),
 }
 
 

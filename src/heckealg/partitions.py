@@ -20,13 +20,12 @@ __all__ = [
     "validate_partition",
     "p_rank",
     "order_exponent",
-    "torsion_type",
     "conjugate",
     "embeds",
-    "is_horizontal_strip",
     "partitions_between",
     "partitions_of_exponent",
     "partitions_up_to",
+    "embedded_pairs",
     "type_from_torsion_profile",
     "parse_partition",
     "format_partition",
@@ -57,13 +56,6 @@ def order_exponent(lam: Partition) -> int:
     return sum(lam)
 
 
-def torsion_type(lam: Partition, k: int) -> Partition:
-    """Type of the p^k-torsion subgroup: parts min(a_i, k), zeros dropped."""
-    if k < 0:
-        raise ValueError("torsion exponent must be nonnegative")
-    return tuple(min(a, k) for a in lam if min(a, k) > 0)
-
-
 def conjugate(lam: Partition) -> Partition:
     """Transpose of the Young diagram."""
     if not lam:
@@ -82,16 +74,6 @@ def embeds(mu: Partition, lam: Partition) -> bool:
     if len(mu) > len(lam):
         return False
     return all(m <= l for m, l in zip(mu, lam))
-
-
-def is_horizontal_strip(lam: Partition, mu: Partition) -> bool:
-    """Is lam/mu a horizontal strip, lam_1 >= mu_1 >= lam_2 >= mu_2 >= ... ?
-
-    >>> is_horizontal_strip((3, 1), (2,)), is_horizontal_strip((1, 1), ())
-    (True, False)
-    """
-    pairs = zip(lam, mu + (0,) * len(lam), lam[1:] + (0,))
-    return len(mu) <= len(lam) and all(a >= b >= c for a, b, c in pairs)
 
 
 def partitions_between(
@@ -148,6 +130,21 @@ def partitions_up_to(max_order_exp: int, max_parts: int) -> Iterator[Partition]:
     """
     for d in range(max_order_exp + 1):
         yield from partitions_of_exponent(d, max_parts)
+
+
+def embedded_pairs(
+    max_order_exp: int, outer_rank: int, inner_rank: int
+) -> Iterator[tuple[Partition, Partition]]:
+    """(big, small) for each big of partitions_up_to(max_order_exp,
+    outer_rank) and each small below its first inner_rank rows: the cells
+    (M, N) of the transfer's a(M, N) and (B, A) of its inverse b(B, A).
+
+    >>> list(embedded_pairs(2, 2, 1))[-3:]
+    [((2,), (2,)), ((1, 1), ()), ((1, 1), (1,))]
+    """
+    for big in partitions_up_to(max_order_exp, outer_rank):
+        for small in partitions_between((), big[:inner_rank]):
+            yield big, small
 
 
 def partition_sort_key(lam: Partition) -> tuple[int, tuple[int, ...]]:

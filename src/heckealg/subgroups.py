@@ -75,11 +75,6 @@ class SubgroupRep(namedtuple("SubgroupRep", "ambient rows")):
 
     __slots__ = ()
 
-    @property
-    def order_exp(self) -> int:
-        """d with |subgroup| = p^d."""
-        return _span_order_exp(self.rows, self.ambient.p, self.ambient.r)
-
     def contains(self, other: "SubgroupRep") -> bool:
         _require_same_ambient(self, other)
         # the rows are already canonical, so membership needs no Howell pass

@@ -7,6 +7,7 @@ from math import prod
 import pytest
 
 from heckealg.errors import exact_quotient
+from heckealg.modmat import _span_order_exp
 from heckealg.partitions import conjugate
 from heckealg.subgroups import (
     DEFAULT_BUDGET,
@@ -60,6 +61,13 @@ def sweeps(monkeypatch, cold_tables):
     yield made
 
 
+def error_message(kind, call, *args, **kwargs) -> str:
+    """The message of the error of that kind which call(*args, **kwargs) raises."""
+    with pytest.raises(kind) as info:
+        call(*args, **kwargs)
+    return str(info.value)
+
+
 # --- the transfer's fibers, which no library route counts -------------------
 
 
@@ -77,6 +85,17 @@ def fibers(p: int, n: int, r: int):
 
 
 # --- closed forms that the tests check the library against ------------------
+
+
+def order_exp(rep) -> int:
+    """d with |subgroup| = p^d, read off the subgroup's Howell rows."""
+    return _span_order_exp(rep.rows, rep.ambient.p, rep.ambient.r)
+
+
+def is_horizontal_strip(lam, mu) -> bool:
+    """Is lam/mu a horizontal strip, lam_1 >= mu_1 >= lam_2 >= mu_2 >= ... ?"""
+    pairs = zip(lam, mu + (0,) * len(lam), lam[1:] + (0,))
+    return len(mu) <= len(lam) and all(a >= b >= c for a, b, c in pairs)
 
 
 def gaussian_binomial(a: int, b: int, p: int) -> int:

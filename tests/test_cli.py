@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import heckealg
-from heckealg.cache import CACHE_FILENAME, CacheStore
+from heckealg.cache import CACHE_FILENAME, CacheStore, _make_directories
 from heckealg.cli import _COMMANDS, _build_parser, _parse, _read_argv, main
 from heckealg.errors import BudgetExceededError, VerificationError
 from heckealg.partitions import partitions_between
@@ -526,6 +526,19 @@ def test_main_restores_the_int_digit_limit(capsys, argv):
     assert sys.get_int_max_str_digits() == limit
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("acoeff", "--p", "2", "--n", "1", "--M", "[2,1]", "--N", "[1]", "--output", "json"),
+     ("mul", "--p", "6", "--n", "1", "1*[1]", "1*[1]"), ("mul", "--bogus")],
+    ids=["ok", "error", "usage"],
+)
+def test_main_runs_the_same_without_the_digit_limit_setter(capsys, monkeypatch, argv):
+    # Python 3.10.0-3.10.6, which requires-python admits, have no setter
+    want = run(capsys, *argv)
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    assert run(capsys, *argv) == want
+
+
 def test_budget_exit_code(capsys):
     # Delsarte's formula counts without enumerating: nothing for a budget to bound
     for value in ("50", "0", "-5"):
@@ -989,6 +1002,22 @@ def test_corrupt_cache_lines_warn_and_continue(tmp_path, capsys):
         f"warning: {cache_file}:{lineno}: skipping bad cache line ({reason})"
         for lineno, reason in zip([1, *range(3, 12)], reasons)
     ]
+
+
+def test_blank_cache_lines_are_skipped_without_a_warning(tmp_path, capsys):
+    line = f'{{"version": "1", "key": "{_A_KEY}", "value": "2"}}\n'
+    (tmp_path / CACHE_FILENAME).write_text("\n" + line + "   \n\t\n" + line + "\n")
+    assert CacheStore(str(tmp_path)).load() == {_A_KEY: 2}
+    assert capsys.readouterr().err == ""
+
+
+def test_a_non_directory_in_the_way_of_the_store_is_an_error(tmp_path):
+    # a dangling symbolic link is missing to os.access, yet mkdir finds it there
+    link = tmp_path / "store"
+    link.symlink_to(tmp_path / "nowhere")
+    with pytest.raises(FileExistsError):
+        _make_directories(str(link))
+    assert link.is_symlink() and not (tmp_path / "nowhere").exists()
 
 
 def test_poisoned_cache_value_is_used_verbatim(tmp_path, capsys):

@@ -5,11 +5,11 @@ import itertools
 import json
 
 import pytest
-from conftest import delsarte, gaussian_binomial
+from conftest import delsarte, error_message, gaussian_binomial, is_horizontal_strip
 
 from heckealg import hall, hecke
 from heckealg.cli import main
-from heckealg.errors import ParseError, VerificationError
+from heckealg.errors import ParseError, VerificationError, exact_quotient
 from heckealg.hecke import (
     GeneratorPoly,
     HeckeContext,
@@ -30,7 +30,6 @@ from heckealg.hecke import (
 from heckealg.omega import OmegaContext, a_coeff, b_coeff
 from heckealg.partitions import (
     conjugate,
-    is_horizontal_strip,
     order_exponent,
     partitions_between,
     partitions_of_exponent,
@@ -54,6 +53,38 @@ def test_context_validation():
         HeckeContext(p=6, n=2)
     with pytest.raises(ValueError):
         HeckeContext(p=2, n=0)
+
+
+def test_guards_name_the_fault(ctx21, ctx22):
+    assert error_message(ValueError, HeckeContext, 2, 1, budget=0) == "budget must be positive"
+    one = basis_element((1,), ctx21)  # x and y agree, the context differs
+    assert error_message(ValueError, multiply, one, one, ctx22) == (
+        "element (p=2, n=1) does not match context (p=2, n=2)"
+    )
+    assert error_message(ValueError, decompose_in_generators, one, ctx22) == (
+        "element does not match context"
+    )
+    assert error_message(ValueError, eval_generator_poly, GeneratorPoly(2, {(1,): 1}), ctx22) == (
+        "exponent vector (1,) does not have length 2"
+    )
+    assert error_message(VerificationError, exact_quotient, 7, 2, "seven halves") == (
+        "seven halves: 7 is not divisible by 2"
+    )
+    assert error_message(VerificationError, exact_quotient, 7, 0, "by zero") == (
+        "by zero: 7 is not divisible by 0"
+    )
+
+
+def test_equality_and_hashing():
+    x = HeckeElement(2, 2, {(1,): 1, (2,): 2})
+    y = HeckeElement(2, 2, {(2,): 2, (1,): 1})  # the same terms, inserted in another order
+    assert x == y and hash(x) == hash(y)
+    assert x != HeckeElement(3, 2, {(1,): 1, (2,): 2}) and x != HeckeElement(2, 3, x.terms)
+    poly = GeneratorPoly(2, {(1, 0): 1})
+    assert poly == GeneratorPoly(2, {(1, 0): 1, (0, 1): 0})
+    assert poly != GeneratorPoly(3, poly.coeffs)
+    for value in [x, poly]:
+        assert value.__eq__("1*[1]") is NotImplemented and value != "1*[1]"
 
 
 def test_element_normalization():

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from conftest import error_message
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -139,3 +140,7 @@ def test_above_pivot_entries_are_reduced(rows, p, r):
         pivot = row[col]
         for upper in h[:k]:
             assert upper[col] < pivot
+
+
+def test_a_zero_row_has_no_leading_column():
+    assert error_message(ValueError, _leading, (0, 0)) == "zero row has no leading column"

@@ -7,7 +7,7 @@ from math import prod
 from pathlib import Path
 
 import pytest
-from conftest import delsarte, fibers
+from conftest import delsarte, error_message, fibers
 
 from heckealg import hall, hecke, modmat, subgroups
 from heckealg.cache import CACHE_FILENAME
@@ -577,3 +577,11 @@ def test_fiber_counts():
         for r in range(0, 3):
             for s, count in fibers(2, n, r):
                 assert count == 2 ** ((r - s) * n), (n, r, s)
+
+
+def test_classes_of_too_high_a_rank(sweeps):
+    ctx = OmegaContext(2, 1)
+    assert i_count((1, 1, 1), (), ctx) == 0  # M of rank over n + 1
+    assert i_count((1, 1), (1, 1), ctx) == 0  # N of rank over n
+    assert sweeps == []  # answered before any subgroup is enumerated
+    assert error_message(ValueError, lift_section, (1, 1), ctx) == "[1,1] has rank over 1"

@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from conftest import is_horizontal_strip
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +12,6 @@ from heckealg.partitions import (
     conjugate,
     embeds,
     format_partition,
-    is_horizontal_strip,
     order_exponent,
     p_rank,
     parse_partition,
@@ -19,7 +19,6 @@ from heckealg.partitions import (
     partitions_between,
     partitions_of_exponent,
     partitions_up_to,
-    torsion_type,
     type_from_torsion_profile,
     validate_partition,
 )
@@ -48,13 +47,6 @@ def test_basic_stats():
     assert order_exponent(()) == 0
     assert p_rank((3, 1)) == 2
     assert order_exponent((3, 1)) == 4
-
-
-def test_torsion_type():
-    assert torsion_type((3, 2, 1), 1) == (1, 1, 1)
-    assert torsion_type((3, 2, 1), 2) == (2, 2, 1)
-    assert torsion_type((3, 2, 1), 5) == (3, 2, 1)
-    assert torsion_type((2,), 0) == ()
 
 
 def test_conjugate_examples():
@@ -124,6 +116,13 @@ def test_partitions_up_to_is_graded_and_complete():
     assert len(seen) == len(set(seen))
     for lam in seen:
         assert order_exponent(lam) <= 4 and p_rank(lam) <= 2
+
+
+def test_horizontal_strip_reference():
+    # the filter the strip walks below are checked against
+    assert is_horizontal_strip((3, 1), (2,)) and is_horizontal_strip((2, 1), (2, 1))
+    assert not is_horizontal_strip((1, 1), ()) and not is_horizontal_strip((2,), (1, 1))
+    assert not is_horizontal_strip((3, 3), (2, 1))
 
 
 def test_horizontal_strips_match_the_filter():

@@ -6,6 +6,7 @@ import time
 import tracemalloc
 
 import pytest
+from conftest import error_message, order_exp
 
 from heckealg.errors import BudgetExceededError
 from heckealg.hall import _PSI_12
@@ -99,7 +100,7 @@ def test_order_filter_matches_full_sweep():
     amb = Ambient(3, 2, 2)
     by_order = {}
     for rep in enumerate_subgroups(amb):
-        by_order.setdefault(rep.order_exp, set()).add(rep.rows)
+        by_order.setdefault(order_exp(rep), set()).add(rep.rows)
     for d, expected in by_order.items():
         got = {rep.rows for rep in enumerate_subgroups(amb, order_exp=d)}
         assert got == expected
@@ -108,8 +109,8 @@ def test_order_filter_matches_full_sweep():
 def test_types_and_orders_agree():
     for rep in enumerate_subgroups(Ambient(2, 2, 3)):
         t = type_of(rep)
-        assert order_exponent(t) == rep.order_exp
-        assert len(elements_of(rep)) == 2**rep.order_exp
+        assert order_exponent(t) == order_exp(rep)
+        assert len(elements_of(rep)) == 2 ** order_exp(rep)
 
 
 @pytest.mark.parametrize(
@@ -249,7 +250,7 @@ def _type_from_element_sets(big, small, p):
 def test_types_match_element_set_counts(p, r, pairs):
     reps = list(enumerate_subgroups(Ambient(p, 2, r)))
     zero = reps[0]
-    assert zero.order_exp == 0
+    assert order_exp(zero) == 0
     seen = 0
     for big in reps:
         assert type_of(big) == _type_from_element_sets(big, zero, p)
@@ -268,7 +269,7 @@ def test_quotient_exponent_is_additive():
             if not big.contains(small):
                 continue
             q = quotient_type(big, small)
-            assert order_exponent(q) == big.order_exp - small.order_exp
+            assert order_exponent(q) == order_exp(big) - order_exp(small)
 
 
 @pytest.mark.parametrize(
@@ -431,3 +432,23 @@ def test_subgroups_hash_as_the_tuple_of_their_fields():
     for rep in reps:
         assert rep == (rep.ambient, rep.rows) and hash(rep) == hash((rep.ambient, rep.rows))
         assert hash(rep.ambient) == hash((2, 2, 2))
+
+
+def test_guards_name_the_fault():
+    amb = Ambient(2, 2, 2)
+
+    def sweep(floors):
+        return list(enumerate_subgroups(amb, col_val_min=floors))
+
+    assert error_message(ValueError, sweep, (0,)) == "col_val_min needs 2 entries, got 1"
+    for floors in [(0, 3), (-1, 0)]:
+        assert error_message(ValueError, sweep, floors) == (
+            "column valuation floors must lie in [0, 2]"
+        )
+    assert error_message(ValueError, standard_split, Ambient(2, 1, 1)) == (
+        "standard_split needs ambient rank at least 2"
+    )
+    small, big = subgroup_from_rows(amb, [(2, 0)]), subgroup_from_rows(amb, [(1, 0)])
+    assert error_message(ValueError, quotient_type, small, big) == (
+        "quotient undefined: second argument is not a subgroup of the first"
+    )
