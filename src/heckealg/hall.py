@@ -1,21 +1,17 @@
-"""Hall polynomials, automorphism counts, Gaussian binomials and subgroup
-counts: pure p-counts.
+"""Gaussian binomials and subgroup counts: pure p-counts.
 
-Closed forms of Macdonald, *Symmetric Functions and Hall Polynomials*
-(2nd ed.), and Delsarte's count of the subgroups of each type (Butler,
-*Subgroup Lattices and Symmetric Functions*, 1994, 1.4), evaluated at a
-prime p in integer arithmetic: every division is checked exact, and the
-Gaussian binomials, so the subgroup counts, need none.  Nothing here
-enumerates subgroups.  is_prime, which every context and ambient applies
-to p, lives here so that the closed forms need no enumeration module for it.
+Delsarte's count of the subgroups of each type (Butler, *Subgroup Lattices
+and Symmetric Functions*, 1994, 1.4), evaluated at a prime p in integer
+arithmetic: its Gaussian binomials come from q-Pascal, so no count here
+needs a division.  Nothing here enumerates subgroups.  is_prime, which
+every context and ambient applies to p, lives here so that the closed
+forms need no enumeration module for it.
 """
 
 from __future__ import annotations
 
-from itertools import groupby
 from math import prod
 
-from .errors import exact_quotient
 from .partitions import Partition, conjugate, partitions_between
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -40,36 +36,6 @@ def is_prime(p: int) -> bool:
         if x != 1 and all(pow(x, 2**j, p) != p - 1 for j in range(s)):
             return False
     return True
-
-
-def _aut_order(lam: Partition, p: int) -> int:
-    """|Aut| of the group of type lam, m_j its parts equal to j (Macdonald II (1.6)):
-    p^(sum lam'_i^2 - sum_j m_j (m_j + 1) / 2) prod_j prod_(k <= m_j) (p^k - 1),
-
-    with sum_i lam'_i^2 = sum_i (2i - 1) lam_i and the m_j the run lengths of lam.
-    """
-    exp = sum((2 * i + 1) * part for i, part in enumerate(lam))
-    value = 1
-    for _, run in groupby(lam):
-        m = len(tuple(run))
-        exp -= m * (m + 1) // 2
-        value *= prod(p**k - 1 for k in range(1, m + 1))
-    return p**exp * value
-
-
-def _hall_cyclic(lam: Partition, mu: Partition, p: int) -> int:
-    """G^lam_{mu,(t)}(p), lam/mu a horizontal t-strip (Macdonald III (3.2), (5.7')).
-
-    p^(n(lam) - n(mu) + 1 - sum_I m_i) prod_I (p^(m_i) - 1) / (p - 1), with m_i the
-    parts of lam equal to i and I the columns i where theta' = lam' - mu' has
-    theta'_i = 1 and theta'_(i+1) = 0.
-    """
-    rows = list(zip(lam, mu + (0,)))
-    theta = {i for a, b in rows for i in range(b + 1, a + 1)}  # the i with theta'_i = 1
-    ends = [lam.count(i) for i in theta if i + 1 not in theta]
-    exp = sum(i * (a - b) for i, (a, b) in enumerate(rows)) + 1 - sum(ends)
-    num = prod(p**m - 1 for m in ends) * p ** max(exp, 0)
-    return exact_quotient(num, (p - 1) * p ** max(-exp, 0), "a Hall polynomial")
 
 
 def _gaussian_table(p: int, n: int) -> list[list[int]]:

@@ -13,12 +13,12 @@ where a(M, N) counts subgroups isomorphic to M whose intersection with V
 is a fixed copy of N (normalized by the number of copies of N), defines
 a surjective ring homomorphism down to the rank-n algebra.
 
-The default route takes a(M, N) from a closed form (see a_coeff) built
-on Macdonald's Hall polynomials and Riedtmann's formula; it enumerates
-nothing.  a(M, N) is zero unless M/N is a horizontal strip, and the N
-below M, like the M of one size above N with M_1 <= r, form an interval
-of the containment order: omega(M) and each bin behind a_coeff (built
-once per context) walk it with partitions.partitions_between.
+The default route takes a(M, N) from a closed form (see a_coeff), the
+Hall-Littlewood branching rule of Macdonald III (5.5'), (5.8'); it
+enumerates nothing.  a(M, N) is zero unless M/N is a horizontal strip,
+and the N below M, like the M of one size above N with M_1 <= r, form an
+interval of the containment order: omega(M) and each bin behind a_coeff
+(built once per context) walk it with partitions.partitions_between.
 
 The enumeration route, the oracle, reads the count at (M, N) off one
 sweep of the subgroups of order p^|M|, counted by their type and the
@@ -41,10 +41,11 @@ T~(p^r) are the `verify hom` and `verify tp` suites of heckealg.verify.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from math import prod
 
 from .cache import coeff_key
 from .errors import DEFAULT_BUDGET, VerificationError, exact_quotient
-from .hall import _aut_order, _hall_cyclic, is_prime
+from .hall import is_prime
 from .hecke import HeckeContext, HeckeElement, _apply, _peel
 
 # unused here, but perfbench's span self-check looks this binding up
@@ -103,7 +104,6 @@ class OmegaContext:
         self._images: dict[Partition, dict[Partition, int]] = {}
         self._lifts: dict[Partition, HeckeElement] = {}
         self._bins: dict[tuple[Partition, int, int], dict[Partition, int]] = {}
-        self._auts: dict[Partition, int] = {}
 
     def _trunc(self, lam: Partition) -> int:
         base = lam[0] if lam else 1
@@ -111,11 +111,19 @@ class OmegaContext:
             return max(base, self.trunc_override)
         return base
 
-    def _aut(self, lam: Partition) -> int:
-        hit = self._auts.get(lam)
-        if hit is None:
-            hit = self._auts[lam] = _aut_order(lam, self.p)
-        return hit
+
+def _branching(m: Partition, n_: Partition, p: int, n: int) -> int:
+    """a(m, n_) for m/n_ a horizontal strip, by the branching rule (see a_coeff).
+
+    Counting rows from i = 0, n(N) - n(M) + n|M/N| = sum_i (n - i)(M_i - N_i).
+    The box of theta in column j + 1, j in J, lies in the top row i of the
+    parts of N equal to j, and n - i >= m_j(N), so no exponent is negative.
+    """
+    rows = list(zip(m, n_ + (0,)))
+    theta = {j for a, b in rows for j in range(b + 1, a + 1)}  # the j with theta'_j = 1
+    runs = [n_.count(j - 1) for j in theta if j > 1 and j - 1 not in theta]  # m_j(N), j in J
+    exp = sum((n - i) * (a - b) for i, (a, b) in enumerate(rows)) - sum(runs)
+    return p**exp * prod(p**k - 1 for k in runs)
 
 
 def _transversal_bins(
@@ -135,16 +143,8 @@ def _transversal_bins(
     if bins is not None:
         return bins
     p, n = ctx.p, ctx.n
-    scale = p ** (t * n) * ctx._aut((t,)) * ctx._aut(n_)
-    bins = {}
-    for m in partitions_between(n_, ((r,) + n_)[: n + 1], order_exponent(n_) + t):
-        num, aut = scale * _hall_cyclic(m, n_, p), ctx._aut(m)
-        bins[m], rest = divmod(num, aut)
-        if rest:
-            raise VerificationError(
-                f"a({format_partition(m)}, {format_partition(n_)}) at gap {t}: "
-                f"{num} is not divisible by {aut}"
-            )
+    strips = partitions_between(n_, ((r,) + n_)[: n + 1], order_exponent(n_) + t)
+    bins = {m: _branching(m, n_, p, n) for m in strips}
     cosets = p ** sum(min(t, r - x) for x in n_ + (0,) * (n - len(n_)))
     if sum(bins.values()) != cosets:
         raise VerificationError(
@@ -161,15 +161,19 @@ def a_coeff(m: Sequence[int], n_: Sequence[int], ctx: OmegaContext) -> int:
     M lives in the rank-(n+1) algebra, N in the rank-n one.  Zero when
     the ranks do not fit, when N does not embed in M, or when the order
     gap t = |M| - |N| exceeds the exponent of M.  For t > 0 the value is
-    Riedtmann's formula: v -> p^t v maps the p^(tn) cosets that count
-    a(M, N) (see _transversal_bins, here at r = M_1) onto Ext(Z/p^t, N)
-    with fibers of p^(tn) / |N[p^t]|, so that
+    the branching rule of Hall-Littlewood functions.  Macdonald III (3.4)
+    sends the class M to p^(-n(M)) P_M(x; 1/p), with n(lam) =
+    sum_i (i - 1) lam_i, and omega becomes the specialization
+    x_(n+1) = p^n.  III (5.5'), (5.8') expand P_M over the P_N with M/N a
+    horizontal strip, so that
 
-        a(M, N) = p^(tn) G^M_{N,(t)}(p) |Aut Z/p^t| |Aut N| / |Aut M|,
+        a(M, N) = p^(n(N) - n(M) + nt - sum_J m_j(N)) prod_J (p^(m_j(N)) - 1),
 
-    G the Hall polynomial of Macdonald III (3.2), (5.7') and |Aut| from
-    Macdonald II (1.6).  Neither ctx.split nor ctx.trunc_override is
-    read; a_by_enumeration is the independent oracle and must agree.
+    theta = M - N, J the columns j >= 1 with theta'_j = 0 and
+    theta'_(j+1) = 1, and m_j(N) the number of parts of N equal to j:
+    one product, with no division.  Neither ctx.split nor
+    ctx.trunc_override is read; a_by_enumeration is the independent
+    oracle and must agree.
     """
     m = validate_partition(m)
     n_ = validate_partition(n_)

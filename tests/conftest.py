@@ -2,6 +2,7 @@
 
 import sys
 from collections import Counter
+from itertools import groupby
 from math import prod
 
 import pytest
@@ -124,3 +125,50 @@ def delsarte(lam, mu, p: int) -> int:
         * gaussian_binomial(lc[i] - mc[i + 1], mc[i] - mc[i + 1], p)
         for i in range(k)
     )
+
+
+# --- Riedtmann's route to the transfer coefficients -------------------------
+
+
+def aut_order(lam, p: int) -> int:
+    """|Aut| of the group of type lam, m_j its parts equal to j (Macdonald II (1.6)):
+    p^(sum lam'_i^2 - sum_j m_j (m_j + 1) / 2) prod_j prod_(k <= m_j) (p^k - 1),
+
+    with sum_i lam'_i^2 = sum_i (2i - 1) lam_i and the m_j the run lengths of lam.
+    """
+    exp = sum((2 * i + 1) * part for i, part in enumerate(lam))
+    value = 1
+    for _, run in groupby(lam):
+        m = len(tuple(run))
+        exp -= m * (m + 1) // 2
+        value *= prod(p**k - 1 for k in range(1, m + 1))
+    return p**exp * value
+
+
+def hall_cyclic(lam, mu, p: int) -> int:
+    """G^lam_{mu,(t)}(p), lam/mu a horizontal t-strip (Macdonald III (3.2), (5.7')).
+
+    p^(n(lam) - n(mu) + 1 - sum_I m_i) prod_I (p^(m_i) - 1) / (p - 1), with m_i the
+    parts of lam equal to i and I the columns i where theta' = lam' - mu' has
+    theta'_i = 1 and theta'_(i+1) = 0.
+    """
+    rows = list(zip(lam, mu + (0,)))
+    theta = {i for a, b in rows for i in range(b + 1, a + 1)}  # the i with theta'_i = 1
+    ends = [lam.count(i) for i in theta if i + 1 not in theta]
+    exp = sum(i * (a - b) for i, (a, b) in enumerate(rows)) + 1 - sum(ends)
+    num = prod(p**m - 1 for m in ends) * p ** max(exp, 0)
+    return exact_quotient(num, (p - 1) * p ** max(-exp, 0), "a Hall polynomial")
+
+
+def riedtmann(m, n_, p: int, n: int) -> int:
+    """a(M, N) at rank n for M/N a horizontal t-strip, by Riedtmann's formula:
+    v -> p^t v maps the p^(tn) cosets that count a(M, N) onto Ext(Z/p^t, N)
+    with fibers of p^(tn) / |N[p^t]|, so that
+
+        a(M, N) = p^(tn) G^M_{N,(t)}(p) |Aut Z/p^t| |Aut N| / |Aut M|,
+
+    G the Hall polynomial and |Aut| the automorphism count, with the
+    division checked exact."""
+    t = sum(m) - sum(n_)
+    num = p ** (t * n) * hall_cyclic(m, n_, p) * aut_order((t,), p) * aut_order(n_, p)
+    return exact_quotient(num, aut_order(m, p), "Riedtmann's formula")

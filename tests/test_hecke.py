@@ -185,6 +185,23 @@ def test_products_match_the_hall_table(p, n, d):
         assert got.terms == want, (m, n_)
 
 
+@pytest.mark.parametrize("p,n,d", [(2, 2, 8), (3, 3, 8), (1009, 6, 9)])
+def test_subgroup_count_is_a_character(p, n, d):
+    # alpha(L), the number of subgroups of type L in (Z/p^d)^n, is a ring
+    # homomorphism to Z (the transfers composed down to rank 0), so
+    # sum_L c(M, N; L) alpha(L) = alpha(M) alpha(N): a check of the Pieri
+    # products at primes that no enumeration reaches
+    ctx = HeckeContext(p=p, n=n)
+    alpha = {lam: delsarte((d,) * n, lam, p) for lam in partitions_up_to(d, n)}
+    classes = [lam for lam in alpha if lam]
+    for i, m in enumerate(classes):
+        for n_ in classes[i:]:
+            if order_exponent(m) + order_exponent(n_) <= d:
+                got = multiply(basis_element(m, ctx), basis_element(n_, ctx), ctx)
+                total = sum(c * alpha[lam] for lam, c in got.terms.items())
+                assert total == alpha[m] * alpha[n_], (m, n_)
+
+
 # --- the reference Pieri coefficients, by division and from both conjugates ---
 
 

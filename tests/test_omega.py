@@ -7,9 +7,9 @@ from math import prod
 from pathlib import Path
 
 import pytest
-from conftest import delsarte, error_message, fibers
+from conftest import aut_order, delsarte, error_message, fibers, is_horizontal_strip, riedtmann
 
-from heckealg import hall, hecke, modmat, subgroups
+from heckealg import hecke, modmat, subgroups
 from heckealg.cache import CACHE_FILENAME
 from heckealg.cli import main
 from heckealg.errors import VerificationError
@@ -344,18 +344,18 @@ def test_aut_order_is_the_conjugate_formula(p):
         mult = Counter(lam).values()
         exp = sum(c * c for c in conjugate(lam)) - sum(m * (m + 1) // 2 for m in mult)
         want = p**exp * prod(p**k - 1 for m in mult for k in range(1, m + 1))
-        assert hall._aut_order(lam, p) == want, lam
+        assert aut_order(lam, p) == want, lam
 
 
 def test_memoised_bins_keep_their_check(monkeypatch, tmp_path):
-    # one Hall value off by one: the bin of (N, t, r) = ([2,1], 2, 3) no
+    # one branching value off by one: the bin of (N, t, r) = ([2,1], 2, 3) no
     # longer adds up to its coset count, and holds [3,2] and [3,1,1]
-    real = omega_module._hall_cyclic
+    real = omega_module._branching
 
-    def off_by_one(lam, mu, p):
-        return real(lam, mu, p) + (lam == (3, 2))
+    def off_by_one(m, n_, p, n):
+        return real(m, n_, p, n) + (m == (3, 2))
 
-    monkeypatch.setattr(omega_module, "_hall_cyclic", off_by_one)
+    monkeypatch.setattr(omega_module, "_branching", off_by_one)
     ctx = OmegaContext(p=2, n=2)
     for m in [(3, 1, 1), (3, 2), (3, 1, 1)]:
         with pytest.raises(VerificationError, match="add up to"):
@@ -367,19 +367,17 @@ def test_memoised_bins_keep_their_check(monkeypatch, tmp_path):
     assert not (tmp_path / CACHE_FILENAME).exists()
 
 
-def test_bins_check_each_quotient(monkeypatch):
-    # one Hall value off by one at [1,1] over [1]: p^2 |Aut Z/p| |Aut N| G
-    # is no longer a multiple of |Aut M|, and no bin is stored
-    real = omega_module._hall_cyclic
-    monkeypatch.setattr(
-        omega_module, "_hall_cyclic", lambda lam, mu, p: real(lam, mu, p) + (lam == (1, 1))
-    )
-    ctx = OmegaContext(p=2, n=2)
-    label = r"a\(\[1,1\], \[1\]\) at gap 1: .* is not divisible"
-    for m in [(1, 1), (2,)]:
-        with pytest.raises(VerificationError, match=label):
-            a_coeff(m, (1,), ctx)
-    assert not ctx._bins
+@pytest.mark.parametrize(
+    "p,n,d", [(2, 1, 8), (2, 4, 9), (3, 2, 8), (5, 3, 8), (1009, 6, 12)]
+)
+def test_branching_rule_is_riedtmanns_formula(p, n, d):
+    # the Hall polynomial and the automorphism counts, with their checked
+    # division, against a_coeff's one product on every horizontal strip
+    ctx = OmegaContext(p=p, n=n)
+    for m in partitions_up_to(d, n + 1):
+        for n_ in partitions_up_to(order_exponent(m) - 1, n):
+            if is_horizontal_strip(m, n_):
+                assert a_coeff(m, n_, ctx) == riedtmann(m, n_, p, n), (m, n_)
 
 
 def test_cached_a_values_are_the_closed_form(tmp_path, capsys):
