@@ -1,14 +1,14 @@
-"""Append-only JSONL store for the transfer's scalar coefficients a and b.
+"""Append-only JSONL store for b, the inverse of the transfer's coefficients.
 
-One record per line: {"version": "1", "key": "...", "value": "..."}.
-Keys name the coefficient and its full argument tuple (see coeff_key).
-The loader keeps only the a: and b: keys: a line under any other key,
-such as the c: lines of older stores, is passed over without a warning
-and stays in the file.
-Values are decimal strings, exactly as str(int) writes them; any other
-value makes its line unreadable.  The file is only ever appended to, so
-concurrent readers see a prefix; unreadable lines are skipped with a
-warning rather than aborting the run.
+One record per line: {"version": "1", "key": "...", "value": "..."}, the
+key naming the coefficient and its arguments (see coeff_key).  Only b is
+stored: it needs a peel, while an a value is one product.  The loader
+keeps only b: keys: a line under another key, such as the a: and c:
+lines of older stores, is passed over without a warning and left in
+the file.  Values are decimal strings, exactly as str(int) writes them;
+any other value makes its line unreadable.  The file is only ever
+appended to, so concurrent readers see a prefix; unreadable lines are
+skipped with a warning rather than aborting the run.
 
 A missing cache file is an empty cache, and the first flush creates the
 directory and any missing parents.  Existence is asked with os.access,
@@ -28,6 +28,8 @@ from .partitions import Partition, format_partition
 
 CACHE_FILENAME = "hecke-cache.jsonl"
 SCHEMA_VERSION = "1"
+_PREFIX = f'{{"version": "{SCHEMA_VERSION}", "key": "'  # how flush starts each line
+_KEEP = _PREFIX + "b:"
 
 __all__ = ["CacheStore", "CACHE_FILENAME", "SCHEMA_VERSION", "coeff_key"]
 
@@ -76,7 +78,7 @@ class CacheStore:
         self.n_loaded = 0
 
     def load(self) -> dict[str, int]:
-        """Parse the a: and b: lines of the cache file into a key -> value dict.
+        """Parse the b: lines of the cache file into a key -> value dict.
 
         Callers extend that dict in place and hand it back to flush.  A
         dict keeps insertion order and a loaded key is never added again,
@@ -87,8 +89,8 @@ class CacheStore:
             with open(self.path, encoding="utf-8") as fh:
                 for lineno, line in enumerate(fh, 1):
                     line = line.strip()
-                    if not line:
-                        continue
+                    if not line or line.startswith(_PREFIX) and not line.startswith(_KEEP):
+                        continue  # blank, or another kind as flush spells it: left unparsed
                     try:
                         record = json.loads(line)
                         if not isinstance(record, dict):
@@ -99,7 +101,7 @@ class CacheStore:
                         key = record["key"]
                         if not isinstance(key, str):
                             raise ValueError("key is not a string")
-                        if not key.startswith(("a:", "b:")):  # all the transfer reads
+                        if not key.startswith("b:"):
                             continue
                         text = record["value"]
                         value = int(text) if isinstance(text, str) else None

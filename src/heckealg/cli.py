@@ -30,17 +30,18 @@ the structure constants of `ccoeff` and `table c` take the elementary
 Pieri rule; the Hall table in the c-route of `verify oracle` is their
 oracle.
 --budget bounds enumerations, so only `verify oracle|all` and
-`selftest` take it.  Only the transfer's values a and b are stored, so
-only the commands that take --split take --cache: `ccoeff`, `table c`,
-`mul`, `decompose` and `verify shimura` compute in the rank-n algebra,
-whose Pieri products are memoised for one run only.  `count-subgroups`
+`selftest` take it.  Only the commands that take --split take --cache,
+and only b is stored: `acoeff`, `omega`, `table a|omega` and `verify
+hom|tp|oracle` write nothing to it.  `ccoeff`, `table c`, `mul`,
+`decompose` and `verify shimura` compute in the rank-n algebra, whose
+Pieri products are memoised for one run only.  `count-subgroups`
 counts the subgroups of (Z/p^r)^n of each type by Delsarte's formula, r
 from --trunc (default 1), and enumerates nothing; an ambient whose types
 it prices past DEFAULT_BUDGET steps exits 3 before any is listed.
 --cache DIR names the directory of the append-only coefficient store,
 and nothing else does: without it a command stores nothing.  An empty
-DIR, or one that cannot be read or written as such, is a usage error
-(exit 2).
+DIR is a usage error (exit 2), and so is one that cannot be read or
+written as such when the store is read or written.
 Each command, table kind and suite accepts only the options it reads;
 `table --help` and `verify --help` list them.  A well-formed command
 line (the command, then the kind or suite, then positionals and exact
@@ -157,7 +158,7 @@ _OPTIONS = {
 
 # the options each command reads, by what it computes (--budget and
 # --trunc if it enumerates, --cache if it computes the transfer, whose
-# a and b values alone are stored)
+# b values alone are stored)
 _ELEMENT_OPTIONS = "p n output"
 _TRANSFER_OPTIONS = "p n cache output split"
 _TRANSFER_SWEEP_OPTIONS = _TRANSFER_OPTIONS + " max-order-exp"

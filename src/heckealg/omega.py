@@ -98,7 +98,7 @@ class OmegaContext:
             raise ValueError(f"target rank must be at least 1, got {n}")
         self.p, self.n, self.split = p, n, split
         self.trunc_override, self.budget = trunc_override, budget
-        self.memo = {} if memo is None else memo  # the a and b values, keyed by coeff_key
+        self.memo = {} if memo is None else memo  # the b values, keyed by coeff_key
         self.source = HeckeContext(p, n + 1, budget)
         self.target = HeckeContext(p, n, budget)
         self._images: dict[Partition, dict[Partition, int]] = {}
@@ -171,9 +171,9 @@ def a_coeff(m: Sequence[int], n_: Sequence[int], ctx: OmegaContext) -> int:
 
     theta = M - N, J the columns j >= 1 with theta'_j = 0 and
     theta'_(j+1) = 1, and m_j(N) the number of parts of N equal to j:
-    one product, with no division.  Neither ctx.split nor
-    ctx.trunc_override is read; a_by_enumeration is the independent
-    oracle and must agree.
+    one product, with no division, so it is never stored.  Neither
+    ctx.split nor ctx.trunc_override is read; a_by_enumeration is the
+    independent oracle and must agree.
     """
     m = validate_partition(m)
     n_ = validate_partition(n_)
@@ -189,10 +189,7 @@ def _a_cell(m: Partition, n_: Partition, t: int, ctx: OmegaContext) -> int:
         return 1
     if t > m[0]:
         return 0
-    key = coeff_key("a", ctx.p, ctx.n, M=m, N=n_)
-    if key not in ctx.memo:
-        ctx.memo[key] = _transversal_bins(ctx, n_, t, m[0]).get(m, 0)
-    return ctx.memo[key]
+    return _transversal_bins(ctx, n_, t, m[0]).get(m, 0)
 
 
 def i_count(m: Sequence[int], n_: Sequence[int], ctx: OmegaContext) -> int:

@@ -502,16 +502,33 @@ def test_exact_values_print_at_any_size(capsys, big_a, output):
     assert run(capsys, *_BIG_A, "--output", output) == (0, want, "")
 
 
+# b(B, A) = -1009^1486, 4,464 digits after its sign: only b is stored
+_BIG_B = ("bcoeff", "--p", "1009", "--n", "100", "--B", "[15]", "--A", "[]")
+
+
+@pytest.fixture(scope="module")
+def big_b():
+    from heckealg.omega import OmegaContext, b_coeff
+
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(b_coeff((15,), (), OmegaContext(1009, 100)))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 @needs_digit_limit
-def test_the_cache_keeps_exact_values_at_any_size(tmp_path, capsys, monkeypatch, big_a):
-    argv = (*_BIG_A, "--cache", str(tmp_path))
-    assert run(capsys, *argv) == (0, big_a + "\n", "")
+def test_the_cache_keeps_exact_values_at_any_size(tmp_path, capsys, monkeypatch, big_b):
+    assert len(big_b) == 4465
+    argv = (*_BIG_B, "--cache", str(tmp_path))
+    assert run(capsys, *argv) == (0, big_b + "\n", "")
 
     def refuse(*args):
         raise AssertionError("the value should come from the cache")
 
-    monkeypatch.setattr(sys.modules["heckealg.omega"], "_transversal_bins", refuse)
-    assert run(capsys, *argv) == (0, big_a + "\n", "")
+    monkeypatch.setattr(sys.modules["heckealg.omega"], "lift_section", refuse)
+    assert run(capsys, *argv) == (0, big_b + "\n", "")
 
 
 @needs_digit_limit
@@ -769,10 +786,13 @@ def test_mismatched_rank_element_is_usage_error(capsys):
     assert code == 2
 
 
-# a transfer coefficient, its cache key, and a store that plants 77 for it
+# a transfer coefficient and the key older stores kept it under; an
+# inverse coefficient, its cache key, and a store that plants 77 for it
 _ACOEFF = ("acoeff", "--p", "2", "--n", "1", "--M", "[2,1]", "--N", "[1]")
 _A_KEY = "a:p=2:n=1:M=[2,1]:N=[1]"
-_POISONED = f'garbage\n{{"version": "1", "key": "{_A_KEY}", "value": "77"}}\n'
+_BCOEFF = ("bcoeff", "--p", "2", "--n", "1", "--B", "[1]", "--A", "[]")
+_B_KEY = "b:p=2:n=1:B=[1]:A=[]"
+_POISONED = f'garbage\n{{"version": "1", "key": "{_B_KEY}", "value": "77"}}\n'
 
 
 @pytest.mark.parametrize("spelling", ["absolute", "trailing slash", "relative", "raced"])
@@ -790,14 +810,14 @@ def test_cache_round_trip(tmp_path, capsys, monkeypatch, spelling):
             raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), path)
 
         monkeypatch.setattr(os, "mkdir", raced_mkdir)
-    args = [*_ACOEFF, "--cache", cache_dir]
+    args = [*_BCOEFF, "--cache", cache_dir]
     code, cold, _ = run(capsys, *args)
     assert code == 0
     cache_file = tmp_path / "store" / CACHE_FILENAME
     assert cache_file.exists()
     first_size = cache_file.stat().st_size
     records = [json.loads(line) for line in cache_file.read_text().splitlines()]
-    assert {"version": "1", "key": _A_KEY, "value": "2"} in records
+    assert {"version": "1", "key": _B_KEY, "value": "-2"} in records
     code, warm, _ = run(capsys, *args)
     assert code == 0
     assert warm == cold
@@ -808,20 +828,20 @@ def test_cache_round_trip(tmp_path, capsys, monkeypatch, spelling):
 def test_flush_appends_only_entries_added_after_load(tmp_path):
     cache_file = tmp_path / CACHE_FILENAME
     cache_file.write_text(
-        '{"version": "1", "key": "a:1", "value": "1"}\n'
+        '{"version": "1", "key": "b:1", "value": "1"}\n'
         '{"version": "1", "key": "b:2", "value": "2"}\n'
-        '{"version": "1", "key": "a:1", "value": "1"}\n'
+        '{"version": "1", "key": "b:1", "value": "1"}\n'
     )
     store = CacheStore(str(tmp_path))
     memo = store.load()
-    assert memo == {"a:1": 1, "b:2": 2}
-    memo["a:3"] = 3
+    assert memo == {"b:1": 1, "b:2": 2}
+    memo["b:3"] = 3
     memo["b:0"] = 0
     assert store.flush(memo) == 2
     assert store.flush(memo) == 0
-    memo["a:4"] = 4
+    memo["b:4"] = 4
     assert store.flush(memo) == 1
-    assert CacheStore(str(tmp_path)).load() == {"a:1": 1, "b:2": 2, "a:3": 3, "b:0": 0, "a:4": 4}
+    assert CacheStore(str(tmp_path)).load() == {"b:1": 1, "b:2": 2, "b:3": 3, "b:0": 0, "b:4": 4}
     assert len(cache_file.read_text().splitlines()) == 6
 
 
@@ -830,7 +850,7 @@ def test_flush_lines_are_json_dumps(tmp_path):
     store = CacheStore(str(tmp_path))
     memo = store.load()
     memo.update(
-        {'a:quo"te': 7, "b:back\\slash": -12, "a:caf\u00e9:\u2211": 0, "b:tab\tnl\n": 10**30}
+        {'b:quo"te': 7, "b:back\\slash": -12, "b:caf\u00e9:\u2211": 0, "b:tab\tnl\n": 10**30}
     )
     assert store.flush(memo) == 4
     want = "".join(
@@ -844,11 +864,11 @@ def test_flush_lines_are_json_dumps(tmp_path):
 def test_flush_makes_missing_parent_directories(tmp_path):
     store = CacheStore(str(tmp_path / "a" / "b"))
     memo = store.load()
-    memo["a:k"] = 1
+    memo["b:k"] = 1
     assert store.flush(memo) == 1
     memo["b:j"] = 2
     assert store.flush(memo) == 1
-    assert CacheStore(str(tmp_path / "a" / "b")).load() == {"a:k": 1, "b:j": 2}
+    assert CacheStore(str(tmp_path / "a" / "b")).load() == {"b:k": 1, "b:j": 2}
 
 
 @pytest.mark.parametrize(
@@ -858,7 +878,7 @@ def test_cached_command_makes_no_failing_file_system_call(tmp_path, capsys, monk
     # CPython builds the OSError of a failed call with libc's strerror, which
     # pages about 0.45 MB of libc into a run that otherwise never touches it
     cache = tmp_path / "parent" / "store"
-    before = '{"version": "1", "key": "a:p=2:n=1:M=[2,1]:N=[1]", "value": "2"}\n'
+    before = f'{{"version": "1", "key": "{_B_KEY}", "value": "-2"}}\n'
     if layout != "parent missing":
         cache.parent.mkdir()
     if layout in ("no cache file", "file to append to"):
@@ -884,13 +904,13 @@ def test_cached_command_makes_no_failing_file_system_call(tmp_path, capsys, monk
     ]:
         recording(module, name)
     code, out, _ = run(
-        capsys, "acoeff", "--p", "3", "--n", "2", "--M", "[2,1]", "--N", "[1]",
+        capsys, "bcoeff", "--p", "3", "--n", "2", "--B", "[2,1]", "--A", "[1]",
         "--cache", str(cache),
     )
     monkeypatch.undo()
     assert raised == []
-    assert (code, out) == (0, "27\n")
-    new = '{"version": "1", "key": "a:p=3:n=2:M=[2,1]:N=[1]", "value": "27"}\n'
+    assert (code, out) == (0, "15\n")
+    new = '{"version": "1", "key": "b:p=3:n=2:B=[2,1]:A=[1]", "value": "15"}\n'
     assert (cache / CACHE_FILENAME).read_text() == (
         before + new if layout == "file to append to" else new
     )
@@ -932,7 +952,7 @@ def test_no_command_reads_or_writes_the_cache_environment_variable(
 ):
     # only --cache names a store: a poisoned one under the variable that once
     # named the default would warn about its garbage line, and plant 77 for
-    # a(M=[2,1], N=[1]) in acoeff and omega
+    # b(B=[1], A=[]) in table b and verify inverse
     env, cwd = tmp_path / "env", tmp_path / "cwd"
     env.mkdir()
     cwd.mkdir()
@@ -954,23 +974,24 @@ def test_an_empty_cache_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, sp
     assert list(tmp_path.iterdir()) == []
 
 
-def test_the_loader_keeps_only_the_a_and_b_lines(tmp_path, capsys):
-    # a line under any other key, such as the c: lines of older stores, is
-    # passed over without a warning and stays in the file
-    b_key = "b:p=2:n=1:B=[1]:A=[]"
+def test_the_loader_keeps_only_the_b_lines(tmp_path, capsys):
+    # a line under any other key, such as the a: and c: lines of older
+    # stores, is passed over without a warning and stays in the file: the
+    # planted a(M=[1], N=[]) = 4 would make b(B=[1], A=[]) read -4
+    b_key = "b:p=2:n=1:B=[2]:A=[]"
     before = "".join(
         f'{{"version": "1", "key": "{key}", "value": "{value}"}}\n'
         for key, value in [("c:p=2:n=2:M=[1]:N=[1]:L=[1,1]", 3),
-                           ("a:p=2:n=1:M=[2]:N=[]", 4), (b_key, -2)]
+                           ("a:p=2:n=1:M=[1]:N=[]", 4), (b_key, -2)]
     )
     cache_file = tmp_path / CACHE_FILENAME
     cache_file.write_text(before)
     store = CacheStore(str(tmp_path))
-    assert store.load() == {"a:p=2:n=1:M=[2]:N=[]": 4, b_key: -2}
-    assert store.n_loaded == 2
-    assert run(capsys, *_ACOEFF, "--cache", str(tmp_path)) == (0, "2\n", "")
+    assert store.load() == {b_key: -2}
+    assert store.n_loaded == 1
+    assert run(capsys, *_BCOEFF, "--cache", str(tmp_path)) == (0, "-2\n", "")
     assert cache_file.read_text() == (
-        before + f'{{"version": "1", "key": "{_A_KEY}", "value": "2"}}\n'
+        before + f'{{"version": "1", "key": "{_B_KEY}", "value": "-2"}}\n'
     )
 
 
@@ -978,18 +999,18 @@ def test_corrupt_cache_lines_warn_and_continue(tmp_path, capsys):
     cache_file = tmp_path / CACHE_FILENAME
     cache_file.write_text(
         'garbage\n'
-        f'{{"version": "1", "key": "{_A_KEY}", "value": "2"}}\n'
+        f'{{"version": "1", "key": "{_B_KEY}", "value": "-2"}}\n'
         # int() reads each of these values, but the writer writes none of them
         + "".join(
-            f'{{"version": "1", "key": "{_A_KEY}", "value": {value}}}\n'
+            f'{{"version": "1", "key": "{_B_KEY}", "value": {value}}}\n'
             for value in ("5.7", "true", '"1_0"', '" 7 "', '"+3"', '"\\u0663"')
         )
         + '{"version": "99", "key": "x", "value": "5"}\n'
-        + f'["version", "1", "key", "{_A_KEY}", "value", "2"]\n'
+        + f'["version", "1", "key", "{_B_KEY}", "value", "-2"]\n'
         + '{"version": "1", "key": 5, "value": "2"}\n'
     )
-    code, out, err = run(capsys, *_ACOEFF, "--cache", str(tmp_path))
-    assert (code, out) == (0, "2\n")
+    code, out, err = run(capsys, *_BCOEFF, "--cache", str(tmp_path))
+    assert (code, out) == (0, "-2\n")
     reasons = [
         "Expecting value: line 1 column 1 (char 0)",
         *(f"value {value!r} is not a decimal string"
@@ -1005,9 +1026,9 @@ def test_corrupt_cache_lines_warn_and_continue(tmp_path, capsys):
 
 
 def test_blank_cache_lines_are_skipped_without_a_warning(tmp_path, capsys):
-    line = f'{{"version": "1", "key": "{_A_KEY}", "value": "2"}}\n'
+    line = f'{{"version": "1", "key": "{_B_KEY}", "value": "-2"}}\n'
     (tmp_path / CACHE_FILENAME).write_text("\n" + line + "   \n\t\n" + line + "\n")
-    assert CacheStore(str(tmp_path)).load() == {_A_KEY: 2}
+    assert CacheStore(str(tmp_path)).load() == {_B_KEY: -2}
     assert capsys.readouterr().err == ""
 
 
@@ -1024,10 +1045,63 @@ def test_poisoned_cache_value_is_used_verbatim(tmp_path, capsys):
     # the cache is trusted storage: a planted value comes straight back,
     # which is what makes the verify suites meaningful against it
     cache_file = tmp_path / CACHE_FILENAME
-    cache_file.write_text(f'{{"version": "1", "key": "{_A_KEY}", "value": "77"}}\n')
-    code, out, _ = run(capsys, *_ACOEFF, "--cache", str(tmp_path))
+    cache_file.write_text(f'{{"version": "1", "key": "{_B_KEY}", "value": "77"}}\n')
+    code, out, _ = run(capsys, *_BCOEFF, "--cache", str(tmp_path))
     assert code == 0
     assert out.strip() == "77"
+
+
+_A_ONLY = {
+    "acoeff": _ACOEFF,
+    "omega": ("omega", "--p", "2", "--n", "1", "1*[2,1]"),
+    "table a": ("table", "a", "--p", "2", "--n", "1", "--max-order-exp", "2"),
+    "table omega": ("table", "omega", "--p", "2", "--n", "1", "--max-order-exp", "2"),
+    "verify hom": ("verify", "hom", "--p", "2", "--n", "1", "--max-order-exp", "2"),
+    "verify tp": ("verify", "tp", "--p", "2", "--n", "1", "--max-order-exp", "2"),
+    "verify oracle": ("verify", "oracle", "--p", "2", "--n", "1", "--max-order-exp", "2"),
+}
+
+
+@pytest.mark.parametrize("argv", _A_ONLY.values(), ids=_A_ONLY)
+def test_a_command_that_asks_for_no_b_writes_no_store(tmp_path, capsys, monkeypatch, argv):
+    # a is computed, never stored: nothing is flushed, so no directory is
+    # made and no file is opened for writing
+    calls = []
+    for name in ("mkdir", "open"):
+        real = getattr(os, name)
+        monkeypatch.setattr(
+            os, name, lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args)
+        )
+    code, _, err = run(capsys, *argv, "--cache", str(tmp_path / "store"))
+    monkeypatch.undo()
+    assert (code, err, calls) == (0, "", [])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_planted_a_line_is_neither_read_nor_rewritten(tmp_path, capsys):
+    store = tmp_path / CACHE_FILENAME
+    store.write_text(f'{{"version": "1", "key": "{_A_KEY}", "value": "77"}}\n')
+    before = store.read_bytes()
+    assert run(capsys, *_ACOEFF, "--cache", str(tmp_path)) == (0, "2\n", "")
+    assert store.read_bytes() == before
+
+
+def test_the_loader_parses_no_line_of_another_kind_as_flush_spells_it(tmp_path, monkeypatch):
+    # torn a: and c: lines are passed over before json.loads, so they go
+    # unreported; every other line is parsed and checked as before
+    lines = [
+        '{"version": "1", "key": "a:p=2:n=1:M=[2,1]:N=[1]", "value": "2"}',
+        '{"version": "1", "key": "a:p=2:n=1:M=[2,1]:N=[1]", "val',
+        '{"version": "1", "key": "c:p=2:n=2:M=[1]:N=[1]:L=[1,1]", "value": "3"}',
+        f'{{"version": "1", "key": "{_B_KEY}", "value": "-2"}}',
+        '{"key": "a:p=2:n=1:M=[2]:N=[]", "version": "1", "value": "4"}',
+    ]
+    (tmp_path / CACHE_FILENAME).write_text("".join(f"  {line}\n" for line in lines))
+    parsed = []
+    real = json.loads
+    monkeypatch.setattr(json, "loads", lambda text: parsed.append(text) or real(text))
+    assert CacheStore(str(tmp_path)).load() == {_B_KEY: -2}
+    assert parsed == lines[3:]
 
 
 def _tree(root):
@@ -1049,7 +1123,7 @@ def test_unusable_cache_is_a_usage_error(tmp_path, capsys, layout):
         (tmp_path / "F").write_text("not a directory\n")
         cache = tmp_path / "F" if layout == "file" else tmp_path / "F" / "sub"
     before = _tree(tmp_path)
-    code, out, err = run(capsys, *_ACOEFF, "--cache", str(cache))
+    code, out, err = run(capsys, *_BCOEFF, "--cache", str(cache))
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: cache {cache}: ") and err.count("\n") == 1
@@ -1384,14 +1458,14 @@ class _ClosedPipe(io.StringIO):
     "argv,code",
     [
         ("table c --p 2 --n 1 --max-order-exp 2", 0),
-        ("verify hom --p 2 --n 1 --max-order-exp 1 --cache {poisoned}", 4),
+        ("verify inverse --p 2 --n 1 --max-order-exp 1 --cache {poisoned}", 4),
     ],
 )
 def test_a_stdout_that_refuses_writes_keeps_the_exit_code(tmp_path, monkeypatch, argv, code):
     poisoned = tmp_path / "poisoned"
     poisoned.mkdir()
     (poisoned / CACHE_FILENAME).write_text(
-        '{"version": "1", "key": "a:p=2:n=1:M=[1]:N=[]", "value": "5"}\n'
+        '{"version": "1", "key": "b:p=2:n=1:B=[1]:A=[]", "value": "5"}\n'
     )
     err = io.StringIO()
     monkeypatch.setattr(sys, "stdout", _ClosedPipe())

@@ -26,7 +26,7 @@ from heckealg.omega import (
     omega,
 )
 from heckealg.partitions import (
-    conjugate, embeds, order_exponent, parse_partition, partitions_between, partitions_up_to
+    conjugate, embeds, order_exponent, partitions_between, partitions_up_to
 )
 from heckealg.subgroups import DEFAULT_BUDGET, _type_of_rows
 from heckealg.verify import SUITES
@@ -380,19 +380,18 @@ def test_branching_rule_is_riedtmanns_formula(p, n, d):
                 assert a_coeff(m, n_, ctx) == riedtmann(m, n_, p, n), (m, n_)
 
 
-def test_cached_a_values_are_the_closed_form(tmp_path, capsys):
-    argv = ["table", "omega", "--p", "3", "--n", "2", "--max-order-exp", "5"]
-    assert main(argv + ["--cache", str(tmp_path)]) == 0
-    capsys.readouterr()
-    lines = (tmp_path / CACHE_FILENAME).read_text().splitlines()
-    cached = {rec["key"]: int(rec["value"]) for rec in map(json.loads, lines)}
-    fresh = OmegaContext(p=3, n=2)
-    a_keys = [key for key in cached if key.startswith("a:")]
-    assert a_keys
-    for key in a_keys:
-        # a:p=3:n=2:M=[..]:N=[..]; only strips are asked for, so none is 0
-        m, n_ = (parse_partition(part[2:]) for part in key.split(":")[3:])
-        assert cached[key] == a_coeff(m, n_, fresh) != 0, key
+def test_table_a_stores_nothing_and_is_the_closed_form(tmp_path, capsys):
+    # a is computed, never stored: --cache names a directory that no run makes
+    store = tmp_path / "store"
+    argv = ["table", "a", "--p", "3", "--n", "2", "--max-order-exp", "5", "--output", "json"]
+    assert main(argv + ["--cache", str(store)]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert not store.exists()
+    assert any(row["value"] for row in rows)
+    for row in rows:
+        m, n_ = tuple(row["M"]), tuple(row["N"])
+        want = riedtmann(m, n_, 3, 2) if is_horizontal_strip(m, n_) and m != n_ else int(m == n_)
+        assert int(row["value"]) == want, (m, n_)
 
 
 def test_omega_images(ctx1):

@@ -20,8 +20,10 @@ Without --warm-cache every child runs with no cache.  With it, a
 command that takes --cache (the transfer's: table a, b and omega, and
 verify inverse, hom and tp) is given `--cache DIR/tree<i>/cmd<k>`, k its
 place and i its tree's, so it is measured against the store that its own
-unmeasured pass filled, and no other command's lines.  No child sees
-HECKE_CACHE_DIR: older checkouts read it as their default store.
+unmeasured pass filled, and no other command's lines.  Only b is stored,
+so only table b and verify inverse fill a store; the others find none.
+No child sees HECKE_CACHE_DIR: older checkouts read it as their default
+store.
 
 --tiny runs the same commands at (2, 2) with small bounds; a test uses
 it to keep the probe working.  The probe measures only: it gates
