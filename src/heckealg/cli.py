@@ -101,6 +101,7 @@ from .partitions import (
     format_partition,
     order_exponent,
     parse_partition,
+    partitions_between,
     partitions_up_to,
 )
 from .subgroups import Ambient
@@ -290,48 +291,43 @@ def _cmd_decompose(args, ctx: HeckeContext) -> _Output:
 # --- scalar coefficients and their tables --------------------------------------
 
 
-class _CoeffSpec:
-    """One scalar coefficient: its argument names, table cells and the name
-    of its value function.
-
-    The argument names are the `*coeff` options, the table columns and
-    the JSON fields alike.  cells(max_order_exp, n) yields the table's
-    cells.  The value function is looked up in this module at each call,
-    so a wrapper bound over its name sees the call.
-    """
-
-    def __init__(self, columns: tuple[str, ...], cells: Callable, function: str):
-        self.columns, self.cells, self.function = columns, cells, function
-
-    def record(self, cell: tuple, ctx) -> tuple:
-        """The cell's classes, then its value as a decimal string."""
-        return (*cell, str(globals()[self.function](*cell, ctx)))
+# kind -> its cells' classes: the `*coeff` options, the table columns and
+# the JSON fields alike
+_COLUMNS = {"c": ("M", "N", "L"), "a": ("M", "N"), "b": ("B", "A")}
 
 
-_COEFFS = {
-    "c": _CoeffSpec(("M", "N", "L"), _c_cells, "c_coeff"),
-    "a": _CoeffSpec(("M", "N"), lambda d, n: embedded_pairs(d, n + 1, n), "a_coeff"),
-    "b": _CoeffSpec(("B", "A"), lambda d, n: embedded_pairs(d, n, n), "b_coeff"),
-}
+def _value(kind: str, cell: tuple, ctx) -> str:
+    """The cell's coefficient as a decimal string.  Its function is looked
+    up in this module at each call, so a wrapper bound over the name sees
+    the call."""
+    return str(globals()[f"{kind}_coeff"](*cell, ctx))
 
 
 def _cmd_coeff(args, ctx: HeckeContext | OmegaContext) -> _Output:
-    spec = _COEFFS[args.kind]
-    cell = tuple(parse_partition(getattr(args, name)) for name in spec.columns)
-    record = spec.record(cell, ctx)
-    return _Output({"p": args.p, "n": args.n}, None, (*spec.columns, "value"), [record],
+    columns = _COLUMNS[args.kind]
+    cell = tuple(parse_partition(getattr(args, name)) for name in columns)
+    record = (*cell, _value(args.kind, cell, ctx))
+    return _Output({"p": args.p, "n": args.n}, None, (*columns, "value"), [record],
                    lambda: record[-1])
 
 
 def _cmd_table(args, ctx: HeckeContext | OmegaContext) -> _Output:
-    head = {"p": args.p, "n": args.n}
-    if args.kind == "omega":
-        ms = list(partitions_up_to(args.max_order_exp, args.n + 1))
-        images = [_terms(omega(basis_element(m, ctx.source), ctx).sorted_terms()) for m in ms]
-        return _Output(head, "entries", ("M", ("image", "lambda", "coeff")), zip(ms, images))
-    spec = _COEFFS[args.kind]
-    records = [spec.record(cell, ctx) for cell in spec.cells(args.max_order_exp, args.n)]
-    return _Output({**head, "table": args.kind}, "rows", (*spec.columns, "value"), records)
+    """Row M of the transfer's matrix (a(M, N)) is the image omega(M), so
+    `table a` reads its cells off the images that `table omega` prints; b
+    and c are computed one cell at a time."""
+    head, d, n, kind = {"p": args.p, "n": args.n}, args.max_order_exp, args.n, args.kind
+    if kind in ("a", "omega"):
+        ms = list(partitions_up_to(d, n + 1))
+        images = (omega(basis_element(m, ctx.source), ctx) for m in ms)  # held one at a time
+        if kind == "omega":
+            entries = zip(ms, [_terms(image.sorted_terms()) for image in images])
+            return _Output(head, "entries", ("M", ("image", "lambda", "coeff")), entries)
+        records = [(m, n_, str(image.terms.get(n_, 0)))
+                   for m, image in zip(ms, images) for n_ in partitions_between((), m[:n])]
+    else:
+        cells = _c_cells(d, n) if kind == "c" else embedded_pairs(d, n)
+        records = [(*cell, _value(kind, cell, ctx)) for cell in cells]
+    return _Output({**head, "table": kind}, "rows", (*_COLUMNS[kind], "value"), records)
 
 
 # --- verification suites --------------------------------------------------------

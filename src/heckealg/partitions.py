@@ -132,18 +132,16 @@ def partitions_up_to(max_order_exp: int, max_parts: int) -> Iterator[Partition]:
         yield from partitions_of_exponent(d, max_parts)
 
 
-def embedded_pairs(
-    max_order_exp: int, outer_rank: int, inner_rank: int
-) -> Iterator[tuple[Partition, Partition]]:
-    """(big, small) for each big of partitions_up_to(max_order_exp,
-    outer_rank) and each small below its first inner_rank rows: the cells
-    (M, N) of the transfer's a(M, N) and (B, A) of its inverse b(B, A).
+def embedded_pairs(max_order_exp: int, rank: int) -> Iterator[tuple[Partition, Partition]]:
+    """(big, small) for each big of partitions_up_to(max_order_exp, rank)
+    and each small inside it: the cells (B, A) of the transfer's inverse
+    b(B, A).
 
-    >>> list(embedded_pairs(2, 2, 1))[-3:]
-    [((2,), (2,)), ((1, 1), ()), ((1, 1), (1,))]
+    >>> list(embedded_pairs(2, 2))[-3:]
+    [((1, 1), ()), ((1, 1), (1,)), ((1, 1), (1, 1))]
     """
-    for big in partitions_up_to(max_order_exp, outer_rank):
-        for small in partitions_between((), big[:inner_rank]):
+    for big in partitions_up_to(max_order_exp, rank):
+        for small in partitions_between((), big):
             yield big, small
 
 

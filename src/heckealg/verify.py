@@ -100,7 +100,7 @@ def _tp(maxoe: int, ctx: OmegaContext) -> Iterator[Check]:
 
 def _inverse(maxoe: int, ctx: OmegaContext) -> Iterator[Check]:
     # the (B, A) cells of `table b`
-    for b, a in embedded_pairs(maxoe, ctx.n, ctx.n):
+    for b, a in embedded_pairs(maxoe, ctx.n):
         mids = list(partitions_between(a, b))
         lhs = sum(a_coeff(b, c, ctx) * b_coeff(c, a, ctx) for c in mids)
         rhs = sum(b_coeff(b, c, ctx) * a_coeff(c, a, ctx) for c in mids)

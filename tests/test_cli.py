@@ -87,6 +87,19 @@ def test_coefficient_commands_call_the_module_bindings(capsys, monkeypatch):
     assert calls == ["c_coeff"]
 
 
+def test_table_a_reads_the_images_not_the_cells(capsys, monkeypatch):
+    # row M of `table a` is the image omega(M): no cell goes through a_coeff
+    argv = ("table", "a", "--p", "3", "--n", "2", "--max-order-exp", "5", "--output", "json")
+    code, want, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(want)["rows"]
+
+    def refuse(*args):
+        raise AssertionError(f"a_coeff{args[:2]}")
+
+    monkeypatch.setattr(sys.modules["heckealg.cli"], "a_coeff", refuse)
+    assert run(capsys, *argv) == (0, want, "")
+
+
 def test_mul_text_and_json(capsys):
     code, out, _ = run(capsys, "mul", "--p", "2", "--n", "2", "1*[1]", "1*[1]")
     assert code == 0

@@ -337,6 +337,32 @@ def test_each_bin_is_built_once_per_context(monkeypatch):
     assert keys and len(built) == 2 * len(keys)
 
 
+@pytest.mark.parametrize("p,n,d,keys", [(3, 2, 6, 73), (2, 3, 7, 148), (1009, 6, 9, 470)])
+def test_table_a_builds_the_bins_of_its_cells(monkeypatch, capsys, p, n, d, keys):
+    # `table a` reads the images, and each bin it builds runs its coset-sum
+    # check: the same bins as a_coeff on every cell of the table
+    real = omega_module._transversal_bins
+    built = []
+
+    def recording(ctx, n_, t, r):
+        if (n_, t, r) not in ctx._bins:
+            built.append((n_, t, r))
+        return real(ctx, n_, t, r)
+
+    monkeypatch.setattr(omega_module, "_transversal_bins", recording)
+    argv = ["table", "a", "--p", str(p), "--n", str(n), "--max-order-exp", str(d)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    by_table = set(built)
+    del built[:]
+    ctx = OmegaContext(p=p, n=n)
+    for m in partitions_up_to(d, n + 1):
+        for n_ in partitions_between((), m[:n]):
+            a_coeff(m, n_, ctx)
+    assert len(by_table) == keys
+    assert by_table == set(built)
+
+
 @pytest.mark.parametrize("p", [2, 3, 1009])
 def test_aut_order_is_the_conjugate_formula(p):
     # Macdonald II (1.6) read off the conjugate and a Counter of the parts
@@ -380,17 +406,18 @@ def test_branching_rule_is_riedtmanns_formula(p, n, d):
                 assert a_coeff(m, n_, ctx) == riedtmann(m, n_, p, n), (m, n_)
 
 
-def test_table_a_stores_nothing_and_is_the_closed_form(tmp_path, capsys):
+@pytest.mark.parametrize("p,n,d", [(3, 2, 5), (2, 3, 6), (1009, 6, 8)])
+def test_table_a_stores_nothing_and_is_the_closed_form(tmp_path, capsys, p, n, d):
     # a is computed, never stored: --cache names a directory that no run makes
     store = tmp_path / "store"
-    argv = ["table", "a", "--p", "3", "--n", "2", "--max-order-exp", "5", "--output", "json"]
-    assert main(argv + ["--cache", str(store)]) == 0
+    argv = ["table", "a", "--p", str(p), "--n", str(n), "--max-order-exp", str(d)]
+    assert main(argv + ["--output", "json", "--cache", str(store)]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert not store.exists()
     assert any(row["value"] for row in rows)
     for row in rows:
         m, n_ = tuple(row["M"]), tuple(row["N"])
-        want = riedtmann(m, n_, 3, 2) if is_horizontal_strip(m, n_) and m != n_ else int(m == n_)
+        want = riedtmann(m, n_, p, n) if is_horizontal_strip(m, n_) and m != n_ else int(m == n_)
         assert int(row["value"]) == want, (m, n_)
 
 
