@@ -43,11 +43,13 @@ and nothing else does: without it a command stores nothing.  An empty
 DIR is a usage error (exit 2), and so is one that cannot be read or
 written as such when the store is read or written.
 Each command, table kind and suite accepts only the options it reads;
-`table --help` and `verify --help` list them.  A well-formed command
+`table --help` and `verify --help` list them.  The grammar is one table
+of leaves, one per command, table kind and suite, each naming the
+arguments it reads, and both readers read it.  A well-formed command
 line (the command, then the kind or suite, then positionals and exact
 `--name value` pairs, each option at most once, no value with a leading
-dash) is read straight from the option tables.  argparse, built whole,
-takes help, usage errors and every other spelling.
+dash) is read straight from its leaf.  argparse, built whole from the
+same leaves, takes help, usage errors and every other spelling.
 A negative --max-order-exp or a --budget below 1 is a usage error.
 
 The verification suites live in heckealg.verify, which only `verify`
@@ -80,7 +82,8 @@ import json
 import math
 import os
 import sys
-from collections.abc import Callable, Iterable, Iterator
+from collections import namedtuple
+from collections.abc import Callable, Iterator
 
 from .cache import CacheStore
 from .errors import DEFAULT_BUDGET, BudgetExceededError, VerificationError
@@ -193,7 +196,8 @@ def _context(
 # the records of the package are plain classes or named tuples, and its
 # annotation names come from collections.abc: importing dataclasses (and
 # inspect with it) or typing would cost every command-line call several ms
-class _Output:
+class _Output(namedtuple("_Output", "head key columns records text code",
+                          defaults=(None, EXIT_OK))):
     """What a command returns: its result as records, which only _emit renders.
 
     head holds the leading JSON fields, key the JSON field of the record
@@ -205,17 +209,7 @@ class _Output:
     the exit code.
     """
 
-    def __init__(
-        self,
-        head: dict,
-        key: str | None,
-        columns: tuple,
-        records: Iterable[tuple],
-        text: Callable[[], str] | None = None,
-        code: int = EXIT_OK,
-    ):
-        self.head, self.key, self.columns, self.records = head, key, columns, records
-        self.text, self.code = text, code
+    __slots__ = ()
 
 
 def _emit(args, out: _Output) -> None:
@@ -389,110 +383,82 @@ def _arguments(options: str, own: dict[str, dict] | None = None) -> dict[str, di
     return {**{f"--{name}": _OPTIONS[name] for name in options.split()}, **(own or {})}
 
 
-def _add_arguments(parser: argparse.ArgumentParser, arguments: dict[str, dict]) -> None:
-    for flag, kwargs in arguments.items():
-        parser.add_argument(flag, **kwargs)
+# A command: its help, the dest that names its kind or suite, and its
+# leaves: kind or suite -> the arguments it reads (_arguments), the one
+# leaf of a plain command keyed None; then what it sets as defaults.
+_Command = namedtuple("_Command", "help dest leaves defaults")
 
 
-class _Command:
-    """A plain command: the shared options it reads, its own arguments
-    and what it sets as defaults."""
-
-    def __init__(self, help: str, options: str, arguments: dict[str, dict], defaults: dict):
-        self.help, self.options, self.arguments, self.defaults = help, options, arguments, defaults
-
-    def fill(self, parser: argparse.ArgumentParser) -> None:
-        _add_arguments(parser, _arguments(self.options, self.arguments))
-        parser.set_defaults(**self.defaults)
-
-    def leaf(self, rest: list[str]) -> tuple[dict, dict, list[str]]:
-        """The arguments rest is read against, the defaults, and rest."""
-        return _arguments(self.options, self.arguments), self.defaults, rest
-
-
-class _Kinds:
-    """`table` or `verify`: a nested subparser per kind or suite (dest
-    names the one chosen), each reading the shared options kinds lists."""
-
-    def __init__(self, help: str, dest: str, kinds: dict[str, str], func: Callable):
-        self.help, self.dest, self.kinds, self.func = help, dest, kinds, func
-
-    def fill(self, parser: argparse.ArgumentParser) -> None:
-        sub = parser.add_subparsers(dest=self.dest, required=True)
-        for name, names in self.kinds.items():
-            _add_arguments(sub.add_parser(name), _arguments(names))
-        parser.set_defaults(func=self.func)
-        parser.formatter_class = argparse.RawDescriptionHelpFormatter
-        parser.epilog = f"options by {self.dest}:\n" + "\n".join(
-            f"  {name}: --" + " --".join(names.split()) for name, names in self.kinds.items()
-        )
-
-    def leaf(self, rest: list[str]) -> tuple[dict, dict, list[str]] | None:
-        """As for a plain command, after the kind or suite rest[0] names
-        (None if it names none)."""
-        if not rest or rest[0] not in self.kinds:
-            return None
-        defaults = {self.dest: rest[0], "func": self.func}
-        return _arguments(self.kinds[rest[0]]), defaults, rest[1:]
+def _plain(help: str, options: str, own: dict[str, dict], defaults: dict) -> _Command:
+    """A command with no kind or suite: its one leaf, keyed None."""
+    return _Command(help, None, {None: _arguments(options, own)}, defaults)
 
 
 _REQUIRED = dict(required=True)
 
-# the grammar: _read_argv reads a well-formed argv straight off it, and
-# _build_parser builds the whole argparse tree from it for help, usage
-# errors and every other spelling
+# the grammar, one table of leaves: _read_argv reads a well-formed argv
+# straight off it, and _build_parser builds the whole argparse tree from
+# it for help, usage errors and every other spelling
 _COMMANDS = {
-    "ccoeff": _Command(
-        "structure constant c(M, N; L)",
-        _ELEMENT_OPTIONS,
+    "ccoeff": _plain(
+        "structure constant c(M, N; L)", _ELEMENT_OPTIONS,
         {"--M": dict(required=True, help='partition literal, e.g. "[1]"'),
          "--N": _REQUIRED, "--L": _REQUIRED},
         dict(func=_cmd_coeff, kind="c")),
-    "acoeff": _Command(
-        "transfer coefficient a(M, N)",
-        _TRANSFER_OPTIONS,
+    "acoeff": _plain(
+        "transfer coefficient a(M, N)", _TRANSFER_OPTIONS,
         {"--M": dict(required=True, help="class upstairs (rank n+1)"),
          "--N": dict(required=True, help="class downstairs (rank n)")},
         dict(func=_cmd_coeff, kind="a")),
-    "bcoeff": _Command(
-        "inverse-transfer coefficient b(B, A)",
-        _TRANSFER_OPTIONS, {"--B": _REQUIRED, "--A": _REQUIRED},
-        dict(func=_cmd_coeff, kind="b")),
-    "mul": _Command(
-        "product of two elements",
-        _ELEMENT_OPTIONS,
+    "bcoeff": _plain(
+        "inverse-transfer coefficient b(B, A)", _TRANSFER_OPTIONS,
+        {"--B": _REQUIRED, "--A": _REQUIRED}, dict(func=_cmd_coeff, kind="b")),
+    "mul": _plain(
+        "product of two elements", _ELEMENT_OPTIONS,
         {"x": dict(help='element literal, e.g. "1*[1] + 2*[]"'), "y": {}},
         dict(func=_cmd_mul)),
-    "omega": _Command(
-        "transfer an element down one rank",
-        _TRANSFER_OPTIONS, {"x": dict(help="element of the rank-(n+1) algebra")},
-        dict(func=_cmd_omega)),
-    "decompose": _Command(
-        "write an element in the generators T_k",
-        _ELEMENT_OPTIONS, {"x": {}}, dict(func=_cmd_decompose)),
-    "table": _Kinds("tabulate coefficients", "kind", {
-        "c": _ELEMENT_OPTIONS + " max-order-exp",
-        **dict.fromkeys(("a", "b", "omega"), _TRANSFER_SWEEP_OPTIONS),
-    }, _cmd_table),
-    "verify": _Kinds("run a verification suite", "suite", {
-        **_SUITES,
-        "all": _SWEEP_OPTIONS,
-    }, _cmd_verify),
-    "count-subgroups": _Command(
-        "count subgroups of (Z/p^r)^n, r from --trunc",
-        _ELEMENT_OPTIONS,
+    "omega": _plain(
+        "transfer an element down one rank", _TRANSFER_OPTIONS,
+        {"x": dict(help="element of the rank-(n+1) algebra")}, dict(func=_cmd_omega)),
+    "decompose": _plain(
+        "write an element in the generators T_k", _ELEMENT_OPTIONS, {"x": {}},
+        dict(func=_cmd_decompose)),
+    "table": _Command("tabulate coefficients", "kind", {
+        "c": _arguments(_ELEMENT_OPTIONS + " max-order-exp"),
+        **dict.fromkeys(("a", "b", "omega"), _arguments(_TRANSFER_SWEEP_OPTIONS)),
+    }, dict(func=_cmd_table)),
+    "verify": _Command("run a verification suite", "suite", {
+        suite: _arguments(options) for suite, options in {**_SUITES, "all": _SWEEP_OPTIONS}.items()
+    }, dict(func=_cmd_verify)),
+    "count-subgroups": _plain(
+        "count subgroups of (Z/p^r)^n, r from --trunc", _ELEMENT_OPTIONS,
         {"--n": dict(type=int, required=True, help="rank n of the ambient (Z/p^r)^n"),
          "--trunc": dict(type=int, default=1, help="truncation exponent r")},
         dict(func=_cmd_count_subgroups)),
-    "selftest": _Command(
+    "selftest": _plain(
         "small fixed verification run", "budget output", {},
         dict(func=_cmd_verify, suite="selftest", p=2, n=1, max_order_exp=2, split="first")),
 }
 
 
+def _leaf(argv: list[str]) -> tuple[dict, dict, list[str]] | None:
+    """The arguments the rest of argv is read against, the defaults and
+    that rest, past the command argv[0] and the kind or suite argv[1] of
+    `table` and `verify`; None if argv names no command, kind or suite."""
+    spec = _COMMANDS.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    if spec.dest is None:
+        return spec.leaves[None], spec.defaults, argv[1:]
+    if len(argv) < 2 or argv[1] not in spec.leaves:
+        return None
+    return spec.leaves[argv[1]], {spec.dest: argv[1], **spec.defaults}, argv[2:]
+
+
 def _read_argv(argv: list[str]) -> argparse.Namespace | None:
-    """The namespace argparse gives a well-formed argv, read off _COMMANDS
-    without building a parser; None for any other argv.
+    """The namespace argparse gives a well-formed argv, read off the leaf
+    of _COMMANDS that _leaf finds, the same leaf _build_parser gives to
+    argparse, without building a parser; None for any other argv.
 
     Well-formed: argv[0] names a command, and argv[1] the kind or suite of
     `table` and `verify`.  Every later token is a positional without a
@@ -501,8 +467,7 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
     exactly as many as the command takes, every required option is there,
     and each value passes the option's type and choices.
     """
-    spec = _COMMANDS.get(argv[0]) if argv else None
-    leaf = spec.leaf(argv[1:]) if spec else None
+    leaf = _leaf(argv)
     if leaf is None:
         return None
     arguments, defaults, rest = leaf
@@ -564,7 +529,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, spec in _COMMANDS.items():
-        spec.fill(sub.add_parser(name, help=spec.help))
+        command = sub.add_parser(name, help=spec.help)
+        kinds = spec.dest and command.add_subparsers(dest=spec.dest, required=True)
+        for kind, arguments in spec.leaves.items():
+            leaf = command if kind is None else kinds.add_parser(kind)
+            for flag, kwargs in arguments.items():
+                leaf.add_argument(flag, **kwargs)
+        command.set_defaults(**spec.defaults)
+        if spec.dest:
+            command.formatter_class = argparse.RawDescriptionHelpFormatter
+            command.epilog = f"options by {spec.dest}:\n" + "\n".join(
+                f"  {kind}: " + " ".join(arguments) for kind, arguments in spec.leaves.items()
+            )
     return parser
 
 

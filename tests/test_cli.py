@@ -1250,7 +1250,7 @@ def test_help_and_usage_errors(capsys, monkeypatch, case):
 _CANONICAL = [
     *([command, "--p", "2", "--n", "2", *cell] for command, cell in _CELL_ARGV.items()),
     *([command, kind, "--p", "2", "--n", "2", "--max-order-exp", "1"]
-      for command in ("table", "verify") for kind in _COMMANDS[command].kinds),
+      for command in ("table", "verify") for kind in _COMMANDS[command].leaves),
     ["selftest"],
 ]
 

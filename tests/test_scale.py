@@ -3,6 +3,8 @@
 import hashlib
 import importlib.util
 import json
+import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -18,12 +20,17 @@ def _load():
     return module
 
 
-def test_the_probe_runs_every_command_and_reports_one_json_object():
+def test_the_probe_runs_every_command_and_reports_one_json_object(tmp_path):
+    # a copy of src, probed where bytecode may be written: the probe's
+    # children keep theirs under its own temporary directory
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
     done = subprocess.run(
-        [sys.executable, str(SCRIPT), "--tiny", "--rounds", "1", str(ROOT)],
-        capture_output=True, text=True, timeout=120,
+        [sys.executable, str(SCRIPT), "--tiny", "--rounds", "1", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
     )
     assert (done.returncode, done.stderr) == (0, "")
+    assert list(tmp_path.rglob("__pycache__")) == []
     report = json.loads(done.stdout)
     assert report["failures"] == [] and report["rounds"] == 1
     assert list(report["commands"]) == list(_load().commands(tiny=True))
@@ -35,7 +42,7 @@ def test_the_probe_runs_every_command_and_reports_one_json_object():
     # mul --p 2 --n 2 "1*[2,1]+2*[1,1]" "1*[2]-3*[1]", as the command line prints it
     mul = subprocess.run(
         [sys.executable, "-m", "heckealg.cli", *report["commands"]["mul"]["argv"]],
-        capture_output=True, env={"PYTHONPATH": str(ROOT / "src")}, timeout=60,
+        capture_output=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60,
     )
     assert report["commands"]["mul"]["sha256"] == [hashlib.sha256(mul.stdout).hexdigest()]
 

@@ -7,7 +7,10 @@ Each TREE is the root of a checkout; its commands run as
 the probe alternates them command by command, in the other order every
 round, so that a drift of the machine's speed falls on both.  One
 unmeasured pass per tree comes first: it compiles the bytecode and, with
---warm-cache, fills the store.
+--warm-cache, fills the store.  The children keep their bytecode under
+the probe's temporary directory (PYTHONPYCACHEPREFIX), whatever the
+environment says: no tree's __pycache__ is read, and nothing is written
+into a tree.
 
 For each command and tree it records the wall time, the child's CPU
 time (user + system) and its max RSS, all from os.wait4 of the child,
@@ -69,9 +72,12 @@ def commands(tiny: bool = False) -> dict[str, list[str]]:
 
 
 def run(tree: str, argv: list[str], cache: str | None, scratch: str) -> dict:
-    """One real-process run of argv against tree: its times, RSS and digest."""
-    env = {k: v for k, v in os.environ.items() if k != "HECKE_CACHE_DIR"}
+    """One real-process run of argv against tree: its times, RSS and digest.
+    Its stdout, stderr and bytecode go under scratch."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("HECKE_CACHE_DIR", "PYTHONDONTWRITEBYTECODE")}
     env["PYTHONPATH"] = os.path.join(tree, "src")
+    env["PYTHONPYCACHEPREFIX"] = os.path.join(scratch, "pycache")
     if cache is not None:
         argv = [*argv, "--cache", cache]
     out_path, err_path = os.path.join(scratch, "stdout"), os.path.join(scratch, "stderr")
