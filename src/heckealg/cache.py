@@ -1,7 +1,7 @@
 """Append-only JSONL store for b, the inverse of the transfer's coefficients.
 
 One record per line: {"version": "1", "key": "...", "value": "..."}, the
-key naming the coefficient and its arguments (see coeff_key).  Only b is
+key naming b at (p, n) and its classes B and A (see coeff_key).  Only b is
 stored: it needs a peel, while an a value is one product.  The loader
 keeps only b: keys: a line under another key, such as the a: and c:
 lines of older stores, is passed over without a warning and left in
@@ -34,16 +34,13 @@ _KEEP = _PREFIX + "b:"
 __all__ = ["CacheStore", "CACHE_FILENAME", "SCHEMA_VERSION", "coeff_key"]
 
 
-def coeff_key(kind: str, p: int, n: int, **classes: Partition) -> str:
-    """The cache key of coefficient kind at (p, n) and the named classes.
+def coeff_key(p: int, n: int, b: Partition, a: Partition) -> str:
+    """The cache key of b(B, A) at (p, n).
 
-    >>> coeff_key("a", 2, 1, M=(2, 1), N=(1,))
-    'a:p=2:n=1:M=[2,1]:N=[1]'
-    >>> coeff_key("b", 2, 2, B=(2,), A=())
+    >>> coeff_key(2, 2, (2,), ())
     'b:p=2:n=2:B=[2]:A=[]'
     """
-    named = (f"{name}={format_partition(lam)}" for name, lam in classes.items())
-    return ":".join([kind, f"p={p}", f"n={n}", *named])
+    return f"b:p={p}:n={n}:B={format_partition(b)}:A={format_partition(a)}"
 
 
 def _make_directories(directory: str) -> None:

@@ -45,7 +45,6 @@ from math import prod
 
 from .cache import coeff_key
 from .errors import DEFAULT_BUDGET, VerificationError, exact_quotient
-from .hall import is_prime
 from .hecke import HeckeContext, HeckeElement, _apply, _peel
 
 # unused here, but perfbench's span self-check looks this binding up
@@ -75,41 +74,32 @@ __all__ = [
 class OmegaContext:
     """State for the transfer from rank n+1 down to rank n.
 
-    split and trunc_override set up the enumeration oracle (i_count,
-    a_by_enumeration) and change no value of the closed form: split picks
-    the oracle's kernel V ("first" keeps the leading n coordinates, "last"
-    the trailing ones), and trunc_override raises the exponent of its
-    ambient, never below the exponent of the class at hand.
+    The target, the rank-n algebra, is built first and checks p, n and
+    the budget, in that order, so a transfer reports a bad prime or rank
+    as that algebra does.  split and trunc_override set up the
+    enumeration oracle (i_count, a_by_enumeration) and change no value of
+    the closed form: split picks the oracle's kernel V ("first" keeps the
+    leading n coordinates, "last" the trailing ones), and trunc_override
+    raises the exponent of its ambient, never below the exponent of the
+    class at hand.
     """
 
     def __init__(
         self, p: int, n: int, split: str = "first", trunc_override: int | None = None,
         budget: int = DEFAULT_BUDGET, memo: dict[str, int] | None = None,
     ):
-        # p first, as HeckeContext checks it, so both contexts report a bad
-        # prime before any other fault
-        if not is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
+        self.target = HeckeContext(p, n, budget)
         if split not in ("first", "last"):
             raise ValueError(f"split must be 'first' or 'last', got {split!r}")
         if trunc_override is not None and trunc_override < 1:
             raise ValueError("truncation override must be at least 1")
-        if n < 1:
-            raise ValueError(f"target rank must be at least 1, got {n}")
         self.p, self.n, self.split = p, n, split
         self.trunc_override, self.budget = trunc_override, budget
         self.memo = {} if memo is None else memo  # the b values, keyed by coeff_key
         self.source = HeckeContext(p, n + 1, budget)
-        self.target = HeckeContext(p, n, budget)
         self._images: dict[Partition, dict[Partition, int]] = {}
         self._lifts: dict[Partition, HeckeElement] = {}
         self._bins: dict[tuple[Partition, int, int], dict[Partition, int]] = {}
-
-    def _trunc(self, lam: Partition) -> int:
-        base = lam[0] if lam else 1
-        if self.trunc_override is not None:
-            return max(base, self.trunc_override)
-        return base
 
 
 def _branching(m: Partition, n_: Partition, p: int, n: int) -> int:
@@ -206,8 +196,8 @@ def i_count(m: Sequence[int], n_: Sequence[int], ctx: OmegaContext) -> int:
     n_ = validate_partition(n_)
     if p_rank(m) > ctx.n + 1 or p_rank(n_) > ctx.n:
         return 0
-    r, size = ctx._trunc(m), order_exponent(m)
-    return _meet_census(r, ctx.n + 1, size, ctx.p, ctx.split, ctx.budget)[m, n_]
+    r = max(m[0] if m else 1, ctx.trunc_override or 1)
+    return _meet_census(r, ctx.n + 1, order_exponent(m), ctx.p, ctx.split, ctx.budget)[m, n_]
 
 
 def a_by_enumeration(m: Sequence[int], n_: Sequence[int], ctx: OmegaContext) -> int:
@@ -257,7 +247,7 @@ def b_coeff(b: Sequence[int], a: Sequence[int], ctx: OmegaContext) -> int:
         return 1
     if not embeds(a, b):
         return 0
-    key = coeff_key("b", ctx.p, ctx.n, B=b, A=a)
+    key = coeff_key(ctx.p, ctx.n, b, a)
     if key not in ctx.memo:
         ctx.memo[key] = lift_section(b, ctx).terms.get(a, 0)
     return ctx.memo[key]

@@ -25,6 +25,7 @@ from .hecke import (
     HeckeContext,
     HeckeElement,
     _c_cells,
+    _hall_table,
     basis_element,
     c_by_enumeration,
     c_coeff,
@@ -49,7 +50,7 @@ from .partitions import (
     partitions_between,
     partitions_up_to,
 )
-from .subgroups import _type_census, count_of_type_in_group, m_count
+from .subgroups import count_of_type_in_group, m_count
 
 Check = tuple[str, bool, str]
 
@@ -141,10 +142,12 @@ def _shimura(maxoe: int, ctx: HeckeContext | OmegaContext) -> Iterator[Check]:
 
 
 def _oracle(maxoe: int, octx: OmegaContext) -> Iterator[Check]:
-    p, budget = octx.p, octx.budget
+    p, budget, hctx = octx.p, octx.budget, octx.target
 
+    # the subgroups of (Z/p^r)^n, summed off its Hall table: where the
+    # group is also an L of the c-route cells below, both read one sweep
     def total(n: int, r: int) -> int:
-        return sum(_type_census((r,) * n, None, p, budget).values())
+        return sum(_hall_table((r,) * n, hctx).values())
 
     expected_totals = [
         ("count rank2 exponent1", 2, 1, p + 3),
@@ -178,7 +181,6 @@ def _oracle(maxoe: int, octx: OmegaContext) -> Iterator[Check]:
                 va == vb,
                 f"transversal {va}, enumeration {vb}",
             )
-    hctx = octx.target
     # labels kept so that stdout stays byte-identical: "table" is the
     # Pieri product, "normalized count" the Hall table
     for m, n_, l in _c_cells(maxoe, hctx.n):

@@ -49,9 +49,11 @@ def test_context_validation():
     with pytest.raises(ValueError):
         OmegaContext(p=2, n=1, split="middle")
     with pytest.raises(ValueError):
-        OmegaContext(p=2, n=0)
-    with pytest.raises(ValueError):
         OmegaContext(p=2, n=1, trunc_override=0)
+    # the target algebra checks the rank, before the split is read
+    rank = "rank must be at least 1, got 0"
+    assert error_message(ValueError, OmegaContext, p=2, n=0) == rank
+    assert error_message(ValueError, OmegaContext, p=2, n=0, split="middle") == rank
 
 
 def test_rank_one_a_values(ctx1):
@@ -261,9 +263,12 @@ def test_oracle_suite_makes_each_sweep_once_per_table(sweeps, capsys):
         assert len(made) == len(set(made)), table
     assert {args for _, args in sweeps} == ORACLE_SWEEPS
     assert {table for table, _ in sweeps} == {"_type_census", "_meet_census", "_hall_census"}
-    # the type census, the i_count table and the Hall table sweep 10 of
-    # those groups twice between them, never twice within one table
-    assert len(sweeps) == 125
+    # the totals read the Hall table, so the type census sweeps no group whole
+    assert not [args for t, args in sweeps if t == "_type_census" and args[3] is None]
+    # 4 of those groups are swept twice, by two different tables: the
+    # order-2^k subgroups of (Z/2)^3, k = 0..3, counted by type in the type
+    # census and by (type, type of the meet with V) in the i_count table
+    assert len(sweeps) == 119
 
 
 def test_split_choice_does_not_matter():
