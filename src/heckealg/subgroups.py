@@ -288,8 +288,9 @@ def _diagonal_rows(lam: Partition, p: int) -> tuple[tuple[int, ...], ...]:
 def _sweep(
     lam: Partition, order_exp: int | None, p: int, budget: int
 ) -> Iterator[SubgroupRep]:
-    """Subgroups of order p^order_exp (None: every order) of the group that
-    _diagonal_rows(lam, p) spans, the one caller of enumerate_subgroups.
+    """Subgroups of order p^order_exp (None: every order, which only
+    _hall_census asks for) of the group that _diagonal_rows(lam, p) spans,
+    the one caller of enumerate_subgroups.
 
     The column floors r - lam_j keep every subgroup inside that group.
     """
@@ -303,9 +304,9 @@ def _sweep(
 
 
 @lru_cache(maxsize=1 << 12)
-def _type_census(lam: Partition, order_exp: int | None, p: int, budget: int) -> Counter:
-    """Subgroups of order p^order_exp (None: every order) of a fixed group of
-    nonempty type lam, counted by type."""
+def _type_census(lam: Partition, order_exp: int, p: int, budget: int) -> Counter:
+    """Subgroups of order p^order_exp of a fixed group of nonempty type lam,
+    counted by type."""
     return Counter(map(type_of, _sweep(lam, order_exp, p, budget)))
 
 

@@ -26,7 +26,7 @@ from heckealg.cache import CACHE_FILENAME, CacheStore, _make_directories
 from heckealg.cli import _COMMANDS, _build_parser, _parse, _read_argv, main
 from heckealg.errors import BudgetExceededError, VerificationError
 from heckealg.partitions import partitions_between
-from heckealg.subgroups import DEFAULT_BUDGET, Ambient, _type_census, enumerate_subgroups
+from heckealg.subgroups import DEFAULT_BUDGET, Ambient, _hall_census, enumerate_subgroups
 
 
 def run(capsys, *argv):
@@ -632,9 +632,10 @@ def test_budget_grid_keeps_its_recorded_outputs(capsys, cold_tables, case):
 
 
 def test_a_census_at_the_default_budget_does_not_serve_a_smaller_one(cold_tables):
-    assert sum(_type_census((2, 2), None, 2, DEFAULT_BUDGET).values()) == 15
+    # the Hall table is the one table that sweeps a group whole
+    assert sum(_hall_census((2, 2), 2, DEFAULT_BUDGET).values()) == 15
     with pytest.raises(BudgetExceededError, match="budget is 1"):
-        _type_census((2, 2), None, 2, 1)
+        _hall_census((2, 2), 2, 1)
 
 
 def test_oracle_rejects_bad_trunc_before_enumerating(capsys, monkeypatch, cold_tables):

@@ -3,6 +3,7 @@
 import doctest
 import itertools
 import json
+from collections import Counter
 
 import pytest
 from conftest import delsarte, error_message, gaussian_binomial, is_horizontal_strip
@@ -27,7 +28,7 @@ from heckealg.hecke import (
     parse_element,
     t_aggregate,
 )
-from heckealg.omega import OmegaContext, a_coeff, b_coeff
+from heckealg.omega import OmegaContext, a_coeff, b_coeff, omega
 from heckealg.partitions import (
     conjugate,
     order_exponent,
@@ -185,21 +186,81 @@ def test_products_match_the_hall_table(p, n, d):
         assert got.terms == want, (m, n_)
 
 
+def _point_characters(p, n, d):
+    """chi_j(L) for 0 <= j <= n and every class L of order at most p^d in
+    rank n, keyed (j, L): the number of subgroups of type L of (Z/p^d)^n
+    that meet a fixed subgroup F of rank j in 0.  Moebius inversion over the
+    elementary subgroups of F (Butler 1994) gives
+
+        chi_j(L) = alpha(L) sum_k (-1)^k p^(k(k-1)/2) [j; k]_p [l(L); k]_p / [n; k]_p,
+
+    alpha(L) the Delsarte count and l(L) the length of L, so chi_0 = alpha.
+    Each term is an integer: alpha(L) [l(L); k]_p counts the pairs (S, E)
+    with E of rank k in S[p], and [n; k]_p divides it."""
+    chi = {}
+    for lam in partitions_up_to(d, n):
+        alpha = delsarte((d,) * n, lam, p)
+        for j in range(n + 1):
+            chi[j, lam] = sum(
+                exact_quotient(
+                    (-1) ** k * p ** (k * (k - 1) // 2) * alpha
+                    * gaussian_binomial(j, k, p) * gaussian_binomial(len(lam), k, p),
+                    gaussian_binomial(n, k, p),
+                    f"a term of chi_{j}({lam})",
+                )
+                for k in range(min(j, len(lam)) + 1)
+            )
+    return chi
+
+
 @pytest.mark.parametrize("p,n,d", [(2, 2, 8), (3, 3, 8), (1009, 6, 9)])
 def test_subgroup_count_is_a_character(p, n, d):
-    # alpha(L), the number of subgroups of type L in (Z/p^d)^n, is a ring
-    # homomorphism to Z (the transfers composed down to rank 0), so
-    # sum_L c(M, N; L) alpha(L) = alpha(M) alpha(N): a check of the Pieri
-    # products at primes that no enumeration reaches
+    # each point character chi_j is a ring homomorphism to Z, so
+    # sum_L c(M, N; L) chi_j(L) = chi_j(M) chi_j(N): a check of the Pieri
+    # products at primes that no enumeration reaches.  chi_0 = alpha, the
+    # number of subgroups of type L in (Z/p^d)^n, is the transfers composed
+    # down to rank 0; chi_j vanishes on the L longer than n - j
     ctx = HeckeContext(p=p, n=n)
-    alpha = {lam: delsarte((d,) * n, lam, p) for lam in partitions_up_to(d, n)}
-    classes = [lam for lam in alpha if lam]
+    chi = _point_characters(p, n, d)
+    classes = [lam for lam in partitions_up_to(d, n) if lam]
     for i, m in enumerate(classes):
         for n_ in classes[i:]:
             if order_exponent(m) + order_exponent(n_) <= d:
                 got = multiply(basis_element(m, ctx), basis_element(n_, ctx), ctx)
-                total = sum(c * alpha[lam] for lam, c in got.terms.items())
-                assert total == alpha[m] * alpha[n_], (m, n_)
+                for j in range(n + 1):
+                    total = sum(c * chi[j, lam] for lam, c in got.terms.items())
+                    assert total == chi[j, m] * chi[j, n_], (j, m, n_)
+
+
+@pytest.mark.parametrize("p,n,d", [(2, 2, 8), (3, 3, 8), (1009, 6, 9)])
+def test_the_transfer_keeps_each_point_character(p, n, d):
+    # sum_N a(M, N) chi_j^(n)(N) = chi_j^(n+1)(M) for j <= n, M in rank n + 1
+    # and N in rank n: put F inside V, so that S & F = (S & V) & F, and a(M, N) counts
+    # the S of type M over each S & V of type N.  It reads the branching
+    # rule against Delsarte's counts, at every prime
+    octx = OmegaContext(p=p, n=n)
+    below, above = _point_characters(p, n, d), _point_characters(p, n + 1, d)
+    for m in partitions_up_to(d, n + 1):
+        image = omega(basis_element(m, octx.source), octx)
+        for j in range(n + 1):
+            total = sum(a * below[j, n_] for n_, a in image.terms.items())
+            assert total == above[j, m], (j, m)
+
+
+@pytest.mark.parametrize("p,n,d", [(2, 1, 6), (2, 2, 6), (3, 3, 7), (5, 4, 8), (1009, 6, 10)])
+def test_the_aggregates_invert_shimuras_polynomial(p, n, d):
+    # sum_r T~(p^r) X^r = (sum_k (-1)^k p^(k(k-1)/2) [1^k] X^k)^(-1)
+    # (Shimura, 3.2), so for every r >= 1
+    #   sum_(k <= min(r, n)) (-1)^k p^(k(k-1)/2) [1^k] T~(p^(r-k)) = 0:
+    # the Pieri rows against a closed sum over all classes, with no
+    # transfer, peel or enumeration
+    ctx = HeckeContext(p=p, n=n)
+    for r in range(1, d + 1):
+        total = HeckeElement(p, n, {})
+        for k in range(min(r, n) + 1):
+            term = multiply(basis_element((1,) * k, ctx), t_aggregate(r - k, ctx), ctx)
+            total = total + term.scaled((-1) ** k * p ** (k * (k - 1) // 2))
+        assert total.is_zero(), (r, total)
 
 
 # --- the reference Pieri coefficients, by division and from both conjugates ---
@@ -529,7 +590,10 @@ _DELSARTE_GRID = [
 def test_delsarte_counts_the_enumerated_subgroups_of_each_type():
     cells = 0
     for p, n, r in _DELSARTE_GRID:
-        census = _type_census((r,) * n, None, p, DEFAULT_BUDGET)
+        # one census per order: the type census sweeps no group whole
+        census = sum(
+            (_type_census((r,) * n, d, p, DEFAULT_BUDGET) for d in range(r * n + 1)), Counter()
+        )
         assert hall._delsarte_counts((r,) * n, p) == census, (p, n, r)
         cells += len(census)
     assert cells == 66
