@@ -2,6 +2,7 @@
 
 import sys
 from collections import Counter
+from functools import cache
 from itertools import groupby
 from math import prod
 
@@ -9,7 +10,8 @@ import pytest
 
 from heckealg.errors import exact_quotient
 from heckealg.modmat import _span_order_exp
-from heckealg.partitions import conjugate
+from heckealg.omega import OmegaContext, a_coeff
+from heckealg.partitions import conjugate, partitions_between
 from heckealg.subgroups import (
     DEFAULT_BUDGET,
     Ambient,
@@ -125,6 +127,34 @@ def delsarte(lam, mu, p: int) -> int:
         * gaussian_binomial(lc[i] - mc[i + 1], mc[i] - mc[i + 1], p)
         for i in range(k)
     )
+
+
+# --- a character of the algebra, read off the transfer ----------------------
+
+
+def hall_littlewood_point(p: int, y):
+    """lam -> u_lam(y_1, ..., y_n), n = len(y), for lam of length <= n: the
+    integer Hall-Littlewood model, read off the transfer coefficients alone,
+
+        u^(1)_lam = y_1^|lam|,
+        u^(k)_lam = sum_(N inside lam[:k-1]) a_(k-1)(lam, N) y_k^(|lam| - |N|) u^(k-1)_N,
+
+    a_(k-1) the transfer from rank k to rank k - 1.  With x_k = p^(k-1) y_k,
+    u_lam(y) = p^(-n(lam)) P_lam(x; 1/p) (Macdonald III (3.4), (5.5')), so
+    lam -> u_lam(y) is a character of the rank-n algebra at every integer
+    point y."""
+    transfers = {k: OmegaContext(p, k - 1) for k in range(2, len(y) + 1)}  # rank k to k - 1
+
+    @cache
+    def u(lam, k):
+        if k == 1:
+            return y[0] ** sum(lam)
+        return sum(
+            a_coeff(lam, n_, transfers[k]) * y[k - 1] ** (sum(lam) - sum(n_)) * u(n_, k - 1)
+            for n_ in partitions_between((), lam[: k - 1])
+        )
+
+    return lambda lam: u(lam, len(y))
 
 
 # --- Riedtmann's route to the transfer coefficients -------------------------

@@ -1529,11 +1529,17 @@ def test_start_up_loads_no_dataclasses_inspect_or_typing(module):
 
 
 @pytest.mark.parametrize(
-    "module,kept_out", [("heckealg.cli", "heckealg.verify"), ("heckealg.verify", "heckealg.cli")]
+    "module,kept_out",
+    [
+        ("heckealg.cli", "heckealg.verify"),
+        ("heckealg", "heckealg.verify"),
+        ("heckealg.verify", "heckealg.cli"),
+    ],
 )
 def test_the_suites_and_the_command_line_import_apart(module, kept_out):
-    # the suites compile only for verify and selftest, and the suites
-    # never import the command line (under `python -m` that is __main__)
+    # the suites compile only for verify and selftest, the package imports
+    # no suite, and the suites never import the command line (under
+    # `python -m` that is __main__)
     added = _added_by_import(module)
     assert kept_out not in added, added
 

@@ -3,10 +3,17 @@
 import doctest
 import itertools
 import json
+import random
 from collections import Counter
 
 import pytest
-from conftest import delsarte, error_message, gaussian_binomial, is_horizontal_strip
+from conftest import (
+    delsarte,
+    error_message,
+    gaussian_binomial,
+    hall_littlewood_point,
+    is_horizontal_strip,
+)
 
 from heckealg import hall, hecke
 from heckealg.cli import main
@@ -245,6 +252,27 @@ def test_the_transfer_keeps_each_point_character(p, n, d):
         for j in range(n + 1):
             total = sum(a * below[j, n_] for n_, a in image.terms.items())
             assert total == above[j, m], (j, m)
+
+
+@pytest.mark.parametrize("p,n,d", [(2, 2, 6), (3, 3, 6), (5, 2, 8), (1009, 6, 9)])
+def test_hall_littlewood_points_are_characters(p, n, d):
+    # sum_L c(M, N; L) u_L(y) = u_M(y) u_N(y) at two seeded integer points y:
+    # the Pieri products against the branching rule, with no Delsarte count.
+    # Unlike chi_j, which vanishes on the L longer than n - j, the points
+    # also see the full-rank classes
+    ctx = HeckeContext(p=p, n=n)
+    rng = random.Random(1000 * p + 10 * n + d)
+    points = [
+        hall_littlewood_point(p, [rng.randrange(-10**6 + 1, 10**6) for _ in range(n)])
+        for _ in range(2)
+    ]
+    classes = list(partitions_up_to(d, n))
+    for m, n_ in itertools.product(classes, repeat=2):
+        if order_exponent(m) + order_exponent(n_) <= d:
+            got = multiply(basis_element(m, ctx), basis_element(n_, ctx), ctx)
+            for u in points:
+                total = sum(c * u(lam) for lam, c in got.terms.items())
+                assert total == u(m) * u(n_), (m, n_)
 
 
 @pytest.mark.parametrize("p,n,d", [(2, 1, 6), (2, 2, 6), (3, 3, 7), (5, 4, 8), (1009, 6, 10)])
