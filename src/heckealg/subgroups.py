@@ -1,7 +1,7 @@
-"""Subgroup enumeration in truncated lattices (Z/p^r)^n.
+"""Subgroup enumeration in a group of type lam inside (Z/p^lam_1)^len(lam).
 
-Each subgroup of (Z/p^r)^n has exactly one basis in Howell canonical
-form, so subgroups are enumerated by generating canonical bases directly.
+Each subgroup has exactly one basis in Howell canonical form, so
+subgroups are enumerated by generating canonical bases directly.
 Only the pivot structures (pivot columns and valuations) of the requested
 order are generated.  Each row gets its whole-row choices: 0 left of the
 pivot, the pivot, the reduced ranges after it.  A filling is kept only
@@ -126,42 +126,37 @@ def _valuations(lows: tuple[int, ...], r: int, need: int | None) -> Iterator[tup
 
 
 def enumerate_subgroups(
-    ambient: Ambient,
+    lam: Sequence[int],
+    p: int,
     *,
     order_exp: int | None = None,
-    col_val_min: Sequence[int] | None = None,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> Iterator[SubgroupRep]:
-    """Yield every subgroup of the ambient exactly once.
+    """Yield every subgroup of the group of nonempty type lam exactly once.
 
-    Only the pivot structures of order p^order_exp are generated.  The
-    whole-row choices of each are built once: they price it for the
-    budget, and their product fills it.
+    The group is the one that _diagonal_rows(lam, p) spans in
+    (Z/p^lam_1)^len(lam), p prime.  Only the pivot structures of order
+    p^order_exp are generated.  The whole-row choices of each are built
+    once: they price it for the budget, and their product fills it.
 
     Args:
-        ambient: the lattice (Z/p^r)^n.
         order_exp: if given, only subgroups of order p^order_exp.
-        col_val_min: per-column minimum p-valuations; restricts the sweep
-            to subgroups of the diagonal subgroup with entries at column j
-            divisible by p^col_val_min[j].
-        budget: candidate-filling cap (default DEFAULT_BUDGET).  The
-            candidates of each pivot structure are counted as the
-            structures are listed, and BudgetExceededError is raised as
-            soon as the running total passes the cap, before any subgroup
-            is yielded.  Its ``needed`` is then a lower bound.
+        budget: candidate-filling cap.  The candidates of each pivot
+            structure are counted as the structures are listed, and
+            BudgetExceededError is raised as soon as the running total
+            passes the cap, before any subgroup is yielded.  Its
+            ``needed`` is then a lower bound.
 
     Yields:
         SubgroupRep values whose rows are already canonical.
     """
-    p, n, r = ambient.p, ambient.n, ambient.r
+    lam = validate_partition(lam)
+    if not lam:
+        raise ValueError("the group type must be a nonempty partition, got ()")
+    ambient = Ambient(p, len(lam), lam[0])
+    n, r = ambient.n, ambient.r
     pr = p**r
-    if budget is None:
-        budget = DEFAULT_BUDGET
-    floors = tuple(col_val_min) if col_val_min is not None else (0,) * n
-    if len(floors) != n:
-        raise ValueError(f"col_val_min needs {n} entries, got {len(floors)}")
-    if any(f < 0 or f > r for f in floors):
-        raise ValueError(f"column valuation floors must lie in [0, {r}]")
+    floors = tuple(r - part for part in lam)  # keep every subgroup inside the group
 
     # each structure has at least one candidate, so the list stays within the budget
     structures = []
@@ -285,29 +280,15 @@ def _diagonal_rows(lam: Partition, p: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _sweep(
-    lam: Partition, order_exp: int | None, p: int, budget: int
-) -> Iterator[SubgroupRep]:
-    """Subgroups of order p^order_exp (None: every order, which only
-    _hall_census asks for) of the group that _diagonal_rows(lam, p) spans,
-    the one caller of enumerate_subgroups.
-
-    The column floors r - lam_j keep every subgroup inside that group.
-    """
-    floors = tuple(lam[0] - part for part in lam)
-    amb = Ambient(p, len(lam), lam[0])
-    return enumerate_subgroups(amb, order_exp=order_exp, col_val_min=floors, budget=budget)
-
-
-# each table below is one _sweep, memoised and shared by every caller with
-# its key, so a table is never changed
+# each table below is one enumeration of a group of type lam, memoised and
+# shared by every caller with its key, so a table is never changed
 
 
 @lru_cache(maxsize=1 << 12)
 def _type_census(lam: Partition, order_exp: int, p: int, budget: int) -> Counter:
     """Subgroups of order p^order_exp of a fixed group of nonempty type lam,
     counted by type."""
-    return Counter(map(type_of, _sweep(lam, order_exp, p, budget)))
+    return Counter(map(type_of, enumerate_subgroups(lam, p, order_exp=order_exp, budget=budget)))
 
 
 @lru_cache(maxsize=1 << 12)
@@ -317,7 +298,7 @@ def _hall_census(lam: Partition, p: int, budget: int) -> Counter:
     rows = _diagonal_rows(lam, p)
     return Counter(
         (type_of(s), _quotient_type_rows(rows, s.rows, p, lam[0], len(lam)))
-        for s in _sweep(lam, None, p, budget)
+        for s in enumerate_subgroups(lam, p, budget=budget)
     )
 
 
@@ -328,12 +309,12 @@ def _meet_census(
     """Subgroups S of order p^order_exp of (Z/p^r)^rank, counted by
     (type S, type S & V), V the standard_split kernel: the i_count table."""
     v = standard_split(Ambient(p, rank, r), split)
-    subs = _sweep((r,) * rank, order_exp, p, budget)
+    subs = enumerate_subgroups((r,) * rank, p, order_exp=order_exp, budget=budget)
     return Counter((type_of(s), type_of(intersect(s, v))) for s in subs)
 
 
 def count_of_type_in_group(
-    lam: Sequence[int], mu: Sequence[int], p: int, *, budget: int | None = None
+    lam: Sequence[int], mu: Sequence[int], p: int, *, budget: int = DEFAULT_BUDGET
 ) -> int:
     """Number of subgroups isomorphic to ``mu`` in a fixed group of type ``lam``.
 
@@ -348,11 +329,10 @@ def count_of_type_in_group(
         raise ValueError(f"p must be prime, got {p}")
     if not lam or order_exponent(mu) > order_exponent(lam):
         return 0 if mu else 1  # nothing but the trivial subgroup fits
-    budget = DEFAULT_BUDGET if budget is None else budget
     return _type_census(lam, order_exponent(mu), p, budget)[mu]
 
 
-def m_count(m: Sequence[int], n: int, p: int, *, budget: int | None = None) -> int:
+def m_count(m: Sequence[int], n: int, p: int, *, budget: int = DEFAULT_BUDGET) -> int:
     """Number of subgroups of (Q_p/Z_p)^n isomorphic to the type ``m``.
 
     Every copy lies inside the p^(m_1)-torsion, so the count happens in

@@ -23,8 +23,8 @@ from heckealg.subgroups import (
     standard_split,
 )
 
-# every sweep of the library goes through subgroups._sweep into one of these
-# memoised tables, and they outlive the contexts that read them
+# every sweep of the library enumerates the subgroups of a group of some type
+# into one of these memoised tables, and they outlive the contexts that read them
 TABLES = (_type_census, _hall_census, _meet_census)
 
 
@@ -42,23 +42,22 @@ def cold_tables():
 def sweeps(monkeypatch, cold_tables):
     """Every subgroup sweep made during the test, from cold tables.
 
-    Each entry is (table, (p, n, r, order_exp, col_val_min, budget)), table
-    the name of the function that called subgroups._sweep, with col_val_min
-    None read as all zeros and budget None as DEFAULT_BUDGET, so that two
-    entries are equal exactly when they sweep the same subgroups.
+    Each entry is (table, (p, n, r, order_exp, floors, budget)), table the
+    name of the table that enumerated the subgroups of a group of type lam,
+    held in (Z/p^r)^n with r = lam_1 and n = len(lam), and floors the column
+    valuations r - lam_j, so that two entries are equal exactly when they
+    sweep the same subgroups.
     """
     subgroups = sys.modules["heckealg.subgroups"]
     real = subgroups.enumerate_subgroups
     made = []
 
-    def sweep(ambient, *, order_exp=None, col_val_min=None, budget=None):
-        caller = sys._getframe(1).f_code.co_name
-        assert caller == "_sweep", f"{caller} enumerated subgroups outside _sweep"
-        floors = (0,) * ambient.n if col_val_min is None else tuple(col_val_min)
-        cap = DEFAULT_BUDGET if budget is None else budget
-        table = sys._getframe(2).f_code.co_name
-        made.append((table, (ambient.p, ambient.n, ambient.r, order_exp, floors, cap)))
-        return real(ambient, order_exp=order_exp, col_val_min=col_val_min, budget=budget)
+    def sweep(lam, p, *, order_exp=None, budget=DEFAULT_BUDGET):
+        table = sys._getframe(1).f_code.co_name
+        assert table in {t.__name__ for t in TABLES}, f"{table} enumerated outside the tables"
+        floors = tuple(lam[0] - part for part in lam)
+        made.append((table, (p, len(lam), lam[0], order_exp, floors, budget)))
+        return real(lam, p, order_exp=order_exp, budget=budget)
 
     monkeypatch.setattr(subgroups, "enumerate_subgroups", sweep)
     yield made
@@ -81,9 +80,10 @@ def fibers(p: int, n: int, r: int):
     V.  The transfer's fibers have p^((r - s) n) members."""
     amb = Ambient(p, n + 1, max(r, 1))
     v = standard_split(amb, "first")
-    meets = Counter(intersect(sub, v) for sub in enumerate_subgroups(amb, order_exp=r))
+    lam = (amb.r,) * amb.n
+    meets = Counter(intersect(sub, v) for sub in enumerate_subgroups(lam, p, order_exp=r))
     for s in range(r + 1):
-        for nrep in filter(v.contains, enumerate_subgroups(amb, order_exp=s)):
+        for nrep in filter(v.contains, enumerate_subgroups(lam, p, order_exp=s)):
             yield s, meets[nrep]
 
 

@@ -26,7 +26,7 @@ from heckealg.cache import CACHE_FILENAME, CacheStore, _make_directories
 from heckealg.cli import _COMMANDS, _build_parser, _parse, _read_argv, main
 from heckealg.errors import BudgetExceededError, VerificationError
 from heckealg.partitions import partitions_between
-from heckealg.subgroups import DEFAULT_BUDGET, Ambient, _hall_census, enumerate_subgroups
+from heckealg.subgroups import DEFAULT_BUDGET, _hall_census, enumerate_subgroups
 
 
 def run(capsys, *argv):
@@ -612,7 +612,7 @@ def test_budget_trips_before_the_pivot_structures_are_listed():
     # (Z/2^10)^6 has 11^6 pivot structures; the budget stops the listing early
     t0 = time.process_time()
     with pytest.raises(BudgetExceededError) as exc:
-        next(enumerate_subgroups(Ambient(2, 6, 10), budget=10))
+        next(enumerate_subgroups((10,) * 6, 2, budget=10))
     assert time.process_time() - t0 < 1
     assert "needs at least" in str(exc.value) and "budget is 10" in str(exc.value)
 

@@ -246,7 +246,8 @@ def test_sweep_tables_are_shared_and_keyed_by_what_changes_them(sweeps):
 
 # the distinct sweeps that the oracle suite made while each oracle cell
 # still swept on its own (432 sweeps in all), as (p, n, r, order_exp,
-# col_val_min, budget)
+# floors, budget): the group of type lam swept inside (Z/p^r)^n has
+# r = lam_1, n = len(lam) and column floors r - lam_j
 ORACLE_SWEEPS = {
     (p, n, r, oe, tuple(floors), budget)
     for p, n, r, oe, floors, budget in json.loads(

@@ -56,20 +56,20 @@ def test_ambient_validation():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_total_counts_rank2_exponent1(p):
-    assert sum(1 for _ in enumerate_subgroups(Ambient(p, 2, 1))) == p + 3
+    assert sum(1 for _ in enumerate_subgroups((1, 1), p)) == p + 3
 
 
 def test_total_counts_rank3_exponent1():
-    assert sum(1 for _ in enumerate_subgroups(Ambient(2, 3, 1))) == 16
+    assert sum(1 for _ in enumerate_subgroups((1, 1, 1), 2)) == 16
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_cyclic_chain(r):
-    assert sum(1 for _ in enumerate_subgroups(Ambient(2, 1, r))) == r + 1
+    assert sum(1 for _ in enumerate_subgroups((r,), 2)) == r + 1
 
 
 def test_z4_squared_census():
-    reps = list(enumerate_subgroups(Ambient(2, 2, 2)))
+    reps = list(enumerate_subgroups((2, 2), 2))
     assert len(reps) == 15
     # canonical bases, no duplicates
     assert len({rep.rows for rep in reps}) == 15
@@ -91,23 +91,22 @@ def test_z4_squared_census():
 
 
 def test_enumeration_is_deterministic():
-    first = [rep.rows for rep in enumerate_subgroups(Ambient(2, 2, 2))]
-    second = [rep.rows for rep in enumerate_subgroups(Ambient(2, 2, 2))]
+    first = [rep.rows for rep in enumerate_subgroups((2, 2), 2)]
+    second = [rep.rows for rep in enumerate_subgroups((2, 2), 2)]
     assert first == second
 
 
 def test_order_filter_matches_full_sweep():
-    amb = Ambient(3, 2, 2)
     by_order = {}
-    for rep in enumerate_subgroups(amb):
+    for rep in enumerate_subgroups((2, 2), 3):
         by_order.setdefault(order_exp(rep), set()).add(rep.rows)
     for d, expected in by_order.items():
-        got = {rep.rows for rep in enumerate_subgroups(amb, order_exp=d)}
+        got = {rep.rows for rep in enumerate_subgroups((2, 2), 3, order_exp=d)}
         assert got == expected
 
 
 def test_types_and_orders_agree():
-    for rep in enumerate_subgroups(Ambient(2, 2, 3)):
+    for rep in enumerate_subgroups((3, 3), 2):
         t = type_of(rep)
         assert order_exponent(t) == order_exp(rep)
         assert len(elements_of(rep)) == 2 ** order_exp(rep)
@@ -161,9 +160,7 @@ def test_one_sweep_counts_every_type_of_one_order(sweeps):
     counts = {mu: count_of_type_in_group(lam, mu, 2) for mu in partitions_of_exponent(3, 3)}
     assert sweeps == [("_type_census", (2, 3, 3, 3, (0, 1, 2), DEFAULT_BUDGET))]
     assert counts[(1, 1, 1)] == 1  # the socle
-    assert sum(counts.values()) == sum(
-        1 for _ in enumerate_subgroups(Ambient(2, 3, 3), order_exp=3, col_val_min=(0, 1, 2))
-    )
+    assert sum(counts.values()) == sum(1 for _ in enumerate_subgroups(lam, 2, order_exp=3))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -180,12 +177,12 @@ def test_a_census_is_not_reused_at_a_smaller_budget(sweeps):
     with pytest.raises(BudgetExceededError):
         count_of_type_in_group((2, 2), (1,), 2, budget=1)
     assert count_of_type_in_group((2, 2), (1,), 2, budget=DEFAULT_BUDGET) == 3
-    assert len(sweeps) == 2  # the refused one; None and DEFAULT_BUDGET share a census
+    assert len(sweeps) == 2  # the refused one; the default budget and DEFAULT_BUDGET share a census
 
 
 @pytest.mark.parametrize("p,n,r", [(2, 1, 2), (2, 2, 1), (2, 2, 2), (3, 2, 1)])
 def test_m_counts_partition_the_census(p, n, r):
-    total = sum(1 for _ in enumerate_subgroups(Ambient(p, n, r)))
+    total = sum(1 for _ in enumerate_subgroups((r,) * n, p))
     types = [
         lam for lam in partitions_up_to(n * r, n) if not lam or lam[0] <= r
     ]
@@ -195,7 +192,7 @@ def test_m_counts_partition_the_census(p, n, r):
 @pytest.mark.parametrize("p,n,r", [(2, 2, 2), (3, 2, 1), (2, 3, 1), (3, 2, 2)])
 def test_intersect_matches_element_sets(p, n, r):
     amb = Ambient(p, n, r)
-    reps = list(enumerate_subgroups(amb))
+    reps = list(enumerate_subgroups((r,) * n, p))
     for a, b in itertools.product(reps, repeat=2):
         got = intersect(a, b)
         assert elements_of(got) == elements_of(a) & elements_of(b)
@@ -248,7 +245,7 @@ def _type_from_element_sets(big, small, p):
 
 @pytest.mark.parametrize("p,r,pairs", [(2, 2, 69), (3, 2, 114), (2, 3, 286)])
 def test_types_match_element_set_counts(p, r, pairs):
-    reps = list(enumerate_subgroups(Ambient(p, 2, r)))
+    reps = list(enumerate_subgroups((r, r), p))
     zero = reps[0]
     assert order_exp(zero) == 0
     seen = 0
@@ -262,8 +259,7 @@ def test_types_match_element_set_counts(p, r, pairs):
 
 
 def test_quotient_exponent_is_additive():
-    amb = Ambient(2, 2, 2)
-    reps = list(enumerate_subgroups(amb))
+    reps = list(enumerate_subgroups((2, 2), 2))
     for big in reps:
         for small in reps:
             if not big.contains(small):
@@ -272,28 +268,18 @@ def test_quotient_exponent_is_additive():
             assert order_exponent(q) == order_exp(big) - order_exp(small)
 
 
-@pytest.mark.parametrize(
-    "p,n,r,floors,count",
-    [
-        (2, 2, 2, (0, 1), 8),
-        (2, 2, 2, (1, 1), 5),
-        (2, 2, 2, (2, 2), 1),
-        (3, 2, 2, (1, 0), None),
-        (2, 3, 2, (0, 1, 2), None),
-        (2, 2, 3, (2, 0), None),
-    ],
-)
-def test_col_val_min_sweeps_the_diagonal_subgroup(p, n, r, floors, count):
-    # col_val_min=f lists the subgroups of the diagonal subgroup with
-    # pivots p^f, in the order of the full sweep
-    amb = Ambient(p, n, r)
-    host = subgroup_from_rows(
-        amb, [tuple(p**f if j == i else 0 for j in range(n)) for i, f in enumerate(floors)]
-    )
-    got = list(enumerate_subgroups(amb, col_val_min=floors))
-    assert got == [rep for rep in enumerate_subgroups(amb) if host.contains(rep)]
-    if count is not None:
-        assert len(got) == count
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("lam", [lam for lam in partitions_up_to(4, 4) if lam])
+def test_a_type_sweeps_the_subgroups_of_its_diagonal_group(p, lam):
+    # the group of type lam is spanned by p^(r - lam_j) e_j in (Z/p^r)^n,
+    # r = lam_1; its sweep lists that group's subgroups in the order of the
+    # full sweep of (Z/p^r)^n
+    n, r = len(lam), lam[0]
+    host = subgroup_from_rows(Ambient(p, n, r), _diagonal_rows(lam, p))
+    got = list(enumerate_subgroups(lam, p))
+    assert got == [rep for rep in enumerate_subgroups((r,) * n, p) if host.contains(rep)]
+    if p == 2 and lam in ((1, 1), (2, 1)):
+        assert len(got) == {(1, 1): 5, (2, 1): 8}[lam]
 
 
 def test_valuations_match_the_filtered_product():
@@ -313,7 +299,7 @@ def test_an_order_filter_lists_only_structures_of_that_order():
     # the whole group is the one subgroup of order p^72 in (Z/2^12)^6; the
     # 13^6 pivot valuations of the full product are never walked
     t0 = time.process_time()
-    got = list(enumerate_subgroups(Ambient(2, 6, 12), order_exp=72, budget=1))
+    got = list(enumerate_subgroups((12,) * 6, 2, order_exp=72, budget=1))
     assert time.process_time() - t0 < 0.5
     assert [rep.rows for rep in got] == [
         tuple(tuple(int(i == j) for j in range(6)) for i in range(6))
@@ -334,7 +320,7 @@ def test_standard_split_shapes():
 
 def test_budget_is_checked_before_work():
     with pytest.raises(BudgetExceededError) as err:
-        list(enumerate_subgroups(Ambient(2, 3, 3), budget=10))
+        list(enumerate_subgroups((3, 3, 3), 2, budget=10))
     assert err.value.needed > 10
     assert err.value.budget == 10
 
@@ -345,7 +331,7 @@ def test_budget_is_checked_before_allocating_value_lists():
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError):
-            list(enumerate_subgroups(Ambient(1009, 2, 2), budget=1000))
+            list(enumerate_subgroups((2, 2), 1009, budget=1000))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -357,7 +343,7 @@ def test_budget_is_checked_while_listing_pivot_structures():
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError):
-            list(enumerate_subgroups(Ambient(2, 5, 8), budget=10))
+            list(enumerate_subgroups((8,) * 5, 2, budget=10))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -365,25 +351,25 @@ def test_budget_is_checked_while_listing_pivot_structures():
 
 
 @pytest.mark.parametrize(
-    "amb,kwargs,budget,needed",
+    "lam,p,kwargs,budget,needed",
     [
-        (Ambient(2, 3, 3), {}, 1, 65),
-        (Ambient(2, 3, 3), {}, 10, 65),
-        (Ambient(2, 5, 8), {}, 10, 4294967297),
-        (Ambient(3, 3, 3), {"order_exp": 4}, 10, 6561),
-        (Ambient(2, 4, 4), {"col_val_min": (0, 1, 2, 3)}, 10, 65),
-        (Ambient(2, 4, 4), {"col_val_min": (0, 1, 2, 3)}, 1000, 1182),
+        ((3, 3, 3), 2, {}, 1, 65),
+        ((3, 3, 3), 2, {}, 10, 65),
+        ((8,) * 5, 2, {}, 10, 4294967297),
+        ((3, 3, 3), 3, {"order_exp": 4}, 10, 6561),
+        ((4, 3, 2, 1), 2, {}, 10, 65),
+        ((4, 3, 2, 1), 2, {}, 1000, 1182),
     ],
 )
-def test_budget_reports_the_running_total_that_passed_it(amb, kwargs, budget, needed):
+def test_budget_reports_the_running_total_that_passed_it(lam, p, kwargs, budget, needed):
     with pytest.raises(BudgetExceededError) as err:
-        list(enumerate_subgroups(amb, budget=budget, **kwargs))
+        list(enumerate_subgroups(lam, p, budget=budget, **kwargs))
     assert (err.value.needed, err.value.budget) == (needed, budget)
 
 
 def test_budget_message_names_both_numbers():
     try:
-        list(enumerate_subgroups(Ambient(2, 3, 3), budget=10))
+        list(enumerate_subgroups((3, 3, 3), 2, budget=10))
     except BudgetExceededError as err:
         assert "10" in str(err) and str(err.needed) in str(err)
     else:
@@ -426,8 +412,8 @@ def test_subgroups_of_two_ambients_do_not_meet():
 
 
 def test_subgroups_hash_as_the_tuple_of_their_fields():
-    reps = list(enumerate_subgroups(Ambient(2, 2, 2)))
-    again = set(enumerate_subgroups(Ambient(2, 2, 2)))
+    reps = list(enumerate_subgroups((2, 2), 2))
+    again = set(enumerate_subgroups((2, 2), 2))
     assert len(set(reps)) == len(reps) == 15 and again == set(reps)
     for rep in reps:
         assert rep == (rep.ambient, rep.rows) and hash(rep) == hash((rep.ambient, rep.rows))
@@ -437,14 +423,15 @@ def test_subgroups_hash_as_the_tuple_of_their_fields():
 def test_guards_name_the_fault():
     amb = Ambient(2, 2, 2)
 
-    def sweep(floors):
-        return list(enumerate_subgroups(amb, col_val_min=floors))
+    def sweep(lam):
+        return list(enumerate_subgroups(lam, 2))
 
-    assert error_message(ValueError, sweep, (0,)) == "col_val_min needs 2 entries, got 1"
-    for floors in [(0, 3), (-1, 0)]:
-        assert error_message(ValueError, sweep, floors) == (
-            "column valuation floors must lie in [0, 2]"
-        )
+    assert error_message(ValueError, sweep, (1, 2)) == (
+        "partition parts must be weakly decreasing, got (1, 2)"
+    )
+    assert error_message(ValueError, sweep, ()) == (
+        "the group type must be a nonempty partition, got ()"
+    )
     assert error_message(ValueError, standard_split, Ambient(2, 1, 1)) == (
         "standard_split needs ambient rank at least 2"
     )
