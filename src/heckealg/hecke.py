@@ -409,12 +409,7 @@ def multiply(x: HeckeElement, y: HeckeElement, ctx: HeckeContext) -> HeckeElemen
     no subgroup is enumerated.  The Hall tables, which c_by_enumeration
     reads, are the independent oracle for the result.
     """
-    x._check_compatible(y)
-    if x.p != ctx.p or x.n != ctx.n:
-        raise ValueError(
-            f"element (p={x.p}, n={x.n}) does not match context "
-            f"(p={ctx.p}, n={ctx.n})"
-        )
+    x._check_compatible(y)  # decompose_in_generators checks y against ctx
     return _times_poly(x, decompose_in_generators(y, ctx).coeffs, ctx, {})
 
 
@@ -523,7 +518,10 @@ def decompose_in_generators(x: HeckeElement, ctx: HeckeContext) -> GeneratorPoly
     steps, is a built-in check on the Pieri rule.
     """
     if x.p != ctx.p or x.n != ctx.n:
-        raise ValueError("element does not match context")
+        raise ValueError(
+            f"element (p={x.p}, n={x.n}) does not match context "
+            f"(p={ctx.p}, n={ctx.n})"
+        )
     n = ctx.n
     coeffs = _peel(
         x.terms, lambda lam: _eval_monomial(_leading_monomial(lam, n), ctx).terms

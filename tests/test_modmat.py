@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from conftest import error_message
+from conftest import brute_span, error_message
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,21 +16,6 @@ def howell(p, r, rows):
     width = len(rows[0]) if rows else 0
     reduced = [tuple(x % p**r for x in row) for row in rows]
     return _howell_rows(reduced, p, r, width)
-
-
-def brute_span(p, r, rows, width):
-    """Every Z-combination of the rows, as a frozen set of tuples."""
-    pr = p**r
-    points = {tuple([0] * width)}
-    frontier = [tuple([0] * width)]
-    while frontier:
-        base = frontier.pop()
-        for row in rows:
-            new = tuple((b + x) % pr for b, x in zip(base, row))
-            if new not in points:
-                points.add(new)
-                frontier.append(new)
-    return frozenset(points)
 
 
 def test_known_form_over_z4():

@@ -7,7 +7,7 @@ from math import prod
 from pathlib import Path
 
 import pytest
-from conftest import aut_order, delsarte, error_message, fibers, is_horizontal_strip, riedtmann
+from conftest import aut_order, delsarte, error_message, is_horizontal_strip, riedtmann
 
 from heckealg import hecke, modmat, subgroups
 from heckealg.cache import CACHE_FILENAME
@@ -272,27 +272,6 @@ def test_oracle_suite_makes_each_sweep_once_per_table(sweeps, capsys):
     assert len(sweeps) == 119
 
 
-def test_split_choice_does_not_matter():
-    for n in (1, 2):
-        first = OmegaContext(p=2, n=n, split="first")
-        last = OmegaContext(p=2, n=n, split="last")
-        for m in partitions_up_to(3, n + 1):
-            for n_ in partitions_up_to(order_exponent(m), n):
-                value = a_coeff(m, n_, first)
-                assert value == a_coeff(m, n_, last)
-                assert value == a_by_enumeration(m, n_, last), (m, n_)
-
-
-def test_truncation_depth_does_not_matter():
-    base = OmegaContext(p=2, n=2)
-    for m in partitions_up_to(3, 3):
-        deeper = OmegaContext(p=2, n=2, trunc_override=(m[0] if m else 1) + 1)
-        for n_ in partitions_up_to(order_exponent(m), 2):
-            value = a_coeff(m, n_, base)
-            assert value == a_coeff(m, n_, deeper)
-            assert value == a_by_enumeration(m, n_, deeper), (m, n_)
-
-
 def test_closed_form_ignores_truncation(monkeypatch):
     # the bin is built at r = M_1 whatever the oracle's ambient depth
     depths = []
@@ -458,25 +437,6 @@ def test_b_rejects_high_rank(ctx1):
         b_coeff((1, 1), (1,), ctx1)
 
 
-@pytest.mark.parametrize("p", [2, 3])
-@pytest.mark.parametrize("n", [1, 2])
-def test_delta_identities(p, n):
-    ctx = OmegaContext(p=p, n=n)
-    parts = list(partitions_up_to(3, n))
-    for b in parts:
-        for a in parts:
-            if order_exponent(a) > order_exponent(b):
-                continue
-            mids = [
-                c
-                for c in partitions_up_to(order_exponent(b), n)
-                if embeds(a, c) and embeds(c, b)
-            ]
-            want = 1 if a == b else 0
-            assert sum(a_coeff(b, c, ctx) * b_coeff(c, a, ctx) for c in mids) == want
-            assert sum(b_coeff(b, c, ctx) * a_coeff(c, a, ctx) for c in mids) == want
-
-
 def _b_by_recursion(ctx):
     """b by its defining recursion, the reference for b_coeff and lift_section:
     b(A, A) = 1 and b(B, A) = - sum over A <= C < B of a(B, C) b(C, A)."""
@@ -541,36 +501,11 @@ def test_lift_section_values(ctx1):
     assert lifted.n == 2  # lives upstairs
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_omega_inverts_lift(n):
-    ctx = OmegaContext(p=2, n=n)
-    for lam in partitions_up_to(3, n):
-        assert omega(lift_section(lam, ctx), ctx) == basis_element(lam, ctx.target)
-
-
 def test_hom_on_elementary_pair(ctx1):
     e = basis_element((1,), ctx1.source)
     lhs = omega(multiply(e, e, ctx1.source), ctx1)
     assert lhs == multiply(omega(e, ctx1), omega(e, ctx1), ctx1.target)
     assert lhs.terms == {(2,): 1, (1,): 4, (): 4}
-
-
-@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (3, 1)])
-def test_hom_small_sweep(p, n):
-    checks = list(SUITES["hom"](2, OmegaContext(p=p, n=n)))
-    assert len(checks) == len(list(partitions_up_to(2, n + 1))) ** 2
-    assert all(ok for _, ok, _ in checks)
-
-
-@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (3, 1)])
-def test_aggregate_formula(p, n):
-    ctx = OmegaContext(p=p, n=n)
-    checks = list(SUITES["tp"](3, ctx))
-    assert [name for name, _, _ in checks] == [f"aggregate r={r}" for r in range(4)]
-    assert all(ok for _, ok, _ in checks)
-    # each image is nonzero: it holds the aggregate downstairs with coefficient 1
-    for r in range(4):
-        assert not omega(t_aggregate(r, ctx.source), ctx).is_zero()
 
 
 def test_aggregate_suite_transfers_each_aggregate_once(ctx1, monkeypatch):
@@ -600,13 +535,6 @@ def test_aggregate_report_contents(ctx1):
     assert image == want
     below = omega(t_aggregate(1, ctx1.source), ctx1)
     assert image - below.scaled(2) == t_aggregate(2, ctx1.target)
-
-
-def test_fiber_counts():
-    for n in (1, 2):
-        for r in range(0, 3):
-            for s, count in fibers(2, n, r):
-                assert count == 2 ** ((r - s) * n), (n, r, s)
 
 
 def test_classes_of_too_high_a_rank(sweeps):

@@ -6,7 +6,7 @@ import time
 import tracemalloc
 
 import pytest
-from conftest import error_message, order_exp
+from conftest import brute_span, error_message, order_exp
 
 from heckealg.errors import BudgetExceededError
 from heckealg.hall import _PSI_12
@@ -29,22 +29,6 @@ from heckealg.subgroups import (
 )
 
 
-def elements_of(rep):
-    """All points of the subgroup, by closing its rows."""
-    p, r, width = rep.ambient.p, rep.ambient.r, rep.ambient.n
-    pr = p**r
-    points = {(0,) * width}
-    frontier = [(0,) * width]
-    while frontier:
-        base = frontier.pop()
-        for row in rep.rows:
-            nxt = tuple((a + b) % pr for a, b in zip(base, row))
-            if nxt not in points:
-                points.add(nxt)
-                frontier.append(nxt)
-    return frozenset(points)
-
-
 def test_ambient_validation():
     with pytest.raises(ValueError):
         Ambient(4, 2, 1)
@@ -52,20 +36,6 @@ def test_ambient_validation():
         Ambient(2, 0, 1)
     with pytest.raises(ValueError):
         Ambient(2, 2, 0)
-
-
-@pytest.mark.parametrize("p", [2, 3])
-def test_total_counts_rank2_exponent1(p):
-    assert sum(1 for _ in enumerate_subgroups((1, 1), p)) == p + 3
-
-
-def test_total_counts_rank3_exponent1():
-    assert sum(1 for _ in enumerate_subgroups((1, 1, 1), 2)) == 16
-
-
-@pytest.mark.parametrize("r", [1, 2, 3, 4])
-def test_cyclic_chain(r):
-    assert sum(1 for _ in enumerate_subgroups((r,), 2)) == r + 1
 
 
 def test_z4_squared_census():
@@ -109,7 +79,7 @@ def test_types_and_orders_agree():
     for rep in enumerate_subgroups((3, 3), 2):
         t = type_of(rep)
         assert order_exponent(t) == order_exp(rep)
-        assert len(elements_of(rep)) == 2 ** order_exp(rep)
+        assert len(brute_span(2, 3, rep.rows, 2)) == 2 ** order_exp(rep)
 
 
 @pytest.mark.parametrize(
@@ -195,7 +165,8 @@ def test_intersect_matches_element_sets(p, n, r):
     reps = list(enumerate_subgroups((r,) * n, p))
     for a, b in itertools.product(reps, repeat=2):
         got = intersect(a, b)
-        assert elements_of(got) == elements_of(a) & elements_of(b)
+        spans = [brute_span(p, r, rep.rows, n) for rep in (got, a, b)]
+        assert spans[0] == spans[1] & spans[2]
         # the tail rows of the one Howell pass are already canonical
         assert got == subgroup_from_rows(amb, got.rows)
 
@@ -228,8 +199,9 @@ def _type_from_element_sets(big, small, p):
     The number of parts of size > k is log_p |p^k G| - log_p |p^(k+1) G|,
     which gives the conjugate partition part by part.
     """
-    pr = p ** big.ambient.r
-    points, sub = elements_of(big), elements_of(small)
+    r, width = big.ambient.r, big.ambient.n
+    pr = p**r
+    points, sub = (brute_span(p, r, g.rows, width) for g in (big, small))
     sizes = []
     k = 0
     while not sizes or sizes[-1] > 1:
