@@ -1,12 +1,14 @@
 """Acceptance sweep: the binding checks, at their full stated bounds.
 
-Every comparison is exact integer equality.  Each criterion prints one
-line (visible under `pytest -s`); a failure raises with the first
-counterexamples attached.
+Every comparison is exact integer equality.  Each criterion is one test
+parametrized over its inputs, so a failure names the cell it failed in.
+Each cell prints one line (visible under `pytest -s`); a failure raises
+with the first counterexamples attached.
 """
 
 import itertools
 
+import pytest
 from conftest import fibers
 
 from heckealg.hecke import (
@@ -27,6 +29,8 @@ from heckealg.partitions import (
 from heckealg.subgroups import count_of_type_in_group, enumerate_subgroups
 from heckealg.verify import SUITES
 
+P_N = list(itertools.product((2, 3), (1, 2)))
+
 
 def _run(num, name, body):
     try:
@@ -37,75 +41,73 @@ def _run(num, name, body):
     print(f"ACCEPT {num:02d} {name}: pass", flush=True)
 
 
-def test_criterion_01_transfer_is_multiplicative():
+# every pair up to order p^3, and spot checks one rank higher
+@pytest.mark.parametrize("p,n,d", [(p, n, 3) for p, n in P_N] + [(2, 3, 2)])
+def test_criterion_01_transfer_is_multiplicative(p, n, d):
     def body():
-        bad = []
-        # every pair up to order p^3, and spot checks one rank higher
-        cases = [(p, n, 3) for p, n in itertools.product((2, 3), (1, 2))] + [(2, 3, 2)]
-        for p, n, d in cases:
-            checks = list(SUITES["hom"](d, OmegaContext(p=p, n=n)))
-            assert len(checks) == len(list(partitions_up_to(d, n + 1))) ** 2
-            bad += [(p, n, name) for name, ok, _ in checks if not ok]
+        checks = list(SUITES["hom"](d, OmegaContext(p=p, n=n)))
+        assert len(checks) == len(list(partitions_up_to(d, n + 1))) ** 2
+        bad = [name for name, ok, _ in checks if not ok]
         assert not bad, f"multiplicativity failed at {bad[:5]}"
 
-    _run(1, "transfer is a ring homomorphism", body)
+    _run(1, f"transfer is a ring homomorphism (p={p}, n={n}, d={d})", body)
 
 
-def test_criterion_02_aggregate_pushforward():
+@pytest.mark.parametrize("p,n", P_N)
+def test_criterion_02_aggregate_pushforward(p, n):
     def body():
-        bad = []
-        for p, n in itertools.product((2, 3), (1, 2)):
-            # the weighted sum, and for r > 0 the recursion, at r = 0..3
-            checks = list(SUITES["tp"](3, OmegaContext(p=p, n=n)))
-            assert [name for name, _, _ in checks] == [f"aggregate r={r}" for r in range(4)]
-            bad += [(p, n, name) for name, ok, _ in checks if not ok]
+        # the weighted sum, and for r > 0 the recursion, at r = 0..3
+        checks = list(SUITES["tp"](3, OmegaContext(p=p, n=n)))
+        assert [name for name, _, _ in checks] == [f"aggregate r={r}" for r in range(4)]
+        bad = [name for name, ok, _ in checks if not ok]
         assert not bad, f"aggregate formula failed at {bad[:5]}"
 
-    _run(2, "aggregate pushforward closed form", body)
+    _run(2, f"aggregate pushforward closed form (p={p}, n={n})", body)
 
 
-def test_criterion_03_fiber_counts():
+@pytest.mark.parametrize("r", [0, 1, 2])
+@pytest.mark.parametrize("n", [1, 2])
+def test_criterion_03_fiber_counts(n, r):
     def body():
-        checked = 0
-        for n in (1, 2):
-            for r in range(0, 3):
-                for s, count in fibers(2, n, r):
-                    assert count == 2 ** ((r - s) * n), (n, r, s, count)
-                    checked += 1
-        assert checked >= 20
+        found = list(fibers(2, n, r))
+        # V holds a subgroup of every order up to p^r
+        assert sorted({s for s, _ in found}) == list(range(r + 1))
+        for s, count in found:
+            assert count == 2 ** ((r - s) * n), (s, count)
 
-    _run(3, "fiber count over every concrete intersection", body)
+    _run(3, f"fiber count over every concrete intersection (n={n}, r={r})", body)
 
 
-def test_criterion_04_structure_constant_routes():
+@pytest.mark.parametrize("p,n", P_N)
+def test_criterion_04_structure_constant_routes(p, n):
     def body():
         bad = []
-        for p, n in itertools.product((2, 3), (1, 2)):
-            ctx = HeckeContext(p=p, n=n)
-            for l in partitions_up_to(4, n):
-                d = order_exponent(l)
-                for dm in range(d + 1):
-                    for m in partitions_of_exponent(dm, n):
-                        for n_ in partitions_of_exponent(d - dm, n):
-                            pieri = c_coeff(m, n_, l, ctx)
-                            hall = c_by_enumeration(m, n_, l, ctx)
-                            if pieri != hall:
-                                bad.append((p, n, m, n_, l, pieri, hall))
+        ctx = HeckeContext(p=p, n=n)
+        for l in partitions_up_to(4, n):
+            d = order_exponent(l)
+            for dm in range(d + 1):
+                for m in partitions_of_exponent(dm, n):
+                    for n_ in partitions_of_exponent(d - dm, n):
+                        pieri = c_coeff(m, n_, l, ctx)
+                        hall = c_by_enumeration(m, n_, l, ctx)
+                        if pieri != hall:
+                            bad.append((m, n_, l, pieri, hall))
         assert not bad, f"c-routes disagree at {bad[:5]}"
 
-    _run(4, "Pieri product vs Hall table", body)
+    _run(4, f"Pieri product vs Hall table (p={p}, n={n})", body)
 
 
-def test_criterion_05_commutative_associative():
+@pytest.mark.parametrize("law", ["commutative", "associative"])
+def test_criterion_05_commutative_associative(law):
     def body():
         ctx = HeckeContext(p=2, n=2)
-        pair_classes = list(partitions_up_to(3, 2))
-        for m, n_ in itertools.product(pair_classes, repeat=2):
-            x = basis_element(m, ctx)
-            y = basis_element(n_, ctx)
-            assert multiply(x, y, ctx) == multiply(y, x, ctx), (m, n_)
-        triple_classes = list(partitions_up_to(2, 2))
-        for m, n_, l in itertools.product(triple_classes, repeat=3):
+        if law == "commutative":
+            for m, n_ in itertools.product(partitions_up_to(3, 2), repeat=2):
+                x = basis_element(m, ctx)
+                y = basis_element(n_, ctx)
+                assert multiply(x, y, ctx) == multiply(y, x, ctx), (m, n_)
+            return
+        for m, n_, l in itertools.product(partitions_up_to(2, 2), repeat=3):
             x = basis_element(m, ctx)
             y = basis_element(n_, ctx)
             z = basis_element(l, ctx)
@@ -113,95 +115,111 @@ def test_criterion_05_commutative_associative():
             rhs = multiply(x, multiply(y, z, ctx), ctx)
             assert lhs == rhs, (m, n_, l)
 
-    _run(5, "product is commutative and associative", body)
+    _run(5, f"product is {law}", body)
 
 
-def test_criterion_06_rank_one_is_a_polynomial_ring():
+@pytest.mark.parametrize("p", [2, 3])
+def test_criterion_06_rank_one_is_a_polynomial_ring(p):
     def body():
-        for p in (2, 3):
-            ctx = HeckeContext(p=p, n=1)
-            for a in range(0, 7):
-                for b in range(0, 7 - a):
-                    x = basis_element((a,) if a else (), ctx)
-                    y = basis_element((b,) if b else (), ctx)
-                    want = {((a + b,) if a + b else ()): 1}
-                    got = multiply(x, y, ctx)
-                    assert got.terms == want, (p, a, b, got)
+        ctx = HeckeContext(p=p, n=1)
+        for a in range(0, 7):
+            for b in range(0, 7 - a):
+                x = basis_element((a,) if a else (), ctx)
+                y = basis_element((b,) if b else (), ctx)
+                want = {((a + b,) if a + b else ()): 1}
+                got = multiply(x, y, ctx)
+                assert got.terms == want, (a, b, got)
 
-    _run(6, "rank-one product adds order exponents", body)
+    _run(6, f"rank-one product adds order exponents (p={p})", body)
 
 
-def test_criterion_07_triangular_inverse():
+@pytest.mark.parametrize("p,n", P_N)
+def test_criterion_07_triangular_inverse(p, n):
     def body():
-        bad = []
-        for p, n in itertools.product((2, 3), (1, 2)):
-            # every cell (B, A) with A inside B, and the section of every class
-            checks = list(SUITES["inverse"](4, OmegaContext(p=p, n=n)))
-            assert len(checks) == len(list(embedded_pairs(4, n))) + len(
-                list(partitions_up_to(4, n))
-            )
-            bad += [(p, n, name) for name, ok, _ in checks if not ok]
+        # every cell (B, A) with A inside B, and the section of every class
+        checks = list(SUITES["inverse"](4, OmegaContext(p=p, n=n)))
+        assert len(checks) == len(list(embedded_pairs(4, n))) + len(
+            list(partitions_up_to(4, n))
+        )
+        bad = [name for name, ok, _ in checks if not ok]
         assert not bad, f"inverse identities failed at {bad[:5]}"
 
-    _run(7, "transfer matrix inverts exactly", body)
+    _run(7, f"transfer matrix inverts exactly (p={p}, n={n})", body)
 
 
-def test_criterion_08_generator_decomposition():
+@pytest.mark.parametrize("p,n", P_N)
+def test_criterion_08_generator_decomposition(p, n):
     def body():
-        # every class up to order 2^4 and the aggregates T~(p^r), r = 0..4
-        checks = list(SUITES["shimura"](4, HeckeContext(p=2, n=2)))
-        assert len(checks) == len(list(partitions_up_to(4, 2))) + 5
+        # every class up to order p^4 and the aggregates T~(p^r), r = 0..4
+        checks = list(SUITES["shimura"](4, HeckeContext(p=p, n=n)))
+        assert len(checks) == len(list(partitions_up_to(4, n))) + 5
         bad = [name for name, ok, _ in checks if not ok]
         assert not bad, f"decompositions failed at {bad[:5]}"
 
-    _run(8, "every class is an integer polynomial in the generators", body)
+    name = "every class is an integer polynomial in the generators"
+    _run(8, f"{name} (p={p}, n={n})", body)
 
 
-def test_criterion_09_transfer_choice_invariance():
+# the split V and the truncation depth that the transfer is built from
+CHOICES = {
+    "first": lambda n, m: OmegaContext(p=2, n=n, split="first"),
+    "last": lambda n, m: OmegaContext(p=2, n=n, split="last"),
+    "deeper": lambda n, m: OmegaContext(p=2, n=n, trunc_override=(m[0] if m else 1) + 1),
+}
+
+
+@pytest.mark.parametrize("choice", list(CHOICES))
+@pytest.mark.parametrize("n", [1, 2])
+def test_criterion_09_transfer_choice_invariance(n, choice):
     def body():
         bad = []
-        for n in (1, 2):
-            base = OmegaContext(p=2, n=n, split="first")
-            flipped = OmegaContext(p=2, n=n, split="last")
-            for m in partitions_up_to(3, n + 1):
-                deeper = OmegaContext(
-                    p=2, n=n, trunc_override=(m[0] if m else 1) + 1
-                )
-                for n_ in partitions_up_to(order_exponent(m), n):
-                    # the closed form and the enumeration oracle, under each choice
-                    values = [
-                        route(m, n_, ctx)
-                        for ctx in (base, flipped, deeper)
-                        for route in (a_coeff, a_by_enumeration)
-                    ]
-                    if len(set(values)) != 1:
-                        bad.append((n, m, n_, values))
-        assert not bad, f"coefficients moved under split/truncation: {bad[:5]}"
+        base = OmegaContext(p=2, n=n)
+        for m in partitions_up_to(3, n + 1):
+            ctx = CHOICES[choice](n, m)
+            for n_ in partitions_up_to(order_exponent(m), n):
+                # the closed form and the enumeration oracle under this choice,
+                # against the closed form under the default one
+                values = [
+                    a_coeff(m, n_, base),
+                    a_coeff(m, n_, ctx),
+                    a_by_enumeration(m, n_, ctx),
+                ]
+                if len(set(values)) != 1:
+                    bad.append((m, n_, values))
+        assert not bad, f"coefficients moved under {choice}: {bad[:5]}"
 
-    _run(9, "transfer coefficients ignore split and truncation", body)
+    _run(9, f"transfer coefficients ignore split and truncation (n={n}, {choice})", body)
 
 
-def test_criterion_10_enumeration_oracles():
+# subgroups of (Z/p)^2, (Z/2)^3 and the cyclic Z/2^r
+CENSUS = [((1, 1), p, p + 3) for p in (2, 3)] + [((1, 1, 1), 2, 16)]
+CENSUS += [((r,), 2, r + 1) for r in range(1, 5)]
+
+
+@pytest.mark.parametrize("lam,p,count", CENSUS)
+def test_criterion_10_enumeration_census(lam, p, count):
     def body():
-        for p in (2, 3):
-            assert sum(1 for _ in enumerate_subgroups((1, 1), p)) == p + 3
-        assert sum(1 for _ in enumerate_subgroups((1, 1, 1), 2)) == 16
-        for r in range(1, 5):
-            assert sum(1 for _ in enumerate_subgroups((r,), 2)) == r + 1
+        assert sum(1 for _ in enumerate_subgroups(lam, p)) == count
+
+    _run(10, f"subgroup census (lam={lam}, p={p})", body)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_criterion_10_containment_oracle(p):
+    def body():
         bad = []
         shapes = [
             lam
             for d in range(0, 6)
             for lam in partitions_of_exponent(d, d if d else 1)
         ]
-        for p in (2, 3):
-            for lam in shapes:
-                for mu in shapes:
-                    if order_exponent(mu) > order_exponent(lam):
-                        continue
-                    found = count_of_type_in_group(lam, mu, p) > 0
-                    if found != embeds(mu, lam):
-                        bad.append((p, lam, mu, found))
+        for lam in shapes:
+            for mu in shapes:
+                if order_exponent(mu) > order_exponent(lam):
+                    continue
+                found = count_of_type_in_group(lam, mu, p) > 0
+                if found != embeds(mu, lam):
+                    bad.append((lam, mu, found))
         assert not bad, f"containment mismatches search at {bad[:5]}"
 
-    _run(10, "subgroup census and containment oracle", body)
+    _run(10, f"containment oracle (p={p})", body)
