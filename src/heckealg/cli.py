@@ -20,21 +20,21 @@ closes stdout early (`| head`) changes none of them and leaves no
 traceback: the rest of the output is dropped.
 
 For `omega`, `acoeff` and `table a` the class M lives in the rank-(n+1)
-algebra upstairs; --n names the target rank.  Commands that compute a
-transfer take --split, the kernel of its enumeration oracle; `table c`
-and `verify shimura` do not.  The transfer ("transversal" in `verify
-oracle`) is a closed form that --split does not change.  --trunc raises
-the exponent of the oracle's ambient, so of the transfer surfaces only
-`verify oracle|all` take it.  Products, generator decompositions and
-the structure constants of `ccoeff` and `table c` take the elementary
-Pieri rule; the Hall table in the c-route of `verify oracle` is their
-oracle.
+algebra upstairs; --n names the target rank.  The transfer's commands
+and tables take --split, the kernel of its enumeration oracle, and of
+the suites only `verify oracle|all`, which run that oracle.  The
+transfer ("transversal" in `verify oracle`) is a closed form that
+--split does not change.  --trunc raises the exponent of the oracle's
+ambient, so of the transfer surfaces only `verify oracle|all` take it.
+Products, generator decompositions and the structure constants of
+`ccoeff` and `table c` take the elementary Pieri rule; the Hall table
+in the c-route of `verify oracle` is their oracle.
 --budget bounds enumerations, so only `verify oracle|all` and
-`selftest` take it.  Only the commands that take --split take --cache,
-and only b is stored: `acoeff`, `omega`, `table a|omega` and `verify
-hom|tp|oracle` write nothing to it.  `ccoeff`, `table c`, `mul`,
-`decompose` and `verify shimura` compute in the rank-n algebra, whose
-Pieri products are memoised for one run only.  `count-subgroups`
+`selftest` take it.  The commands that take --split take --cache, and
+so does `verify inverse`; only b is stored, so `acoeff`, `omega`,
+`table a|omega` and `verify oracle` write nothing to it.  `ccoeff`,
+`table c`, `mul`, `decompose` and `verify hom|tp|shimura` read no b,
+and their Pieri products are memoised for one run only.  `count-subgroups`
 counts the subgroups of (Z/p^r)^n of each type by Delsarte's formula, r
 from --trunc (default 1), and enumerates nothing; an ambient whose types
 it prices past DEFAULT_BUDGET steps exits 3 before any is listed.
@@ -60,10 +60,10 @@ runs them, and returns their checks as records.
 
 A run computes in one context, which `main` builds from the options
 the command reads before the command runs, and hands to it: the
-H_(n+1) -> H_n transfer for a command that takes --split, the rank-n
-algebra for any other command that takes --n, and none for
-`count-subgroups`, which counts in its own ambient group.  So --p and
---n are checked before any class or element literal is read.
+H_(n+1) -> H_n transfer for a command that takes --split and for every
+verify suite, the rank-n algebra for any other command that takes --n,
+and none for `count-subgroups`, which counts in its own ambient group.
+So --p and --n are checked before any class or element literal is read.
 
 Commands return records and print nothing; `main` renders them in the
 one format --output names and builds no other (the text form of a table
@@ -161,9 +161,11 @@ _OPTIONS = {
 }
 
 # the options each command reads, by what it computes (--budget and
-# --trunc if it enumerates, --cache if it computes the transfer, whose
-# b values alone are stored)
+# --trunc if it enumerates, --split and --cache if it computes the
+# transfer, whose b values alone are stored); of the suites only oracle
+# and all take --split, and hom, tp and shimura, which read no b, no --cache
 _ELEMENT_OPTIONS = "p n output"
+_ELEMENT_SWEEP_OPTIONS = _ELEMENT_OPTIONS + " max-order-exp"
 _TRANSFER_OPTIONS = "p n cache output split"
 _TRANSFER_SWEEP_OPTIONS = _TRANSFER_OPTIONS + " max-order-exp"
 _SWEEP_OPTIONS = _TRANSFER_SWEEP_OPTIONS + " budget trunc"
@@ -172,9 +174,9 @@ _SWEEP_OPTIONS = _TRANSFER_SWEEP_OPTIONS + " budget trunc"
 def _context(
     args: argparse.Namespace, memo: dict[str, int]
 ) -> HeckeContext | OmegaContext | None:
-    """The run's one context: the transfer over memo if the command takes
-    --split, else the rank-n algebra, which stores nothing; none for
-    count-subgroups, whose own Ambient checks and words its p, n and r."""
+    """The run's one context: the transfer over memo if args holds a split
+    (a command with --split, and every suite by default), else the rank-n
+    algebra; none for count-subgroups, whose Ambient checks its p, n, r."""
     budget = getattr(args, "budget", DEFAULT_BUDGET)
     if "split" in args:
         return OmegaContext(
@@ -330,10 +332,10 @@ def _cmd_table(args, ctx: HeckeContext | OmegaContext) -> _Output:
 # suite -> the options it reads, in the order `verify all` runs them (the
 # suites are heckealg.verify.SUITES)
 _SUITES = {
-    "hom": _TRANSFER_SWEEP_OPTIONS,
-    "tp": _TRANSFER_SWEEP_OPTIONS,
-    "inverse": _TRANSFER_SWEEP_OPTIONS,
-    "shimura": _ELEMENT_OPTIONS + " max-order-exp",
+    "hom": _ELEMENT_SWEEP_OPTIONS,
+    "tp": _ELEMENT_SWEEP_OPTIONS,
+    "inverse": "p n cache output max-order-exp",
+    "shimura": _ELEMENT_SWEEP_OPTIONS,
     "oracle": _SWEEP_OPTIONS,
 }
 
@@ -424,12 +426,12 @@ _COMMANDS = {
         "write an element in the generators T_k", _ELEMENT_OPTIONS, {"x": {}},
         dict(func=_cmd_decompose)),
     "table": _Command("tabulate coefficients", "kind", {
-        "c": _arguments(_ELEMENT_OPTIONS + " max-order-exp"),
+        "c": _arguments(_ELEMENT_SWEEP_OPTIONS),
         **dict.fromkeys(("a", "b", "omega"), _arguments(_TRANSFER_SWEEP_OPTIONS)),
     }, dict(func=_cmd_table)),
     "verify": _Command("run a verification suite", "suite", {
         suite: _arguments(options) for suite, options in {**_SUITES, "all": _SWEEP_OPTIONS}.items()
-    }, dict(func=_cmd_verify)),
+    }, dict(func=_cmd_verify, split="first")),
     "count-subgroups": _plain(
         "count subgroups of (Z/p^r)^n, r from --trunc", _ELEMENT_OPTIONS,
         {"--n": dict(type=int, required=True, help="rank n of the ambient (Z/p^r)^n"),
@@ -565,7 +567,7 @@ def _run(argv: list[str] | None) -> int:
         args = _parse(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return exc.code
-    directory = getattr(args, "cache", None)  # only the commands with --split take --cache
+    directory = getattr(args, "cache", None)  # only a command run in the transfer takes --cache
     if directory == "":
         print("error: cache: --cache needs a directory", file=sys.stderr)
         return EXIT_USAGE

@@ -12,8 +12,8 @@ This module never imports heckealg.cli: under `python -m heckealg.cli`
 that module is __main__, and importing it would compile it a second
 time.  The command line's entry point builds the run's one context
 instead, and every suite takes it with --max-order-exp: the
-H_(n+1) -> H_n transfer, whose target is the rank-n algebra, or that
-algebra alone for a run of shimura, the one suite without --split.
+H_(n+1) -> H_n transfer, whose target, the rank-n algebra, is all that
+shimura reads.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from collections.abc import Iterator
 
 from .errors import VerificationError
 from .hecke import (
-    HeckeContext,
     HeckeElement,
     _c_cells,
     _hall_table,
@@ -120,9 +119,8 @@ def _inverse(maxoe: int, ctx: OmegaContext) -> Iterator[Check]:
         )
 
 
-def _shimura(maxoe: int, ctx: HeckeContext | OmegaContext) -> Iterator[Check]:
-    if isinstance(ctx, OmegaContext):  # a transfer: its target is the algebra
-        ctx = ctx.target
+def _shimura(maxoe: int, octx: OmegaContext) -> Iterator[Check]:
+    ctx = octx.target  # the rank-n algebra
     targets = [
         (f"L={format_partition(lam)}", f"{format_partition(lam)} =", basis_element, lam)
         for lam in partitions_up_to(maxoe, ctx.n)

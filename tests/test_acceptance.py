@@ -151,7 +151,7 @@ def test_criterion_07_triangular_inverse(p, n):
 def test_criterion_08_generator_decomposition(p, n):
     def body():
         # every class up to order p^4 and the aggregates T~(p^r), r = 0..4
-        checks = list(SUITES["shimura"](4, HeckeContext(p=p, n=n)))
+        checks = list(SUITES["shimura"](4, OmegaContext(p=p, n=n)))
         assert len(checks) == len(list(partitions_up_to(4, n))) + 5
         bad = [name for name, ok, _ in checks if not ok]
         assert not bad, f"decompositions failed at {bad[:5]}"

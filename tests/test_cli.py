@@ -176,8 +176,7 @@ _ONE_TRANSFER, _ONE_ALGEBRA, _NO_CONTEXT = (1, 2), (0, 1), (0, 0)
 
 @pytest.mark.parametrize("argv,omegas_heckes", [
     *((f"verify {suite} --p 2 --n 1 --max-order-exp 2", _ONE_TRANSFER)
-      for suite in ("all", "oracle")),
-    ("verify shimura --p 2 --n 1 --max-order-exp 2", _ONE_ALGEBRA),
+      for suite in ("all", "oracle", "shimura")),
     ("mul --p 2 --n 2 1*[1] 1*[1]", _ONE_ALGEBRA),
     ("decompose --p 2 --n 2 1*[2]", _ONE_ALGEBRA),
     ("ccoeff --p 2 --n 2 --M [1] --N [1] --L [1,1]", _ONE_ALGEBRA),
@@ -192,7 +191,7 @@ _ONE_TRANSFER, _ONE_ALGEBRA, _NO_CONTEXT = (1, 2), (0, 1), (0, 0)
 ])
 def test_a_verify_run_builds_its_contexts_once(capsys, monkeypatch, argv, omegas_heckes):
     # a run computes in one context, built once from its options: a
-    # command with --split (every suite but shimura) in one transfer
+    # command with --split and every verify suite in one transfer
     # H_(n+1) -> H_n and its two algebras, any other command with --n in
     # the rank-n algebra only, and count-subgroups in its own Ambient
     from heckealg.hecke import HeckeContext
@@ -689,6 +688,11 @@ _KIND_FOREIGN_OPTIONS = [
     ("verify hom", "--trunc", "4"),
     ("verify tp", "--trunc", "4"),
     ("verify inverse", "--trunc", "4"),
+    ("verify hom", "--split", "last"),
+    ("verify tp", "--split", "last"),
+    ("verify inverse", "--split", "last"),
+    ("verify hom", "--cache", "unused-dir"),
+    ("verify tp", "--cache", "unused-dir"),
     ("table a", "--budget", "5"),
     ("table b", "--budget", "5"),
     ("table omega", "--budget", "5"),
@@ -1026,8 +1030,6 @@ _A_ONLY = {
     "omega": ("omega", "--p", "2", "--n", "1", "1*[2,1]"),
     "table a": ("table", "a", "--p", "2", "--n", "1", "--max-order-exp", "2"),
     "table omega": ("table", "omega", "--p", "2", "--n", "1", "--max-order-exp", "2"),
-    "verify hom": ("verify", "hom", "--p", "2", "--n", "1", "--max-order-exp", "2"),
-    "verify tp": ("verify", "tp", "--p", "2", "--n", "1", "--max-order-exp", "2"),
     "verify oracle": ("verify", "oracle", "--p", "2", "--n", "1", "--max-order-exp", "2"),
 }
 

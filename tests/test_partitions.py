@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 from conftest import is_horizontal_strip
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from heckealg.errors import ParseError

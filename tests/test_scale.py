@@ -70,4 +70,5 @@ def test_a_warm_cache_goes_only_to_the_commands_that_take_cache(tmp_path):
     argvs = list(scale.commands(tiny=True).values())
     assert stores == ["cmd3", "cmd5"]
     assert [" ".join(argvs[k][:2]) for k in (3, 5)] == ["table b", "verify inverse"]
-    assert all(" ".join(argvs[k][:2]) in scale.CACHED for k in (2, 3, 4, 5, 6, 7))
+    cached = [k for k, argv in enumerate(argvs) if " ".join(argv[:2]) in scale.CACHED]
+    assert cached == [2, 3, 4, 5]

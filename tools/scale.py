@@ -20,10 +20,10 @@ stdout differs between the trees or between rounds, fails the probe
 argv, the digest, and per tree the runs and their medians.
 
 Without --warm-cache every child runs with no cache.  With it, a
-command that takes --cache (the transfer's: table a, b and omega, and
-verify inverse, hom and tp) is given `--cache DIR/tree<i>/cmd<k>`, k its
-place and i its tree's, so it is measured against the store that its own
-unmeasured pass filled, and no other command's lines.  Only b is stored,
+command that takes --cache (table a, b and omega, and verify inverse)
+is given `--cache DIR/tree<i>/cmd<k>`, k its place and i its tree's, so
+it is measured against the store that its own unmeasured pass filled,
+and no other command's lines.  Only b is stored,
 so only table b and verify inverse fill a store; the others find none.
 No child sees HECKE_CACHE_DIR: older checkouts read it as their default
 store.
@@ -45,8 +45,8 @@ import tempfile
 import time
 
 
-# the probe's commands that compute the transfer, the only ones that take --cache
-CACHED = ("table a", "table b", "table omega", "verify inverse", "verify hom", "verify tp")
+# the probe's commands that take --cache
+CACHED = ("table a", "table b", "table omega", "verify inverse")
 
 
 def commands(tiny: bool = False) -> dict[str, list[str]]:
