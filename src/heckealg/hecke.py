@@ -19,11 +19,14 @@ top few, and reads the Gaussian binomials of II (4.6) from a table that
 q-Pascal fills with no division (hall._gaussian_table), grown per context
 to the rows the Pieri rule reads.
 Products, generator decompositions and the structure constants take
-that route and enumerate no subgroups: a decomposition peels off
-leading terms (_peel, the one solver that also inverts the transfer in
-omega), since the T-monomials are unitriangular against the classes, a
-product applies the T-monomials of one factor to the other, and
-c(M, N; L) is the coefficient of L in the product of M and N.
+that route and enumerate no subgroups.  Each T-monomial is built once
+per context, from the identity by one Pieri step per factor
+(_monomial).  A decomposition peels off leading terms against the
+monomials (_peel, the one solver that also inverts the transfer in
+omega), since they are unitriangular against the classes.  A product
+multiplies the decompositions of its factors as polynomials and
+evaluates the result on the same monomials, and c(M, N; L) is the
+coefficient of L in the product of M and N.
 
 The one oracle for products and structure constants is the Hall table
 of L, one sweep over the subgroups of a fixed group of type L that
@@ -41,6 +44,7 @@ from __future__ import annotations
 import re
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from itertools import groupby
+from operator import add
 
 from .errors import DEFAULT_BUDGET, ParseError, VerificationError
 from .hall import _gaussian_table, is_prime
@@ -85,7 +89,8 @@ class HeckeContext:
             raise ValueError("budget must be positive")
         self.p, self.n, self.budget = p, n, budget
         self._pieri: dict[tuple[Partition, int], dict[Partition, int]] = {}
-        self._monos: dict[tuple[int, ...], HeckeElement] = {}
+        # the T-monomials built so far, keyed by their exponent vectors
+        self._monos: dict[tuple[int, ...], dict[Partition, int]] = {}
         # products of basis classes, the rows c_coeff reads
         self._products: dict[tuple[Partition, Partition], HeckeElement] = {}
         # [a; b]_p for the Pieri rows, grown to the rows they read
@@ -272,8 +277,9 @@ def c_coeff(
     Zero unless all three classes have p-rank at most ctx.n and the order
     exponents add up.  Otherwise it is the coefficient of L in the
     product of M and N (see multiply), which enumerates nothing and is
-    computed once per context for every L: that row is the only memo, and
-    no value of c is written to the coefficient cache.
+    computed once per context for every L: that row is kept on the
+    context beside the T-monomials it is evaluated on, and no value of c
+    is written to the coefficient cache.
     """
     classes = _c_classes(m, n_, l, ctx)
     if classes is None:
@@ -363,54 +369,48 @@ def _pieri_row(mu: Partition, k: int, ctx: HeckeContext) -> dict[Partition, int]
     return row
 
 
-def _times_monomial(
-    x: HeckeElement,
-    exps: tuple[int, ...],
-    ctx: HeckeContext,
-    memo: dict[tuple[int, ...], HeckeElement],
-) -> HeckeElement:
-    """x T_1^a_1 ... T_n^a_n by one Pieri step per factor.
+def _monomial(exps: tuple[int, ...], ctx: HeckeContext) -> dict[Partition, int]:
+    """T_1^a_1 ... T_n^a_n, from the identity by one Pieri step per factor.
 
-    memo holds the products of this x with monomials, keyed by exponents,
-    so monomials that share their lower factors share the steps.  The
-    missing exponent vectors are found by lowering the last factor and
-    built upwards in a loop, so no degree reaches the recursion limit.
+    ctx._monos holds every monomial built in the context, so monomials
+    that share their lower factors share the steps.  The missing exponent
+    vectors are found by lowering the last factor and built upwards in a
+    loop, so no degree reaches the recursion limit.  The dict returned is
+    the table's own, which callers only read.
     """
     steps = []  # (exponents, index of their last factor), last step first
-    while exps not in memo:
+    while exps not in ctx._monos:
         if not any(exps):
-            memo[exps] = x
+            ctx._monos[exps] = {(): 1}
             break
         k = max(i for i, a in enumerate(exps) if a)
         steps.append((exps, k))
         exps = exps[:k] + (exps[k] - 1,) + exps[k + 1 :]
-    value = memo[exps]
+    value = ctx._monos[exps]
     for exps, k in reversed(steps):
-        terms = _apply(value.terms, lambda mu: _pieri_row(mu, k + 1, ctx))
-        value = memo[exps] = HeckeElement._canonical(ctx.p, ctx.n, terms)
+        value = ctx._monos[exps] = _apply(value, lambda mu: _pieri_row(mu, k + 1, ctx))
     return value
 
 
-def _times_poly(
-    x: HeckeElement,
-    coeffs: Mapping[tuple[int, ...], int],
-    ctx: HeckeContext,
-    memo: dict[tuple[int, ...], HeckeElement],
-) -> HeckeElement:
-    terms = _apply(coeffs, lambda exps: _times_monomial(x, exps, ctx, memo).terms)
+def _evaluate(coeffs: Mapping[tuple[int, ...], int], ctx: HeckeContext) -> HeckeElement:
+    """The element that the generator polynomial with these coefficients names."""
+    terms = _apply(coeffs, lambda exps: _monomial(exps, ctx))
     return HeckeElement._canonical(ctx.p, ctx.n, terms)
 
 
 def multiply(x: HeckeElement, y: HeckeElement, ctx: HeckeContext) -> HeckeElement:
     """Bilinear product; the zero element is absorbing as usual.
 
-    y is written in the generators (decompose_in_generators), and each of
-    its T-monomials is applied to x by repeated elementary Pieri steps, so
-    no subgroup is enumerated.  The Hall tables, which c_by_enumeration
-    reads, are the independent oracle for the result.
+    Both factors are written in the generators (decompose_in_generators),
+    their polynomials are multiplied, and the product is evaluated on the
+    context's T-monomials, so no subgroup is enumerated and a product
+    repeated in one context takes no Pieri step.  The Hall tables, which
+    c_by_enumeration reads, are the independent oracle for the result.
     """
-    x._check_compatible(y)  # decompose_in_generators checks y against ctx
-    return _times_poly(x, decompose_in_generators(y, ctx).coeffs, ctx, {})
+    left = decompose_in_generators(x, ctx).coeffs  # each checks its factor against ctx
+    right = decompose_in_generators(y, ctx).coeffs
+    coeffs = _apply(left, lambda a: {tuple(map(add, a, b)): c for b, c in right.items()})
+    return _evaluate(coeffs, ctx)
 
 
 # --- generator decomposition -------------------------------------------------
@@ -456,10 +456,6 @@ class GeneratorPoly:
         return self.to_text()
 
 
-def _eval_monomial(exps: tuple[int, ...], ctx: HeckeContext) -> HeckeElement:
-    return _times_monomial(identity(ctx), exps, ctx, ctx._monos)
-
-
 def _leading_monomial(lam: Partition, n: int) -> tuple[int, ...]:
     """Exponents of T_1..T_n in prod_i T_(lam'_i), lam' the conjugate of lam."""
     cols = conjugate(lam)
@@ -470,7 +466,7 @@ def _apply(
     x: Mapping[Partition, int], image: Callable[[Partition], Mapping[Partition, int]]
 ) -> dict[Partition, int]:
     """The sum of c image(key) over the terms c key of x: image extended linearly
-    (omega, a Pieri step, a generator polynomial keyed by exponent vectors)."""
+    (omega, a Pieri step, a T-monomial or a polynomial keyed by exponent vectors)."""
     out: dict[Partition, int] = {}
     for key, c in x.items():
         for lam, v in image(key).items():
@@ -523,9 +519,7 @@ def decompose_in_generators(x: HeckeElement, ctx: HeckeContext) -> GeneratorPoly
             f"(p={ctx.p}, n={ctx.n})"
         )
     n = ctx.n
-    coeffs = _peel(
-        x.terms, lambda lam: _eval_monomial(_leading_monomial(lam, n), ctx).terms
-    )
+    coeffs = _peel(x.terms, lambda lam: _monomial(_leading_monomial(lam, n), ctx))
     return GeneratorPoly(n, {_leading_monomial(lam, n): c for lam, c in coeffs.items()})
 
 
@@ -541,4 +535,4 @@ def eval_generator_poly(poly: GeneratorPoly, ctx: HeckeContext) -> HeckeElement:
         if len(exps) != poly.n:
             raise ValueError(f"exponent vector {exps} does not have length {poly.n}")
         coeffs[tuple(exps) + padding] = c
-    return _times_poly(identity(ctx), coeffs, ctx, ctx._monos)
+    return _evaluate(coeffs, ctx)
